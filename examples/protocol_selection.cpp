@@ -10,6 +10,7 @@
 
 #include "tokenring/common/cli.hpp"
 #include "tokenring/common/table.hpp"
+#include "tokenring/exec/executor.hpp"
 #include "tokenring/planner/advisor.hpp"
 
 using namespace tokenring;
@@ -42,7 +43,7 @@ int main(int argc, char** argv) {
     const auto rec = planner::recommend_protocol(
         profile, mbps(bw_mbps),
         static_cast<std::size_t>(flags.get_int("sets")),
-        static_cast<std::uint64_t>(flags.get_int("seed")));
+        static_cast<std::uint64_t>(flags.get_int("seed")), exec::Executor(1));
     table.add_row({fmt(bw_mbps, 0), fmt(rec.ieee8025, 3),
                    fmt(rec.modified8025, 3), fmt(rec.fddi, 3),
                    planner::to_string(rec.best), fmt(rec.margin, 2)});

@@ -49,8 +49,8 @@ void BreakdownEstimate::merge(const BreakdownEstimate& other) {
 
 namespace {
 
-// Classify one saturated draw into the estimate. Shared by both entry
-// points so their per-trial semantics cannot drift apart.
+// Classify one saturated draw into the estimate. Shared by the scalar and
+// batched estimators so their per-trial semantics cannot drift apart.
 void accumulate_trial(const SaturationResult& sat, bool keep_samples,
                       BreakdownEstimate& est) {
   if (sat.degenerate_zero) {
@@ -85,21 +85,6 @@ SaturateTrial saturate_with_factory(const ScaleKernelFactory& factory,
     const ScaleKernel kernel = factory(base);
     return find_saturation_scaled(base, kernel, bw, options);
   };
-}
-
-BreakdownEstimate estimate_sequential(const msg::MessageSetGenerator& generator,
-                                      const SaturateTrial& saturate, Rng& rng,
-                                      const MonteCarloOptions& options) {
-  TR_EXPECTS(options.num_sets >= 1);
-
-  BreakdownEstimate est;
-  for (std::size_t i = 0; i < options.num_sets; ++i) {
-    const msg::MessageSet base = generator.generate(rng);
-    const SaturationResult sat = saturate(base);
-    count_trial(sat);
-    accumulate_trial(sat, options.keep_samples, est);
-  }
-  return est;
 }
 
 BreakdownEstimate estimate_parallel(const msg::MessageSetGenerator& generator,
@@ -152,49 +137,6 @@ BreakdownEstimate estimate_parallel(const msg::MessageSetGenerator& generator,
       pf);
 }
 
-// Draw one batch of base sets through `draw`, saturate them in lockstep,
-// and tally each trial in index order. Shared by the sequential and
-// parallel batched estimators.
-void run_batch(const std::function<msg::MessageSet()>& draw, std::size_t count,
-               const BatchScaleKernelFactory& factory, BitsPerSecond bw,
-               const SaturationOptions& sat_options,
-               const std::function<void(std::size_t, const SaturationResult&)>&
-                   tally) {
-  std::vector<msg::MessageSet> bases;
-  bases.reserve(count);
-  for (std::size_t j = 0; j < count; ++j) bases.push_back(draw());
-  const BatchScaleKernel kernel = factory(bases);
-  const std::vector<SaturationResult> sats =
-      find_saturation_batch(bases, kernel, bw, sat_options);
-  for (std::size_t j = 0; j < count; ++j) {
-    count_trial(sats[j]);
-    tally(j, sats[j]);
-  }
-}
-
-BreakdownEstimate estimate_batch_sequential(
-    const msg::MessageSetGenerator& generator,
-    const BatchScaleKernelFactory& factory, BitsPerSecond bw, Rng& rng,
-    const MonteCarloOptions& options) {
-  TR_EXPECTS(options.num_sets >= 1);
-  TR_EXPECTS(options.batch_size >= 1);
-
-  // The saturation search consumes no randomness, so drawing a whole batch
-  // from the shared stream before saturating leaves the draw sequence —
-  // and hence every trial — identical to the one-at-a-time estimator.
-  BreakdownEstimate est;
-  const std::size_t n = options.num_sets;
-  for (std::size_t lo = 0; lo < n; lo += options.batch_size) {
-    const std::size_t count = std::min(options.batch_size, n - lo);
-    run_batch([&] { return generator.generate(rng); }, count, factory, bw,
-              options.saturation,
-              [&](std::size_t, const SaturationResult& sat) {
-                accumulate_trial(sat, options.keep_samples, est);
-              });
-  }
-  return est;
-}
-
 BreakdownEstimate estimate_batch_parallel(
     const msg::MessageSetGenerator& generator,
     const BatchScaleKernelFactory& factory, std::uint64_t master_seed,
@@ -218,17 +160,20 @@ BreakdownEstimate estimate_batch_parallel(
   const auto run_group = [&](std::size_t g) {
     const std::size_t lo = g * group;
     const std::size_t count = std::min(n, lo + group) - lo;
+    std::vector<msg::MessageSet> bases;
+    bases.reserve(count);
+    for (std::size_t i = lo; i < lo + count; ++i) {
+      Rng rng = exec::make_trial_rng(master_seed, i);
+      bases.push_back(generator.generate(rng));
+    }
+    const BatchScaleKernel kernel = factory(bases);
+    const std::vector<SaturationResult> sats =
+        find_saturation_batch(bases, kernel, bw, options.saturation);
     std::vector<BreakdownEstimate> parts((count + shard - 1) / shard);
-    std::size_t next = lo;
-    run_batch(
-        [&] {
-          Rng rng = exec::make_trial_rng(master_seed, next++);
-          return generator.generate(rng);
-        },
-        count, factory, bw, options.saturation,
-        [&](std::size_t j, const SaturationResult& sat) {
-          accumulate_trial(sat, options.keep_samples, parts[j / shard]);
-        });
+    for (std::size_t j = 0; j < count; ++j) {
+      count_trial(sats[j]);
+      accumulate_trial(sats[j], options.keep_samples, parts[j / shard]);
+    }
     return parts;
   };
 
@@ -253,16 +198,6 @@ BreakdownEstimate estimate_batch_parallel(
 
 BreakdownEstimate estimate_breakdown_utilization(
     const msg::MessageSetGenerator& generator,
-    const SchedulablePredicate& predicate, BitsPerSecond bw, Rng& rng,
-    const MonteCarloOptions& options) {
-  TR_EXPECTS(bw > 0.0);
-  return estimate_sequential(
-      generator, saturate_with_predicate(predicate, bw, options.saturation),
-      rng, options);
-}
-
-BreakdownEstimate estimate_breakdown_utilization(
-    const msg::MessageSetGenerator& generator,
     const SchedulablePredicate& predicate, BitsPerSecond bw,
     std::uint64_t master_seed, const exec::Executor& executor,
     const MonteCarloOptions& options) {
@@ -274,16 +209,6 @@ BreakdownEstimate estimate_breakdown_utilization(
 
 BreakdownEstimate estimate_breakdown_utilization(
     const msg::MessageSetGenerator& generator,
-    const ScaleKernelFactory& kernel_factory, BitsPerSecond bw, Rng& rng,
-    const MonteCarloOptions& options) {
-  TR_EXPECTS(bw > 0.0);
-  return estimate_sequential(
-      generator, saturate_with_factory(kernel_factory, bw, options.saturation),
-      rng, options);
-}
-
-BreakdownEstimate estimate_breakdown_utilization(
-    const msg::MessageSetGenerator& generator,
     const ScaleKernelFactory& kernel_factory, BitsPerSecond bw,
     std::uint64_t master_seed, const exec::Executor& executor,
     const MonteCarloOptions& options) {
@@ -291,15 +216,6 @@ BreakdownEstimate estimate_breakdown_utilization(
   return estimate_parallel(
       generator, saturate_with_factory(kernel_factory, bw, options.saturation),
       master_seed, executor, options);
-}
-
-BreakdownEstimate estimate_breakdown_utilization(
-    const msg::MessageSetGenerator& generator,
-    const BatchScaleKernelFactory& kernel_factory, BitsPerSecond bw, Rng& rng,
-    const MonteCarloOptions& options) {
-  TR_EXPECTS(bw > 0.0);
-  return estimate_batch_sequential(generator, kernel_factory, bw, rng,
-                                   options);
 }
 
 BreakdownEstimate estimate_breakdown_utilization(

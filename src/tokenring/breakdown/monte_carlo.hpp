@@ -9,15 +9,18 @@
 // zero (fixed overheads alone exceed capacity) count as samples of 0, so
 // low-bandwidth regimes are reported honestly rather than skipped.
 //
-// Two entry points:
-//  * the seeded overload is the production path: trials are independent
-//    (trial i draws from its own SplitMix64-derived stream, see
-//    exec/seed_stream.hpp) and run on an `exec::Executor`, in fixed-size
-//    shards merged in trial order. The result is bit-identical for any
-//    jobs count, including the inline jobs == 1 path.
-//  * the `Rng&` overload is the original strictly sequential estimator
-//    where all trials consume one shared stream; it is kept for callers
-//    that thread their own engine through (and for its tests).
+// Every overload is seeded: trial i draws from its own SplitMix64-derived
+// stream (exec/seed_stream.hpp) and trials run on an `exec::Executor` in
+// fixed-size shards merged in trial order, so the result is bit-identical
+// for any jobs count, including the inline jobs == 1 path. The overloads
+// differ only in how one drawn set is saturated:
+//  * `BatchScaleKernelFactory` is the production path: trials saturate in
+//    lockstep SoA batches. Every study driver, the advisor and the
+//    benchmark use it.
+//  * `SchedulablePredicate` and `ScaleKernelFactory` are the references:
+//    one scalar search per trial, against a materialized set or in scale
+//    space. Tests and bench/parallel_scaling compare the batched path
+//    against them bit for bit.
 
 #pragma once
 
@@ -28,7 +31,6 @@
 #include <vector>
 
 #include "tokenring/breakdown/saturation.hpp"
-#include "tokenring/common/rng.hpp"
 #include "tokenring/common/stats.hpp"
 #include "tokenring/exec/executor.hpp"
 #include "tokenring/msg/generator.hpp"
@@ -43,25 +45,25 @@ struct MonteCarloOptions {
   bool keep_samples = false;
   /// Boundary-search options shared by all samples.
   SaturationOptions saturation;
-  /// Trials per work shard for the parallel path (>= 1). Part of the
-  /// result's definition, NOT a tuning knob tied to the worker count:
-  /// shard boundaries fix the merge tree, so two runs agree bit-for-bit
-  /// only if they use the same shard_size. The default balances scheduling
-  /// overhead against load balance for typical trial costs.
+  /// Trials per work shard (>= 1). Part of the result's definition, NOT a
+  /// tuning knob tied to the worker count: shard boundaries fix the merge
+  /// tree, so two runs agree bit-for-bit only if they use the same
+  /// shard_size. The default balances scheduling overhead against load
+  /// balance for typical trial costs.
   std::size_t shard_size = 8;
   /// Trials saturated per lockstep batch by the BatchScaleKernelFactory
-  /// overloads (>= 1; ignored by the scalar overloads). Purely a
+  /// overload (>= 1; ignored by the scalar overloads). Purely a
   /// throughput knob: the batched search replays every scalar probe
   /// sequence lane for lane and dispatches whole shards per batch group,
   /// so estimates are bit-identical for every batch_size (and every jobs
-  /// count). The parallel path rounds the effective lane count up to a
-  /// whole number of shards.
+  /// count). The effective lane count is rounded up to a whole number of
+  /// shards.
   std::size_t batch_size = 64;
-  /// Optional progress hook for the parallel path, called as
-  /// (trials_done_upper_bound, num_sets) whenever a shard completes.
+  /// Optional progress hook, called as (trials_done_upper_bound,
+  /// num_sets) whenever a shard (or batch group) completes.
   std::function<void(std::size_t, std::size_t)> progress;
-  /// Optional cooperative cancellation for the parallel path; when the
-  /// token fires the estimator throws `exec::Cancelled`.
+  /// Optional cooperative cancellation; when the token fires the
+  /// estimator throws `exec::Cancelled`.
   std::optional<exec::CancellationToken> cancel;
 };
 
@@ -76,9 +78,9 @@ struct BreakdownEstimate {
   std::size_t unbounded_sets = 0;
   /// Raw per-set samples; populated only with keep_samples. Ordering
   /// guarantee: samples appear in trial-index order (NOT sorted by value)
-  /// under both the sequential and the parallel estimator, for every jobs
-  /// count — shards are merged in trial order. Unbounded draws contribute
-  /// no sample, so samples.size() == utilization.count() always holds.
+  /// for every jobs count and batch size — shards are merged in trial
+  /// order. Unbounded draws contribute no sample, so samples.size() ==
+  /// utilization.count() always holds.
   std::vector<double> samples;
 
   double mean() const { return utilization.mean(); }
@@ -94,58 +96,39 @@ struct BreakdownEstimate {
   void merge(const BreakdownEstimate& other);
 };
 
-/// Run the estimator sequentially: draws sets from `generator` using the
-/// single shared stream `rng`, saturates each against `predicate` (see
-/// saturation.hpp for the monotonicity requirement), and aggregates.
+/// The production estimator. Draws trial i's set from the seed stream
+/// (master_seed, i), groups trials into lockstep batches of
+/// `options.batch_size` lanes, and saturates each group with one SoA
+/// kernel (find_saturation_batch). Each lane replays the scalar probe
+/// trajectory bit for bit, and whole shards are dispatched per batch
+/// group, their partials folded one by one in trial order. Estimates are
+/// therefore bit-identical to the reference overloads below for every
+/// (jobs, batch_size) combination. The factory is shared across worker
+/// threads and must be const-callable and thread-safe.
 BreakdownEstimate estimate_breakdown_utilization(
     const msg::MessageSetGenerator& generator,
-    const SchedulablePredicate& predicate, BitsPerSecond bw, Rng& rng,
+    const BatchScaleKernelFactory& kernel_factory, BitsPerSecond bw,
+    std::uint64_t master_seed, const exec::Executor& executor,
     const MonteCarloOptions& options = {});
 
-/// Run the estimator on `executor` with deterministic per-trial seed
-/// streams derived from (master_seed, trial index). Bit-identical across
-/// jobs counts; `--jobs 1` (an Executor with jobs == 1) runs inline with
-/// no thread-pool involvement.
+/// Reference: saturates each trial's set against `predicate` (see
+/// saturation.hpp for the monotonicity requirement), one scalar search
+/// per trial, on the same seed streams and shard grid.
 BreakdownEstimate estimate_breakdown_utilization(
     const msg::MessageSetGenerator& generator,
     const SchedulablePredicate& predicate, BitsPerSecond bw,
     std::uint64_t master_seed, const exec::Executor& executor,
     const MonteCarloOptions& options = {});
 
-/// Kernel-factory forms: each trial builds one ScaleKernel for its drawn
-/// set (hoisting the scale-invariant work once) and bisects in scale space
-/// with no per-probe allocation. A factory whose kernels agree with a
-/// predicate yields bit-identical estimates to the predicate overloads —
-/// the probe sequence depends only on the verdicts. The factory is shared
-/// across worker threads and must be const-callable and thread-safe.
-BreakdownEstimate estimate_breakdown_utilization(
-    const msg::MessageSetGenerator& generator,
-    const ScaleKernelFactory& kernel_factory, BitsPerSecond bw, Rng& rng,
-    const MonteCarloOptions& options = {});
-
+/// Reference in scale space: each trial builds one ScaleKernel for its
+/// drawn set (hoisting the scale-invariant work once) and bisects with no
+/// per-probe allocation. A factory whose kernels agree with a predicate
+/// yields bit-identical estimates to the predicate overload, because the
+/// probe sequence depends only on the verdicts. The factory must be
+/// const-callable and thread-safe.
 BreakdownEstimate estimate_breakdown_utilization(
     const msg::MessageSetGenerator& generator,
     const ScaleKernelFactory& kernel_factory, BitsPerSecond bw,
-    std::uint64_t master_seed, const exec::Executor& executor,
-    const MonteCarloOptions& options = {});
-
-/// Batched forms: trials are grouped into lockstep batches of
-/// `options.batch_size` lanes, each group saturated with one SoA kernel
-/// (find_saturation_batch) instead of one scalar search per trial. The
-/// saturation search consumes no randomness, so drawing a whole batch of
-/// sets up front preserves the draw sequence; each lane replays the scalar
-/// probe trajectory bit for bit; and the parallel path dispatches whole
-/// shards per batch group, folding the per-shard partials individually in
-/// trial order. Estimates are therefore bit-identical to the scalar
-/// overloads for every (jobs, batch_size) combination.
-BreakdownEstimate estimate_breakdown_utilization(
-    const msg::MessageSetGenerator& generator,
-    const BatchScaleKernelFactory& kernel_factory, BitsPerSecond bw, Rng& rng,
-    const MonteCarloOptions& options = {});
-
-BreakdownEstimate estimate_breakdown_utilization(
-    const msg::MessageSetGenerator& generator,
-    const BatchScaleKernelFactory& kernel_factory, BitsPerSecond bw,
     std::uint64_t master_seed, const exec::Executor& executor,
     const MonteCarloOptions& options = {});
 

@@ -1,5 +1,6 @@
 #include "tokenring/breakdown/saturation.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "tokenring/common/checks.hpp"
@@ -285,6 +286,22 @@ std::vector<SaturationResult> find_saturation_batch(
     }
     count_evals(res.predicate_evals);
     results.push_back(res);
+  }
+  return results;
+}
+
+std::vector<SaturationResult> find_saturation_chunked(
+    std::span<const msg::MessageSet> bases,
+    const BatchScaleKernelFactory& factory, BitsPerSecond bw,
+    std::size_t batch, const SaturationOptions& options) {
+  TR_EXPECTS(batch >= 1);
+  std::vector<SaturationResult> results;
+  results.reserve(bases.size());
+  for (std::size_t lo = 0; lo < bases.size(); lo += batch) {
+    const auto chunk = bases.subspan(lo, std::min(batch, bases.size() - lo));
+    const BatchScaleKernel kernel = factory(chunk);
+    const auto part = find_saturation_batch(chunk, kernel, bw, options);
+    results.insert(results.end(), part.begin(), part.end());
   }
   return results;
 }

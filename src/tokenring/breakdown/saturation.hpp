@@ -203,4 +203,13 @@ std::vector<SaturationResult> find_saturation_batch(
     std::span<const msg::MessageSet> bases, const BatchScaleKernel& kernel,
     BitsPerSecond bw, const SaturationOptions& options = {});
 
+/// find_saturation_batch over consecutive chunks of at most `batch` base
+/// sets, one kernel per chunk from `factory`, run one after another.
+/// result[i] belongs to bases[i] and, by the batch-kernel contract, is the
+/// same for every `batch` >= 1.
+std::vector<SaturationResult> find_saturation_chunked(
+    std::span<const msg::MessageSet> bases,
+    const BatchScaleKernelFactory& factory, BitsPerSecond bw,
+    std::size_t batch, const SaturationOptions& options = {});
+
 }  // namespace tokenring::breakdown

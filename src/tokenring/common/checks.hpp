@@ -7,6 +7,7 @@
 
 #pragma once
 
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -17,15 +18,29 @@ namespace tokenring {
 class PreconditionError : public std::invalid_argument {
  public:
   using std::invalid_argument::invalid_argument;
+  PreconditionError(const std::string& what, const std::string& reason)
+      : std::invalid_argument(what),
+        reason_(std::make_shared<const std::string>(reason)) {}
+
+  /// what() without the source file and line: the violated condition and
+  /// its explanation. This is the text to show remote clients.
+  std::string reason() const { return reason_ ? *reason_ : what(); }
+
+ private:
+  // Shared so that copying the exception cannot throw.
+  std::shared_ptr<const std::string> reason_;
 };
 
 namespace detail {
 [[noreturn]] inline void precondition_failed(const char* expr, const char* file,
                                              int line, const std::string& msg) {
+  const std::string explanation = msg.empty() ? "" : " (" + msg + ")";
   std::ostringstream os;
-  os << "precondition failed: " << expr << " at " << file << ":" << line;
-  if (!msg.empty()) os << " (" << msg << ")";
-  throw PreconditionError(os.str());
+  os << "precondition failed: " << expr << " at " << file << ":" << line
+     << explanation;
+  throw PreconditionError(os.str(),
+                          "precondition failed: " + std::string(expr) +
+                              explanation);
 }
 }  // namespace detail
 

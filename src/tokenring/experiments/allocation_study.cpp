@@ -7,7 +7,6 @@
 #include <span>
 #include <vector>
 
-#include "tokenring/analysis/kernels.hpp"
 #include "tokenring/analysis/ttrt.hpp"
 #include "tokenring/breakdown/saturation.hpp"
 #include "tokenring/common/checks.hpp"
@@ -114,20 +113,14 @@ WorstCaseStudyResult run_worst_case_study(const WorstCaseStudyConfig& config) {
   // rule is scale-invariant), so every outcome is bit-identical. Chunks are
   // independent, so the chunk grid parallelizes without changing results.
   TR_EXPECTS(config.batch >= 1);
+  const auto factory = config.setup.ttp_batch_kernel_factory(bw);
   const std::size_t chunks = (config.num_sets + config.batch - 1) / config.batch;
   executor.parallel_for(chunks, [&](std::size_t c) {
     const std::size_t lo = c * config.batch;
     const std::size_t count = std::min(config.batch, config.num_sets - lo);
     const std::span<const msg::MessageSet> chunk(bases.data() + lo, count);
-    const analysis::TtpBatchKernel kernel(chunk, params, bw);
-    const auto sats = breakdown::find_saturation_batch(
-        chunk,
-        [&kernel](std::span<const double> scales,
-                  std::span<const std::uint8_t> active,
-                  std::span<std::uint8_t> verdicts) {
-          kernel.evaluate(scales, active, verdicts);
-        },
-        bw);
+    const auto sats =
+        breakdown::find_saturation_batch(chunk, factory(chunk), bw);
     for (std::size_t j = 0; j < count; ++j) {
       if (sats[j].found) {
         outcomes[lo + j].found = true;

@@ -3,11 +3,9 @@
 #include "tokenring/obs/span.hpp"
 
 #include <algorithm>
-#include <span>
 #include <utility>
 #include <vector>
 
-#include "tokenring/analysis/kernels.hpp"
 #include "tokenring/breakdown/saturation.hpp"
 #include "tokenring/common/checks.hpp"
 #include "tokenring/exec/executor.hpp"
@@ -126,7 +124,6 @@ std::vector<FaultStudyRow> run_fault_study(const FaultStudyConfig& config) {
   // stream unchanged because the searches consume no randomness.
   std::vector<PreparedSet> prepared(config.sets_per_point);
   {
-    TR_EXPECTS(config.batch >= 1);
     msg::MessageSetGenerator gen(config.setup.generator_config());
     Rng rng(config.seed);
     std::vector<msg::MessageSet> bases;
@@ -134,39 +131,24 @@ std::vector<FaultStudyRow> run_fault_study(const FaultStudyConfig& config) {
     for (std::size_t i = 0; i < config.sets_per_point; ++i) {
       bases.push_back(gen.generate(rng));
     }
-    for (std::size_t lo = 0; lo < bases.size(); lo += config.batch) {
-      const std::size_t count = std::min(config.batch, bases.size() - lo);
-      const std::span<const msg::MessageSet> chunk(bases.data() + lo, count);
-      const analysis::PdpBatchKernel pdp_kernel(chunk, pdp_params, bw);
-      const auto pdp_sats = breakdown::find_saturation_batch(
-          chunk,
-          [&pdp_kernel](std::span<const double> scales,
-                        std::span<const std::uint8_t> active,
-                        std::span<std::uint8_t> verdicts) {
-            pdp_kernel.evaluate(scales, active, verdicts);
-          },
-          bw);
-      const analysis::TtpBatchKernel ttp_kernel(chunk, ttp_params, bw);
-      const auto ttp_sats = breakdown::find_saturation_batch(
-          chunk,
-          [&ttp_kernel](std::span<const double> scales,
-                        std::span<const std::uint8_t> active,
-                        std::span<std::uint8_t> verdicts) {
-            ttp_kernel.evaluate(scales, active, verdicts);
-          },
-          bw);
-      for (std::size_t j = 0; j < count; ++j) {
-        PreparedSet& p = prepared[lo + j];
-        if (pdp_sats[j].found) {
-          p.pdp_found = true;
-          p.pdp_set =
-              bases[lo + j].scaled(pdp_sats[j].critical_scale * config.load_scale);
-        }
-        if (ttp_sats[j].found) {
-          p.ttp_found = true;
-          p.ttp_set =
-              bases[lo + j].scaled(ttp_sats[j].critical_scale * config.load_scale);
-        }
+    const auto pdp_sats = breakdown::find_saturation_chunked(
+        bases,
+        config.setup.pdp_batch_kernel_factory(
+            analysis::PdpVariant::kModified8025, bw),
+        bw, config.batch);
+    const auto ttp_sats = breakdown::find_saturation_chunked(
+        bases, config.setup.ttp_batch_kernel_factory(bw), bw, config.batch);
+    for (std::size_t i = 0; i < bases.size(); ++i) {
+      PreparedSet& p = prepared[i];
+      if (pdp_sats[i].found) {
+        p.pdp_found = true;
+        p.pdp_set =
+            bases[i].scaled(pdp_sats[i].critical_scale * config.load_scale);
+      }
+      if (ttp_sats[i].found) {
+        p.ttp_found = true;
+        p.ttp_set =
+            bases[i].scaled(ttp_sats[i].critical_scale * config.load_scale);
       }
     }
   }

@@ -3,7 +3,6 @@
 #include <memory>
 
 #include "tokenring/analysis/kernels.hpp"
-#include "tokenring/analysis/ttrt.hpp"
 
 namespace tokenring::experiments {
 
@@ -48,13 +47,6 @@ breakdown::SchedulablePredicate PaperSetup::ttp_predicate(
   };
 }
 
-breakdown::SchedulablePredicate PaperSetup::ttp_predicate_at(
-    BitsPerSecond bw, Seconds ttrt) const {
-  return [params = ttp_params(), bw, ttrt](const msg::MessageSet& set) {
-    return analysis::ttp_feasible_at(set, params, bw, ttrt);
-  };
-}
-
 breakdown::ScaleKernelFactory PaperSetup::pdp_kernel_factory(
     analysis::PdpVariant variant, BitsPerSecond bw) const {
   return [params = pdp_params(variant), bw](const msg::MessageSet& base) {
@@ -65,22 +57,6 @@ breakdown::ScaleKernelFactory PaperSetup::pdp_kernel_factory(
     auto kernel = std::make_shared<analysis::PdpScaleKernel>(base, params, bw);
     return breakdown::ScaleKernel(
         [kernel](double scale) { return (*kernel)(scale); });
-  };
-}
-
-breakdown::ScaleKernelFactory PaperSetup::ttp_kernel_factory(
-    BitsPerSecond bw) const {
-  return [params = ttp_params(), bw](const msg::MessageSet& base) {
-    return breakdown::ScaleKernel(
-        analysis::TtpScaleKernel(base, params, bw));
-  };
-}
-
-breakdown::ScaleKernelFactory PaperSetup::ttp_kernel_factory_at(
-    BitsPerSecond bw, Seconds ttrt) const {
-  return [params = ttp_params(), bw, ttrt](const msg::MessageSet& base) {
-    return breakdown::ScaleKernel(
-        analysis::TtpScaleKernel(base, params, bw, ttrt));
   };
 }
 
@@ -126,53 +102,6 @@ breakdown::BatchScaleKernelFactory PaperSetup::ttp_batch_kernel_factory_at(
   };
 }
 
-namespace {
-
-template <typename Criterion>
-breakdown::BreakdownEstimate estimate_point_impl(
-    const PaperSetup& setup, const Criterion& criterion, BitsPerSecond bw,
-    std::size_t num_sets, std::uint64_t seed,
-    const exec::Executor& executor) {
-  msg::MessageSetGenerator generator(setup.generator_config());
-  breakdown::MonteCarloOptions options;
-  options.num_sets = num_sets;
-  return breakdown::estimate_breakdown_utilization(generator, criterion, bw,
-                                                   seed, executor, options);
-}
-
-}  // namespace
-
-breakdown::BreakdownEstimate estimate_point(
-    const PaperSetup& setup, const breakdown::SchedulablePredicate& predicate,
-    BitsPerSecond bw, std::size_t num_sets, std::uint64_t seed,
-    const exec::Executor& executor) {
-  return estimate_point_impl(setup, predicate, bw, num_sets, seed, executor);
-}
-
-breakdown::BreakdownEstimate estimate_point(
-    const PaperSetup& setup, const breakdown::SchedulablePredicate& predicate,
-    BitsPerSecond bw, std::size_t num_sets, std::uint64_t seed) {
-  const exec::Executor inline_executor(1);
-  return estimate_point(setup, predicate, bw, num_sets, seed, inline_executor);
-}
-
-breakdown::BreakdownEstimate estimate_point(
-    const PaperSetup& setup,
-    const breakdown::ScaleKernelFactory& kernel_factory, BitsPerSecond bw,
-    std::size_t num_sets, std::uint64_t seed, const exec::Executor& executor) {
-  return estimate_point_impl(setup, kernel_factory, bw, num_sets, seed,
-                             executor);
-}
-
-breakdown::BreakdownEstimate estimate_point(
-    const PaperSetup& setup,
-    const breakdown::ScaleKernelFactory& kernel_factory, BitsPerSecond bw,
-    std::size_t num_sets, std::uint64_t seed) {
-  const exec::Executor inline_executor(1);
-  return estimate_point(setup, kernel_factory, bw, num_sets, seed,
-                        inline_executor);
-}
-
 breakdown::BreakdownEstimate estimate_point(
     const PaperSetup& setup,
     const breakdown::BatchScaleKernelFactory& kernel_factory, BitsPerSecond bw,
@@ -184,15 +113,6 @@ breakdown::BreakdownEstimate estimate_point(
   options.batch_size = batch;
   return breakdown::estimate_breakdown_utilization(generator, kernel_factory,
                                                    bw, seed, executor, options);
-}
-
-breakdown::BreakdownEstimate estimate_point(
-    const PaperSetup& setup,
-    const breakdown::BatchScaleKernelFactory& kernel_factory, BitsPerSecond bw,
-    std::size_t num_sets, std::uint64_t seed, std::size_t batch) {
-  const exec::Executor inline_executor(1);
-  return estimate_point(setup, kernel_factory, bw, num_sets, seed,
-                        inline_executor, batch);
 }
 
 }  // namespace tokenring::experiments

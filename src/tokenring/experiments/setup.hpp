@@ -48,28 +48,19 @@ struct PaperSetup {
   /// Schedulability predicate for TTP (paper TTRT rule) at one bandwidth.
   breakdown::SchedulablePredicate ttp_predicate(BitsPerSecond bw) const;
 
-  /// TTP predicate with an explicitly pinned TTRT (for the sensitivity
-  /// study).
-  breakdown::SchedulablePredicate ttp_predicate_at(BitsPerSecond bw,
-                                                   Seconds ttrt) const;
-
-  /// Scale-kernel factories matching the predicates above verdict for
-  /// verdict (analysis/kernels.hpp): per trial, the scale-invariant work is
-  /// hoisted once and each saturation probe is allocation-free. These are
-  /// what the experiment drivers use; the predicates remain the reference
-  /// path (tests pin that both produce bit-identical estimates).
+  /// PDP scale-kernel factory matching pdp_predicate verdict for verdict
+  /// (analysis/kernels.hpp): per trial, the scale-invariant work is
+  /// hoisted once and each saturation probe is allocation-free. A
+  /// reference path, like the predicates: tests pin that all of them
+  /// produce bit-identical estimates.
   breakdown::ScaleKernelFactory pdp_kernel_factory(analysis::PdpVariant variant,
                                                    BitsPerSecond bw) const;
-  breakdown::ScaleKernelFactory ttp_kernel_factory(BitsPerSecond bw) const;
-  breakdown::ScaleKernelFactory ttp_kernel_factory_at(BitsPerSecond bw,
-                                                      Seconds ttrt) const;
 
   /// Batched (SoA) kernel factories: one kernel saturates a whole batch of
   /// trials in lockstep (analysis/kernels.hpp PdpBatchKernel /
   /// TtpBatchKernel), with verdicts — and therefore Monte Carlo estimates
-  /// — bit-identical to the scalar factories above. The experiment drivers
-  /// route through these; the scalar factories and predicates remain the
-  /// reference paths the tests compare against.
+  /// — bit-identical to the predicates above. Every experiment driver and
+  /// the advisor build their batch kernels through these.
   breakdown::BatchScaleKernelFactory pdp_batch_kernel_factory(
       analysis::PdpVariant variant, BitsPerSecond bw) const;
   breakdown::BatchScaleKernelFactory ttp_batch_kernel_factory(
@@ -78,46 +69,18 @@ struct PaperSetup {
       BitsPerSecond bw, Seconds ttrt) const;
 };
 
-/// Estimate the average breakdown utilization of one predicate at one
-/// bandwidth, running the trials on `executor`. Trial i draws from the
-/// seed stream derived from (seed, i), so curves estimated for different
-/// protocols share the same random message sets (common random numbers),
-/// which sharpens curve-to-curve comparisons — and the result is
-/// bit-identical for every executor jobs count.
-breakdown::BreakdownEstimate estimate_point(
-    const PaperSetup& setup, const breakdown::SchedulablePredicate& predicate,
-    BitsPerSecond bw, std::size_t num_sets, std::uint64_t seed,
-    const exec::Executor& executor);
-
-/// Convenience overload running inline on the calling thread (same result
-/// as any parallel executor, just sequentially).
-breakdown::BreakdownEstimate estimate_point(
-    const PaperSetup& setup, const breakdown::SchedulablePredicate& predicate,
-    BitsPerSecond bw, std::size_t num_sets, std::uint64_t seed);
-
-/// Kernel-factory forms: same estimates, allocation-free probe loop.
-breakdown::BreakdownEstimate estimate_point(
-    const PaperSetup& setup,
-    const breakdown::ScaleKernelFactory& kernel_factory, BitsPerSecond bw,
-    std::size_t num_sets, std::uint64_t seed, const exec::Executor& executor);
-
-breakdown::BreakdownEstimate estimate_point(
-    const PaperSetup& setup,
-    const breakdown::ScaleKernelFactory& kernel_factory, BitsPerSecond bw,
-    std::size_t num_sets, std::uint64_t seed);
-
-/// Batched forms: trials are saturated in lockstep batches of `batch`
-/// lanes (see monte_carlo.hpp). Bit-identical to the scalar forms for
-/// every (executor jobs, batch) combination.
+/// Estimate the average breakdown utilization of one protocol at one
+/// bandwidth: `num_sets` sets drawn under `setup`, saturated in lockstep
+/// batches of `batch` lanes on `executor` (breakdown/monte_carlo.hpp).
+/// Trial i draws from the seed stream derived from (seed, i), so curves
+/// estimated for different protocols share the same random message sets
+/// (common random numbers), which sharpens curve-to-curve comparisons —
+/// and the result is bit-identical for every (executor jobs, batch)
+/// combination.
 breakdown::BreakdownEstimate estimate_point(
     const PaperSetup& setup,
     const breakdown::BatchScaleKernelFactory& kernel_factory, BitsPerSecond bw,
     std::size_t num_sets, std::uint64_t seed, const exec::Executor& executor,
     std::size_t batch);
-
-breakdown::BreakdownEstimate estimate_point(
-    const PaperSetup& setup,
-    const breakdown::BatchScaleKernelFactory& kernel_factory, BitsPerSecond bw,
-    std::size_t num_sets, std::uint64_t seed, std::size_t batch);
 
 }  // namespace tokenring::experiments

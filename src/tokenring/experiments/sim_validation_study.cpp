@@ -3,11 +3,8 @@
 #include "tokenring/obs/span.hpp"
 
 #include <algorithm>
-#include <span>
-#include <utility>
 #include <vector>
 
-#include "tokenring/analysis/kernels.hpp"
 #include "tokenring/analysis/ttrt.hpp"
 #include "tokenring/breakdown/saturation.hpp"
 #include "tokenring/common/checks.hpp"
@@ -16,34 +13,6 @@
 namespace tokenring::experiments {
 
 namespace {
-
-/// Locate every base set's schedulability boundary in lockstep chunks of
-/// `batch` lanes. `make_kernel(chunk)` builds the SoA batch kernel for one
-/// chunk; results are bit-identical to per-set find_saturation with the
-/// matching predicate (the batch-kernel contract).
-template <typename MakeKernel>
-std::vector<breakdown::SaturationResult> saturate_all(
-    const std::vector<msg::MessageSet>& bases, std::size_t batch,
-    BitsPerSecond bw, const MakeKernel& make_kernel) {
-  TR_EXPECTS(batch >= 1);
-  std::vector<breakdown::SaturationResult> sats;
-  sats.reserve(bases.size());
-  for (std::size_t lo = 0; lo < bases.size(); lo += batch) {
-    const std::size_t count = std::min(batch, bases.size() - lo);
-    const std::span<const msg::MessageSet> chunk(bases.data() + lo, count);
-    const auto kernel = make_kernel(chunk);
-    auto part = breakdown::find_saturation_batch(
-        chunk,
-        [&kernel](std::span<const double> scales,
-                  std::span<const std::uint8_t> active,
-                  std::span<std::uint8_t> verdicts) {
-          kernel.evaluate(scales, active, verdicts);
-        },
-        bw);
-    for (auto& r : part) sats.push_back(std::move(r));
-  }
-  return sats;
-}
 
 SimValidationRow validate_pdp(const SimValidationConfig& config,
                               analysis::PdpVariant variant, double bw_mbps) {
@@ -66,10 +35,9 @@ SimValidationRow validate_pdp(const SimValidationConfig& config,
   for (std::size_t i = 0; i < config.sets_per_point; ++i) {
     bases.push_back(gen.generate(rng));
   }
-  const auto sats = saturate_all(
-      bases, config.batch, bw, [&](std::span<const msg::MessageSet> chunk) {
-        return analysis::PdpBatchKernel(chunk, params, bw);
-      });
+  const auto sats = breakdown::find_saturation_chunked(
+      bases, config.setup.pdp_batch_kernel_factory(variant, bw), bw,
+      config.batch);
 
   for (std::size_t i = 0; i < config.sets_per_point; ++i) {
     const auto& base = bases[i];
@@ -120,10 +88,8 @@ SimValidationRow validate_ttp(const SimValidationConfig& config,
   for (std::size_t i = 0; i < config.sets_per_point; ++i) {
     bases.push_back(gen.generate(rng));
   }
-  const auto sats = saturate_all(
-      bases, config.batch, bw, [&](std::span<const msg::MessageSet> chunk) {
-        return analysis::TtpBatchKernel(chunk, params, bw);
-      });
+  const auto sats = breakdown::find_saturation_chunked(
+      bases, config.setup.ttp_batch_kernel_factory(bw), bw, config.batch);
 
   for (std::size_t i = 0; i < config.sets_per_point; ++i) {
     const auto& base = bases[i];

@@ -1,6 +1,7 @@
 #include "tokenring/msg/stream.hpp"
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "tokenring/common/checks.hpp"
@@ -17,6 +18,9 @@ void SyncStream::validate() const {
   TR_EXPECTS_MSG(period > 0.0, "stream period must be positive");
   TR_EXPECTS_MSG(payload_bits >= 0.0, "payload cannot be negative");
   TR_EXPECTS_MSG(station >= 0, "station index cannot be negative");
+  // The ring holds station + 1 stations, which must fit in an int.
+  TR_EXPECTS_MSG(station < std::numeric_limits<int>::max(),
+                 "station index must leave room for the ring size");
   TR_EXPECTS_MSG(relative_deadline >= 0.0,
                  "relative deadline cannot be negative");
   TR_EXPECTS_MSG(relative_deadline <= period,

@@ -1,11 +1,9 @@
 #include "tokenring/planner/advisor.hpp"
 
 #include <algorithm>
-#include <span>
 #include <utility>
 #include <vector>
 
-#include "tokenring/analysis/kernels.hpp"
 #include "tokenring/breakdown/saturation.hpp"
 #include "tokenring/common/checks.hpp"
 #include "tokenring/exec/seed_stream.hpp"
@@ -39,6 +37,9 @@ ResilienceSample estimate_resilience(const experiments::PaperSetup& setup,
   const auto pdp_params =
       setup.pdp_params(analysis::PdpVariant::kModified8025);
   const auto ttp_params = setup.ttp_params();
+  const auto pdp_factory =
+      setup.pdp_batch_kernel_factory(analysis::PdpVariant::kModified8025, bw);
+  const auto ttp_factory = setup.ttp_batch_kernel_factory(bw);
   const std::size_t groups = (num_sets + batch - 1) / batch;
   const auto sample_group = [&](std::size_t g) {
     const std::size_t lo = g * batch;
@@ -50,24 +51,10 @@ ResilienceSample estimate_resilience(const experiments::PaperSetup& setup,
       Rng rng = exec::make_trial_rng(seed, lo + j);
       bases.push_back(generator.generate(rng));
     }
-    const analysis::PdpBatchKernel pdp_kernel(bases, pdp_params, bw);
-    const auto pdp_sats = breakdown::find_saturation_batch(
-        bases,
-        [&pdp_kernel](std::span<const double> scales,
-                      std::span<const std::uint8_t> active,
-                      std::span<std::uint8_t> verdicts) {
-          pdp_kernel.evaluate(scales, active, verdicts);
-        },
-        bw);
-    const analysis::TtpBatchKernel ttp_kernel(bases, ttp_params, bw);
-    const auto ttp_sats = breakdown::find_saturation_batch(
-        bases,
-        [&ttp_kernel](std::span<const double> scales,
-                      std::span<const std::uint8_t> active,
-                      std::span<std::uint8_t> verdicts) {
-          ttp_kernel.evaluate(scales, active, verdicts);
-        },
-        bw);
+    const auto pdp_sats =
+        breakdown::find_saturation_batch(bases, pdp_factory(bases), bw);
+    const auto ttp_sats =
+        breakdown::find_saturation_batch(bases, ttp_factory(bases), bw);
     std::vector<ResilienceSample> samples(count);
     for (std::size_t j = 0; j < count; ++j) {
       ResilienceSample s{-1.0, -1.0};
@@ -171,15 +158,6 @@ Recommendation recommend_protocol(const TrafficProfile& profile,
   rec.margin = entries[1].value > 0.0 ? entries[0].value / entries[1].value
                                       : (entries[0].value > 0.0 ? 1e9 : 1.0);
   return rec;
-}
-
-Recommendation recommend_protocol(const TrafficProfile& profile,
-                                  BitsPerSecond bandwidth,
-                                  std::size_t num_sets, std::uint64_t seed,
-                                  std::size_t batch) {
-  const exec::Executor inline_executor(1);
-  return recommend_protocol(profile, bandwidth, num_sets, seed,
-                            inline_executor, batch);
 }
 
 }  // namespace tokenring::planner

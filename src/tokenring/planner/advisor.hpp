@@ -49,21 +49,15 @@ struct Recommendation {
 
 /// Estimate breakdown utilization for each protocol at `bandwidth` via
 /// Monte Carlo (`num_sets` random sets, deterministic in `seed`) and pick
-/// the winner, running the trials on `executor`. Saturation searches run
-/// in lockstep SoA batches of `batch` trials (breakdown/monte_carlo.hpp);
-/// the recommendation is the same for every (jobs, batch) combination.
+/// the winner, running the trials on `executor` (an `exec::Executor(1)`
+/// runs them inline). Saturation searches run in lockstep SoA batches of
+/// `batch` trials (breakdown/monte_carlo.hpp); the recommendation is the
+/// same for every (jobs, batch) combination.
 Recommendation recommend_protocol(const TrafficProfile& profile,
                                   BitsPerSecond bandwidth,
                                   std::size_t num_sets,
                                   std::uint64_t seed,
                                   const exec::Executor& executor,
-                                  std::size_t batch = 64);
-
-/// Convenience overload running inline on the calling thread.
-Recommendation recommend_protocol(const TrafficProfile& profile,
-                                  BitsPerSecond bandwidth,
-                                  std::size_t num_sets = 50,
-                                  std::uint64_t seed = 1,
                                   std::size_t batch = 64);
 
 }  // namespace tokenring::planner

@@ -255,7 +255,12 @@ void Engine::dispatch_async(Request request, const std::string& fallback_client,
     } catch (const std::exception& e) {
       static const obs::Counter failures("serve.compute_failures");
       failures.add();
-      response = error_response(request.id_token, 500, e.what());
+      // A precondition's what() names a source file; clients get only
+      // the reason.
+      const auto* precondition = dynamic_cast<const PreconditionError*>(&e);
+      response = error_response(request.id_token, 500,
+                                precondition ? precondition->reason()
+                                             : std::string(e.what()));
     }
     done(std::move(response));
     return std::string();  // the future's value is unused; done() is the
@@ -384,11 +389,12 @@ std::string Engine::compute_advise(const AdviseQuery& query) {
   w.begin_object();
   w.key("recommendations").begin_array();
   for (double bw : query.bandwidths_mbps) {
-    // The inline overload: batch jobs must not re-enter the group
-    // executor, and the recommendation is identical for every (jobs,
-    // batch) combination, so this matches `tokenring_tool advise`.
+    // Inline: batch jobs must not re-enter the group executor, and the
+    // recommendation is identical for every (jobs, batch) combination,
+    // so this matches `tokenring_tool advise`.
     const auto rec = planner::recommend_protocol(
-        profile, mbps(bw), static_cast<std::size_t>(query.sets), query.seed);
+        profile, mbps(bw), static_cast<std::size_t>(query.sets), query.seed,
+        exec::Executor(1));
     w.begin_object();
     w.key("bandwidth_mbps").value_number(bw);
     w.key("ieee8025").value_number(rec.ieee8025);

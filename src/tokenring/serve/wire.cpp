@@ -1,5 +1,6 @@
 #include "tokenring/serve/wire.hpp"
 
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -51,8 +52,9 @@ bool read_number(const obs::JsonValue& v, const char* name, double min,
   return true;
 }
 
+/// Integer in [min, max]; `name` feeds the 400 message.
 bool read_int(const obs::JsonValue& v, const char* name, std::int64_t min,
-              std::int64_t& out, std::string& error) {
+              std::int64_t max, std::int64_t& out, std::string& error) {
   if (!v.is_number()) return fail(error, std::string("\"") + name + "\" must be a number");
   try {
     out = v.as_int64();
@@ -63,8 +65,15 @@ bool read_int(const obs::JsonValue& v, const char* name, std::int64_t min,
     return fail(error, std::string("\"") + name + "\" must be >= " +
                            std::to_string(min));
   }
+  if (out > max) {
+    return fail(error, std::string("\"") + name + "\" must be <= " +
+                           std::to_string(max));
+  }
   return true;
 }
+
+/// Upper bound of the wire integers that land in an `int`.
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
 
 bool known_protocol(const std::string& name) {
   return name == "fddi" || name == "ieee8025" || name == "modified8025";
@@ -87,7 +96,7 @@ bool parse_streams(const obs::JsonValue& v, msg::MessageSet& out,
     for (const auto& [key, value] : item.members()) {
       if (key == "station") {
         std::int64_t station = 0;
-        if (!read_int(value, "station", 0, station, error)) {
+        if (!read_int(value, "station", 0, kIntMax, station, error)) {
           return fail(error, where + ": " + error);
         }
         s.station = static_cast<int>(station);
@@ -118,7 +127,7 @@ bool parse_streams(const obs::JsonValue& v, msg::MessageSet& out,
     try {
       s.validate();
     } catch (const PreconditionError& e) {
-      return fail(error, where + ": " + e.what());
+      return fail(error, where + ": " + e.reason());
     }
     out.add(s);
   }
@@ -227,7 +236,9 @@ bool parse_request(const obs::JsonValue& doc, Request& out,
       }
     } else if (is_advise && key == "stations") {
       std::int64_t stations = 0;
-      if (!read_int(value, "stations", 1, stations, error)) return false;
+      if (!read_int(value, "stations", 1, kIntMax, stations, error)) {
+        return false;
+      }
       out.advise.stations = static_cast<int>(stations);
     } else if (is_advise && key == "mean_period_ms") {
       if (!read_number(value, "mean_period_ms", 0.0,
@@ -248,7 +259,7 @@ bool parse_request(const obs::JsonValue& doc, Request& out,
       }
     } else if (is_advise && key == "sets") {
       std::int64_t sets = 0;
-      if (!read_int(value, "sets", 1, sets, error)) return false;
+      if (!read_int(value, "sets", 1, kIntMax, sets, error)) return false;
       out.advise.sets = static_cast<int>(sets);
     } else if (is_advise && key == "seed") {
       if (!value.is_number()) return fail(error, "\"seed\" must be a number");

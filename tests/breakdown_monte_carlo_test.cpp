@@ -33,10 +33,11 @@ TEST(MonteCarlo, ClosedFormPredicateRecoversThreshold) {
     return m.utilization(bw) <= 0.8;
   };
   auto gen = small_generator();
-  Rng rng(1);
+  const exec::Executor seq(1);
   MonteCarloOptions opts;
   opts.num_sets = 25;
-  const auto est = estimate_breakdown_utilization(gen, predicate, bw, rng, opts);
+  const auto est =
+      estimate_breakdown_utilization(gen, predicate, bw, 1, seq, opts);
   EXPECT_EQ(est.utilization.count(), 25u);
   EXPECT_NEAR(est.mean(), 0.8, 1e-4);
   EXPECT_LT(est.utilization.stddev(), 1e-4);
@@ -44,37 +45,16 @@ TEST(MonteCarlo, ClosedFormPredicateRecoversThreshold) {
   EXPECT_EQ(est.unbounded_sets, 0u);
 }
 
-TEST(MonteCarlo, DeterministicForFixedSeed) {
-  const BitsPerSecond bw = mbps(100);
-  analysis::TtpParams p;
-  p.ring = net::fddi_ring(10);
-  p.frame = net::paper_frame_format();
-  p.async_frame = net::paper_frame_format();
-  const SchedulablePredicate predicate = [&](const msg::MessageSet& m) {
-    return analysis::ttp_feasible(m, p, bw);
-  };
-  auto gen = small_generator();
-  MonteCarloOptions opts;
-  opts.num_sets = 10;
-
-  Rng r1(42);
-  Rng r2(42);
-  const auto a = estimate_breakdown_utilization(gen, predicate, bw, r1, opts);
-  const auto b = estimate_breakdown_utilization(gen, predicate, bw, r2, opts);
-  EXPECT_DOUBLE_EQ(a.mean(), b.mean());
-  EXPECT_DOUBLE_EQ(a.utilization.stddev(), b.utilization.stddev());
-}
-
 TEST(MonteCarlo, DegenerateSamplesCountAsZero) {
   const SchedulablePredicate never = [](const msg::MessageSet&) {
     return false;
   };
   auto gen = small_generator();
-  Rng rng(3);
+  const exec::Executor seq(1);
   MonteCarloOptions opts;
   opts.num_sets = 5;
   const auto est =
-      estimate_breakdown_utilization(gen, never, mbps(10), rng, opts);
+      estimate_breakdown_utilization(gen, never, mbps(10), 3, seq, opts);
   EXPECT_EQ(est.degenerate_sets, 5u);
   EXPECT_EQ(est.utilization.count(), 5u);
   EXPECT_DOUBLE_EQ(est.mean(), 0.0);
@@ -85,12 +65,12 @@ TEST(MonteCarlo, UnboundedSamplesExcluded) {
     return true;
   };
   auto gen = small_generator();
-  Rng rng(4);
+  const exec::Executor seq(1);
   MonteCarloOptions opts;
   opts.num_sets = 5;
   opts.saturation.max_scale = 100.0;
   const auto est =
-      estimate_breakdown_utilization(gen, always, mbps(10), rng, opts);
+      estimate_breakdown_utilization(gen, always, mbps(10), 4, seq, opts);
   EXPECT_EQ(est.unbounded_sets, 5u);
   EXPECT_EQ(est.utilization.count(), 0u);
 }
@@ -107,10 +87,11 @@ TEST(MonteCarlo, RealTtpEstimateIsInPlausibleRange) {
     return analysis::ttp_feasible(m, p, bw);
   };
   auto gen = small_generator();
-  Rng rng(7);
+  const exec::Executor seq(1);
   MonteCarloOptions opts;
   opts.num_sets = 30;
-  const auto est = estimate_breakdown_utilization(gen, predicate, bw, rng, opts);
+  const auto est =
+      estimate_breakdown_utilization(gen, predicate, bw, 7, seq, opts);
   EXPECT_GT(est.mean(), 0.5);
   EXPECT_LT(est.mean(), 1.0);
   EXPECT_GT(est.ci95(), 0.0);
@@ -122,11 +103,12 @@ TEST(MonteCarlo, KeepSamplesRecordsEveryDraw) {
     return m.utilization(bw) <= 0.5;
   };
   auto gen = small_generator();
-  Rng rng(6);
+  const exec::Executor seq(1);
   MonteCarloOptions opts;
   opts.num_sets = 12;
   opts.keep_samples = true;
-  const auto est = estimate_breakdown_utilization(gen, predicate, bw, rng, opts);
+  const auto est =
+      estimate_breakdown_utilization(gen, predicate, bw, 6, seq, opts);
   ASSERT_EQ(est.samples.size(), 12u);
   for (double s : est.samples) EXPECT_NEAR(s, 0.5, 1e-4);
 }
@@ -136,11 +118,11 @@ TEST(MonteCarlo, SamplesOffByDefault) {
     return m.utilization(mbps(10)) <= 0.5;
   };
   auto gen = small_generator();
-  Rng rng(6);
+  const exec::Executor seq(1);
   MonteCarloOptions opts;
   opts.num_sets = 3;
   const auto est =
-      estimate_breakdown_utilization(gen, predicate, mbps(10), rng, opts);
+      estimate_breakdown_utilization(gen, predicate, mbps(10), 6, seq, opts);
   EXPECT_TRUE(est.samples.empty());
   EXPECT_THROW(est.quantile(0.5), PreconditionError);
 }
@@ -155,11 +137,12 @@ TEST(MonteCarlo, QuantilesAreOrderedAndBracketed) {
     return analysis::ttp_feasible(m, p, bw);
   };
   auto gen = small_generator();
-  Rng rng(8);
+  const exec::Executor seq(1);
   MonteCarloOptions opts;
   opts.num_sets = 40;
   opts.keep_samples = true;
-  const auto est = estimate_breakdown_utilization(gen, predicate, bw, rng, opts);
+  const auto est =
+      estimate_breakdown_utilization(gen, predicate, bw, 8, seq, opts);
   const double q10 = est.quantile(0.1);
   const double q50 = est.quantile(0.5);
   const double q90 = est.quantile(0.9);
@@ -360,36 +343,6 @@ TEST(MonteCarloBatch, EveryJobsBatchGridPointMatchesTheScalarEstimate) {
   }
 }
 
-TEST(MonteCarloBatch, SequentialBatchedPreservesTheSharedDrawStream) {
-  // The Rng& overload draws a whole batch from the shared stream before
-  // saturating it; because the boundary search consumes no randomness this
-  // must leave both the estimate and the engine's position identical to
-  // the one-at-a-time path — checked by comparing the next draw after
-  // each run.
-  const BitsPerSecond bw = mbps(100);
-  const auto p = paper_ttp_params();
-  auto gen = small_generator();
-  MonteCarloOptions opts;
-  opts.num_sets = 37;
-  opts.keep_samples = true;
-
-  Rng scalar_rng(42);
-  const auto reference = estimate_breakdown_utilization(
-      gen, scalar_ttp_factory(p, bw), bw, scalar_rng, opts);
-  const double next_draw = scalar_rng.uniform(0.0, 1.0);
-
-  for (std::size_t batch : {std::size_t{1}, std::size_t{5}, std::size_t{64}}) {
-    MonteCarloOptions batched_opts = opts;
-    batched_opts.batch_size = batch;
-    Rng rng(42);
-    const auto batched = estimate_breakdown_utilization(
-        gen, batched_ttp_factory(p, bw), bw, rng, batched_opts);
-    SCOPED_TRACE("batch=" + std::to_string(batch));
-    expect_identical(reference, batched);
-    EXPECT_EQ(rng.uniform(0.0, 1.0), next_draw);
-  }
-}
-
 TEST(MonteCarloBatch, BatchSizePreconditionRejected) {
   const BitsPerSecond bw = mbps(100);
   const auto p = paper_ttp_params();
@@ -397,10 +350,6 @@ TEST(MonteCarloBatch, BatchSizePreconditionRejected) {
   MonteCarloOptions opts;
   opts.num_sets = 2;
   opts.batch_size = 0;
-  Rng rng(1);
-  EXPECT_THROW(estimate_breakdown_utilization(gen, batched_ttp_factory(p, bw),
-                                              bw, rng, opts),
-               PreconditionError);
   const exec::Executor seq(1);
   EXPECT_THROW(estimate_breakdown_utilization(gen, batched_ttp_factory(p, bw),
                                               bw, 1, seq, opts),
@@ -409,16 +358,17 @@ TEST(MonteCarloBatch, BatchSizePreconditionRejected) {
 
 TEST(MonteCarlo, Preconditions) {
   auto gen = small_generator();
-  Rng rng(1);
+  const exec::Executor seq(1);
   MonteCarloOptions opts;
   opts.num_sets = 0;
   const SchedulablePredicate always = [](const msg::MessageSet&) {
     return true;
   };
-  EXPECT_THROW(estimate_breakdown_utilization(gen, always, mbps(10), rng, opts),
-               PreconditionError);
+  EXPECT_THROW(
+      estimate_breakdown_utilization(gen, always, mbps(10), 1, seq, opts),
+      PreconditionError);
   opts.num_sets = 1;
-  EXPECT_THROW(estimate_breakdown_utilization(gen, always, 0.0, rng, opts),
+  EXPECT_THROW(estimate_breakdown_utilization(gen, always, 0.0, 1, seq, opts),
                PreconditionError);
 }
 

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <span>
+#include <string>
+#include <vector>
+
 #include "tokenring/analysis/kernels.hpp"
 #include "tokenring/analysis/pdp.hpp"
 #include "tokenring/analysis/ttp.hpp"
@@ -232,6 +238,54 @@ TEST(SaturationKernel, KernelOverWorkspaceMatchesDirectPredicate) {
     EXPECT_EQ(kernel(factor), predicate(base.scaled(factor)))
         << "factor " << factor;
   }
+}
+
+TEST(SaturationKernel, ChunkedSearchMatchesScalarSearchForEveryChunkSize) {
+  // One kernel per chunk of `batch` bases, and every result equals the
+  // scalar search of its own base. 7 bases, so batch 5 leaves a remainder.
+  const BitsPerSecond bw = mbps(1);
+  const SchedulablePredicate predicate = [bw](const msg::MessageSet& m) {
+    return m.utilization(bw) <= 0.8;
+  };
+  msg::GeneratorConfig g;
+  g.num_streams = 6;
+  msg::MessageSetGenerator gen(g);
+  Rng rng(103);
+  std::vector<msg::MessageSet> bases;
+  for (int i = 0; i < 7; ++i) bases.push_back(gen.generate(rng));
+
+  std::size_t kernels_built = 0;
+  const BatchScaleKernelFactory factory =
+      [&](std::span<const msg::MessageSet> chunk) {
+        ++kernels_built;
+        std::vector<msg::MessageSet> sets(chunk.begin(), chunk.end());
+        return BatchScaleKernel([sets, predicate](
+                                    std::span<const double> scales,
+                                    std::span<const std::uint8_t> active,
+                                    std::span<std::uint8_t> verdicts) {
+          for (std::size_t l = 0; l < sets.size(); ++l) {
+            if (active[l]) verdicts[l] = predicate(sets[l].scaled(scales[l]));
+          }
+        });
+      };
+  for (std::size_t batch : {std::size_t{1}, std::size_t{5}, std::size_t{64}}) {
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    kernels_built = 0;
+    const auto results = find_saturation_chunked(bases, factory, bw, batch);
+    EXPECT_EQ(kernels_built, (bases.size() + batch - 1) / batch);
+    ASSERT_EQ(results.size(), bases.size());
+    for (std::size_t i = 0; i < bases.size(); ++i) {
+      const auto ref = find_saturation(bases[i], predicate, bw);
+      EXPECT_EQ(results[i].found, ref.found) << "base " << i;
+      EXPECT_EQ(results[i].critical_scale, ref.critical_scale) << "base " << i;
+      EXPECT_EQ(results[i].breakdown_utilization, ref.breakdown_utilization)
+          << "base " << i;
+      EXPECT_EQ(results[i].predicate_evals, ref.predicate_evals)
+          << "base " << i;
+    }
+  }
+  EXPECT_THROW(find_saturation_chunked(bases, factory, bw, 0),
+               PreconditionError);
 }
 
 TEST(Saturation, Preconditions) {

@@ -5,8 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <string>
+#include <vector>
 
+#include "tokenring/breakdown/monte_carlo.hpp"
 #include "tokenring/common/checks.hpp"
+#include "tokenring/exec/executor.hpp"
 #include "tokenring/experiments/allocation_study.hpp"
 #include "tokenring/experiments/crossover_study.hpp"
 #include "tokenring/experiments/fault_study.hpp"
@@ -62,9 +67,17 @@ TEST(Setup, PredicatesReactToScale) {
 
 TEST(Setup, EstimatePointDeterministic) {
   const auto setup = small_setup();
+  const msg::MessageSetGenerator gen(setup.generator_config());
   const auto p = setup.ttp_predicate(mbps(100));
-  const auto a = estimate_point(setup, p, mbps(100), 5, 3);
-  const auto b = estimate_point(setup, p, mbps(100), 5, 3);
+  breakdown::MonteCarloOptions options;
+  options.num_sets = 5;
+  const exec::Executor seq(1);
+  const auto a =
+      breakdown::estimate_breakdown_utilization(gen, p, mbps(100), 3, seq,
+                                                options);
+  const auto b =
+      breakdown::estimate_breakdown_utilization(gen, p, mbps(100), 3, seq,
+                                                options);
   EXPECT_DOUBLE_EQ(a.mean(), b.mean());
 }
 
@@ -239,7 +252,7 @@ TEST(AllocationStudy, FractionsAreProbabilities) {
 TEST(WorstCaseStudy, BoundHolds) {
   WorstCaseStudyConfig config;
   config.setup = small_setup();
-  config.num_sets = 25;
+  config.num_sets = 27;  // batch 5 below leaves a remainder chunk
   const auto result = run_worst_case_study(config);
   EXPECT_EQ(result.bound_violations, 0u);
   EXPECT_GT(result.analytical_bound, 0.25);   // near 1/3 at 100 Mbps
@@ -247,6 +260,18 @@ TEST(WorstCaseStudy, BoundHolds) {
   // Every breakdown sample sits at or above the worst-case bound.
   EXPECT_GE(result.min_breakdown, result.analytical_bound - 1e-9);
   EXPECT_GE(result.mean_breakdown, result.min_breakdown);
+
+  // The batch size is a throughput knob only: the result above (default
+  // batch 64) is bit-identical at batch 1 and 5.
+  for (std::size_t batch : {std::size_t{1}, std::size_t{5}}) {
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    config.batch = batch;
+    const auto batched = run_worst_case_study(config);
+    EXPECT_EQ(batched.analytical_bound, result.analytical_bound);
+    EXPECT_EQ(batched.min_breakdown, result.min_breakdown);
+    EXPECT_EQ(batched.mean_breakdown, result.mean_breakdown);
+    EXPECT_EQ(batched.bound_violations, result.bound_violations);
+  }
 }
 
 // ---- deadline study ------------------------------------------------------------------
@@ -277,9 +302,12 @@ TEST(DeadlineStudy, ImplicitDeadlineRowMatchesPlainSetup) {
   config.deadline_fractions = {1.0};
   config.sets_per_point = 8;
   const auto rows = run_deadline_study(config);
-  const auto plain = estimate_point(config.setup,
-                                    config.setup.ttp_predicate(mbps(100)),
-                                    mbps(100), 8, config.seed)
+  const msg::MessageSetGenerator gen(config.setup.generator_config());
+  breakdown::MonteCarloOptions options;
+  options.num_sets = 8;
+  const auto plain = breakdown::estimate_breakdown_utilization(
+                         gen, config.setup.ttp_predicate(mbps(100)),
+                         mbps(100), config.seed, exec::Executor(1), options)
                          .mean();
   EXPECT_DOUBLE_EQ(rows[0].fddi, plain);
 }
@@ -349,22 +377,40 @@ TEST(FaultStudy, SweepsKindsAndIsBitIdenticalAcrossJobs) {
   config.sets_per_point = 2;
   config.horizon_periods = 4.0;
 
+  // Bit-identical, not approximately equal: plans come from per-trial
+  // seed streams, the fold is in index order, and the batch size is a
+  // throughput knob only.
+  const auto expect_same_rows = [](const std::vector<FaultStudyRow>& a,
+                                   const std::vector<FaultStudyRow>& b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].protocol, b[i].protocol);
+      EXPECT_EQ(a[i].kind, b[i].kind);
+      EXPECT_EQ(a[i].faults, b[i].faults);
+      EXPECT_EQ(a[i].miss_ratio, b[i].miss_ratio);
+      EXPECT_EQ(a[i].attributed_ratio, b[i].attributed_ratio);
+      EXPECT_EQ(a[i].outage, b[i].outage);
+    }
+  };
+
   config.jobs = 1;
   const auto sequential = run_fault_study(config);
   ASSERT_EQ(sequential.size(), 12u);  // 2 protocols x 3 kinds x 2 counts
-
   config.jobs = 4;
-  const auto parallel = run_fault_study(config);
-  ASSERT_EQ(parallel.size(), sequential.size());
-  for (std::size_t i = 0; i < sequential.size(); ++i) {
-    EXPECT_EQ(sequential[i].protocol, parallel[i].protocol);
-    EXPECT_EQ(sequential[i].kind, parallel[i].kind);
-    EXPECT_EQ(sequential[i].faults, parallel[i].faults);
-    // Bit-identical, not approximately equal: plans come from per-trial
-    // seed streams and the fold is in index order.
-    EXPECT_EQ(sequential[i].miss_ratio, parallel[i].miss_ratio);
-    EXPECT_EQ(sequential[i].attributed_ratio, parallel[i].attributed_ratio);
-    EXPECT_EQ(sequential[i].outage, parallel[i].outage);
+  expect_same_rows(sequential, run_fault_study(config));
+
+  // Batch 1 and 5 against the default 64, on one cell of 6 sets so that
+  // batch 5 leaves a remainder chunk.
+  FaultStudyConfig one_cell = config;
+  one_cell.jobs = 1;
+  one_cell.kinds = {fault::FaultKind::kTokenLoss};
+  one_cell.fault_counts = {4};
+  one_cell.sets_per_point = 6;
+  const auto default_batch = run_fault_study(one_cell);
+  for (std::size_t batch : {std::size_t{1}, std::size_t{5}}) {
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    one_cell.batch = batch;
+    expect_same_rows(default_batch, run_fault_study(one_cell));
   }
 
   // Corruption's wasted slot is far cheaper than a full token-loss
@@ -395,6 +441,32 @@ TEST(SimValidationStudy, SoundOnSmallSample) {
     if (r.protocol == "fddi" && r.sets_tested > 0) {
       EXPECT_GT(r.max_intervisit_ratio, 0.0);
       EXPECT_LE(r.max_intervisit_ratio, 2.0 + 1e-9);
+    }
+  }
+
+  // The batch size is a throughput knob only: rows at batch 1 and 5 are
+  // bit-identical to the default 64. 6 sets so that batch 5 leaves a
+  // remainder chunk; short runs, since only equality is checked here.
+  SimValidationConfig batched = config;
+  batched.sets_per_point = 6;
+  batched.horizon_periods = 1.0;
+  const auto default_batch = run_sim_validation(batched);
+  for (std::size_t batch : {std::size_t{1}, std::size_t{5}}) {
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    batched.batch = batch;
+    const auto other = run_sim_validation(batched);
+    ASSERT_EQ(other.size(), default_batch.size());
+    for (std::size_t i = 0; i < other.size(); ++i) {
+      const auto& a = default_batch[i];
+      const auto& b = other[i];
+      EXPECT_EQ(a.protocol, b.protocol);
+      EXPECT_EQ(a.bandwidth_mbps, b.bandwidth_mbps);
+      EXPECT_EQ(a.sets_tested, b.sets_tested);
+      EXPECT_EQ(a.degenerate_skipped, b.degenerate_skipped);
+      EXPECT_EQ(a.false_negatives, b.false_negatives);
+      EXPECT_EQ(a.outside_clean, b.outside_clean);
+      EXPECT_EQ(a.johnson_violations, b.johnson_violations);
+      EXPECT_EQ(a.max_intervisit_ratio, b.max_intervisit_ratio);
     }
   }
 }

@@ -440,6 +440,82 @@ TEST(ServeEngine, MalformedJsonGetsOffsetPointedRejection) {
   EXPECT_FALSE(doc.find("error")->as_string().empty());
 }
 
+std::string check_line_with_station(const std::string& station) {
+  return "{\"type\":\"check\",\"protocol\":\"fddi\",\"bandwidth_mbps\":100,"
+         "\"streams\":[{\"station\":" +
+         station + ",\"period_ms\":50,\"payload_bits\":10000}]}";
+}
+
+TEST(ServeEngine, OutOfRangeIntegersGet400NamingTheFieldAndBound) {
+  serve::Engine engine(small_engine_options());
+  const auto refusal = [&](const std::string& line) {
+    const auto doc = parse_ok(engine.handle_line(line, "test"));
+    EXPECT_EQ(response_status(doc), 400) << line;
+    const obs::JsonValue* error = doc.find("error");
+    return error == nullptr ? std::string() : error->as_string();
+  };
+  // 2^32 + 2 stations used to be truncated to a 2-station answer.
+  EXPECT_NE(refusal("{\"type\":\"advise\",\"stations\":4294967298,"
+                    "\"sets\":2,\"bandwidths_mbps\":[100]}")
+                .find("\"stations\" must be <= 2147483647"),
+            std::string::npos);
+  EXPECT_NE(refusal("{\"type\":\"advise\",\"sets\":4294967298}")
+                .find("\"sets\" must be <= 2147483647"),
+            std::string::npos);
+  // Station 2^32 used to alias station 0.
+  EXPECT_NE(refusal(check_line_with_station("4294967296"))
+                .find("\"station\" must be <= 2147483647"),
+            std::string::npos);
+  // Station INT_MAX used to overflow the ring size (station + 1).
+  EXPECT_NE(refusal(check_line_with_station("2147483647"))
+                .find("room for the ring size"),
+            std::string::npos);
+
+  // The largest accepted values still get through: station INT_MAX - 1 is
+  // answered, and INT_MAX stations and sets parse (their Monte Carlo
+  // sweep is far too large to run here).
+  EXPECT_EQ(response_status(parse_ok(engine.handle_line(
+                check_line_with_station("2147483646"), "test"))),
+            200);
+  const auto advise = parse_request_ok(
+      "{\"type\":\"advise\",\"stations\":2147483647,\"sets\":2147483647}");
+  EXPECT_EQ(advise.advise.stations, 2147483647);
+  EXPECT_EQ(advise.advise.sets, 2147483647);
+}
+
+TEST(ServeEngine, RefusalsCarryNoSourceLocation) {
+  serve::Engine engine(small_engine_options());
+  // A precondition failure while parsing: 400 with the reason only.
+  const auto bad_deadline = parse_ok(engine.handle_line(
+      "{\"type\":\"check\",\"streams\":[{\"station\":0,\"period_ms\":100,"
+      "\"payload_bits\":1000,\"deadline_ms\":200}]}",
+      "test"));
+  EXPECT_EQ(response_status(bad_deadline), 400);
+  const std::string error = bad_deadline.find("error")->as_string();
+  EXPECT_NE(error.find("D <= P"), std::string::npos) << error;
+  EXPECT_EQ(error.find(".cpp:"), std::string::npos) << error;
+
+  // A precondition failure inside the compute (the strict JSON writer
+  // refuses the non-finite result): 500 with the reason only.
+  const auto non_finite = parse_ok(engine.handle_line(
+      "{\"type\":\"check\",\"bandwidth_mbps\":1e-300,\"streams\":["
+      "{\"station\":0,\"period_ms\":1e-300,\"payload_bits\":1e300}]}",
+      "test"));
+  EXPECT_EQ(response_status(non_finite), 500);
+  const std::string failure = non_finite.find("error")->as_string();
+  EXPECT_NE(failure.find("precondition failed"), std::string::npos) << failure;
+  EXPECT_EQ(failure.find(".cpp:"), std::string::npos) << failure;
+
+  // The CLI keeps printing what(), which still names the source location.
+  try {
+    TR_EXPECTS_MSG(1 + 1 == 3, "arithmetic");
+    ADD_FAILURE() << "TR_EXPECTS_MSG did not throw";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find(".cpp:"), std::string::npos);
+    EXPECT_EQ(e.reason(), "precondition failed: 1 + 1 == 3 (arithmetic)");
+  }
+}
+
 TEST(ServeEngine, OversizedRequestGets413) {
   auto options = small_engine_options();
   options.max_request_bytes = 64;

@@ -110,6 +110,18 @@ TEST_F(ToolTest, CheckMissingFileFails) {
   EXPECT_NE(r.output.find("cannot open"), std::string::npos);
 }
 
+TEST_F(ToolTest, CheckRejectsStationWithNoRoomForTheRingSize) {
+  // The ring holds station + 1 stations; INT_MAX used to overflow it.
+  const std::string path = temp_path("tool_test_station_max.csv");
+  write_scenario(path, "2147483647,50,10000\n");
+  const auto r = run_tool("check --file=" + path +
+                          " --protocol=fddi --bandwidth-mbps=100");
+  std::remove(path.c_str());
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("room for the ring size"), std::string::npos)
+      << r.output;
+}
+
 TEST_F(ToolTest, CheckRequiresFileFlag) {
   EXPECT_EQ(run_tool("check").exit_code, 1);
 }
