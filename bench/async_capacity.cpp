@@ -43,9 +43,9 @@ int main(int argc, char** argv) {
   Table table({"BW_Mbps", "sync_U", "pdp_std", "pdp_mod", "ttp", "ttp_sim"});
 
   msg::MessageSetGenerator gen(setup.generator_config());
-  for (double bw_mbps : parse_double_list(flags.get_string("bandwidths-mbps"))) {
+  for (double bw_mbps : flags.get_double_list("bandwidths-mbps")) {
     const BitsPerSecond bw = mbps(bw_mbps);
-    for (double level : parse_double_list(flags.get_string("sync-levels"))) {
+    for (double level : flags.get_double_list("sync-levels")) {
       Rng rng(static_cast<std::uint64_t>(flags.get_int("seed")));
       auto set = gen.generate(rng);
       set = set.scaled(level / set.utilization(bw));

@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
        [&](BitsPerSecond bw) { return setup.ttp_batch_kernel_factory(bw); }},
   };
 
-  for (double bw_mbps : parse_double_list(flags.get_string("bandwidths-mbps"))) {
+  for (double bw_mbps : flags.get_double_list("bandwidths-mbps")) {
     const BitsPerSecond bw = mbps(bw_mbps);
     for (const auto& proto : protos) {
       const auto est = estimate_with_samples(setup, proto.factory(bw), bw,

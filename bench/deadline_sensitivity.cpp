@@ -31,8 +31,8 @@ int main(int argc, char** argv) {
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   config.jobs = get_jobs(flags);
   config.batch = get_batch(flags, config.sets_per_point);
-  config.bandwidths_mbps = parse_double_list(flags.get_string("bandwidths-mbps"));
-  config.deadline_fractions = parse_double_list(flags.get_string("fractions"));
+  config.bandwidths_mbps = flags.get_double_list("bandwidths-mbps");
+  config.deadline_fractions = flags.get_double_list("fractions");
 
   report.note("# Deadline-sensitivity ablation (n=%d, %zu sets/point)\n\n",
               config.setup.num_stations, config.sets_per_point);

@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   config.jobs = get_jobs(flags);
   config.batch = get_batch(flags, config.sets_per_point);
   config.fault_counts.clear();
-  for (double c : parse_double_list(flags.get_string("counts"))) {
+  for (double c : flags.get_double_list("counts")) {
     config.fault_counts.push_back(static_cast<int>(c));
   }
 

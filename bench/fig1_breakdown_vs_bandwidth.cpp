@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   config.jobs = get_jobs(flags);
   config.batch = get_batch(flags, config.sets_per_point);
-  config.bandwidths_mbps = parse_double_list(flags.get_string("bandwidths-mbps"));
+  config.bandwidths_mbps = flags.get_double_list("bandwidths-mbps");
 
   report.note(
       "# Figure 1 reproduction: average breakdown utilization vs bandwidth\n"

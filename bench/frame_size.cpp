@@ -30,8 +30,8 @@ int main(int argc, char** argv) {
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   config.jobs = get_jobs(flags);
   config.batch = get_batch(flags, config.sets_per_point);
-  config.bandwidths_mbps = parse_double_list(flags.get_string("bandwidths-mbps"));
-  config.payload_bytes = parse_double_list(flags.get_string("payload-bytes"));
+  config.bandwidths_mbps = flags.get_double_list("bandwidths-mbps");
+  config.payload_bytes = flags.get_double_list("payload-bytes");
 
   report.note("# PDP frame-size ablation (n=%d, %zu sets/point)\n\n",
               config.setup.num_stations, config.sets_per_point);

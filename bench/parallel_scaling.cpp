@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
   double seq_seconds = 0.0;
   double seq_mean = 0.0;
 
-  for (double jobs_d : parse_double_list(flags.get_string("jobs-list"))) {
+  for (double jobs_d : flags.get_double_list("jobs-list")) {
     const auto jobs = static_cast<std::size_t>(jobs_d);
     const exec::Executor executor(jobs);
     const auto t0 = std::chrono::steady_clock::now();

@@ -20,17 +20,19 @@
 //                             server (the 503 shed fast path: parse,
 //                             watermark check, envelope — no compute)
 //   BM_ServeManyConnsReactor  ns per connection to open, serve, and park
-//   BM_ServeManyConnsThreaded --connections mostly-idle peers on each
-//                             front end (the pair the reactor's >= 5x
-//                             per-connection win is gated on; resident
-//                             memory per mode is reported alongside)
+//                             --connections mostly-idle peers on a
+//                             dedicated server (resident memory growth
+//                             is reported alongside)
 // A "connection_sweep" table records client-observed p50/p99/p99.9 for
 // the pipelined hot mix while 64..--connections idle peers are parked on
 // the same server (the scaling curve in EXPERIMENTS.md).
-// --min-qps turns the throughput target into a hard failure (CI smoke
-// runs use a modest floor; the tentpole claim is >= 100k queries/s on a
-// development machine). --deadline-ms attaches a per-request deadline to
-// every hot-set query; shed/timeout totals are reported either way.
+// Two hard failures (exit 1): --min-qps turns the throughput target into
+// one (CI smoke runs use a modest floor; the tentpole claim is >= 100k
+// queries/s on a development machine), and at --connections >= 1024 the
+// parked connections' resident growth must stay within 4 KiB each — a
+// budget that holds on any core count, unlike a timing ratio.
+// --deadline-ms attaches a per-request deadline to every hot-set query;
+// shed/timeout totals are reported either way.
 //
 // All client connects are nonblocking with bounded retries, and the
 // parked pool opens in waves smaller than the listen backlog: a naive
@@ -193,8 +195,8 @@ void raise_fd_limit(std::size_t needed) {
 /// before the next wave connects — so connections sitting established but
 /// un-accepted never pile up to the backlog limit, and the kernel never
 /// silently drops SYNs into 1 s retransmit stalls. What the growth time
-/// measures is the server's real per-connection cost: accept, front-end
-/// registration (thread spawn vs epoll add), and one served request.
+/// measures is the server's real per-connection cost: accept, reactor
+/// registration (an epoll add), and one served request.
 class ParkedPool {
  public:
   static constexpr std::size_t kWave = 256;
@@ -305,23 +307,26 @@ class ParkedPool {
   std::vector<int> fds_;
 };
 
+/// Resident growth allowed per parked connection, enforced from
+/// kRssBudgetMinConnections up (smaller pools are dominated by allocator
+/// page granularity). The reactor measures ~350 B per connection; one
+/// thread per connection measured ~26 KiB.
+constexpr std::uint64_t kRssBudgetPerConn = 4096;
+constexpr std::size_t kRssBudgetMinConnections = 1024;
+
 /// Open, serve one request, and park `n` connections against a dedicated
-/// server in the given front-end mode; reports the per-connection cost
-/// (accept + front-end registration + one served ping — a thread spawn per
-/// peer for the threaded loop, an epoll add for the reactor) and the
-/// process RSS growth while all `n` sit parked.
+/// server; reports the per-connection cost (accept + epoll registration +
+/// one served ping) and the process RSS growth while all `n` sit parked.
 struct ManyConnsResult {
   bool ok = false;
   double per_conn_ns = 0.0;
   std::uint64_t rss_delta = 0;
 };
 
-ManyConnsResult run_many_conns(serve::Server::FrontEnd mode, std::size_t n,
-                               std::size_t jobs) {
+ManyConnsResult run_many_conns(std::size_t n, std::size_t jobs) {
   ManyConnsResult out;
   serve::Server::Options opt;
   opt.engine.jobs = jobs;
-  opt.front_end = mode;
   serve::Server server(opt);
   std::string error;
   if (!server.start(error)) {
@@ -536,8 +541,9 @@ int main(int argc, char** argv) {
   flags.declare("deadline-ms", "0",
                 "attach this deadline to every hot-set query [ms]; 0 = none");
   flags.declare("connections", "1024",
-                "parked-connection count for the sweep and the "
-                "BM_ServeManyConns pair (0 = skip both)");
+                "parked-connection count for the sweep and "
+                "BM_ServeManyConnsReactor (0 = skip both); >= 1024 also "
+                "enforces the 4 KiB/connection resident budget");
   obs::RunReport report("serve_load");
   if (auto rc = obs::bootstrap_run(report, flags, argc, argv,
                                    {.batch = false})) {
@@ -737,32 +743,19 @@ int main(int argc, char** argv) {
         1e9 / overload_ns);
   }
 
-  // Many-connections pair: the same park-N-idle-peers workload against
-  // each front end on its own server. Reactor first, so its RSS delta is
-  // not flattered by allocator pages the threaded phase already faulted
-  // in.
-  ManyConnsResult reactor_conns;
-  ManyConnsResult threaded_conns;
+  // Many-connections phase: park N idle peers on a dedicated server and
+  // measure the per-connection setup cost and resident growth.
+  ManyConnsResult parked_conns;
   if (connections > 0) {
-    reactor_conns = run_many_conns(serve::Server::FrontEnd::kReactor,
-                                   connections, get_jobs(flags));
-    threaded_conns = run_many_conns(serve::Server::FrontEnd::kThreaded,
-                                    connections, get_jobs(flags));
-    if (!reactor_conns.ok || !threaded_conns.ok) return 1;
-    const double rss_ratio =
-        threaded_conns.rss_delta > 0
-            ? static_cast<double>(reactor_conns.rss_delta) /
-                  static_cast<double>(threaded_conns.rss_delta)
-            : 0.0;
+    parked_conns = run_many_conns(connections, get_jobs(flags));
+    if (!parked_conns.ok) return 1;
     report.note(
-        "%zu parked connections: reactor %.1f us/conn, %.1f MiB resident; "
-        "threaded %.1f us/conn, %.1f MiB resident (reactor uses %.0f%% of "
-        "threaded memory)\n",
-        connections, reactor_conns.per_conn_ns * 1e-3,
-        static_cast<double>(reactor_conns.rss_delta) / (1024.0 * 1024.0),
-        threaded_conns.per_conn_ns * 1e-3,
-        static_cast<double>(threaded_conns.rss_delta) / (1024.0 * 1024.0),
-        rss_ratio * 100.0);
+        "%zu parked connections: %.1f us/conn, %.2f MiB resident "
+        "(%.0f B per connection)\n",
+        connections, parked_conns.per_conn_ns * 1e-3,
+        static_cast<double>(parked_conns.rss_delta) / (1024.0 * 1024.0),
+        static_cast<double>(parked_conns.rss_delta) /
+            static_cast<double>(connections));
   }
 
   Table table({"name", "iterations", "real_time", "cpu_time", "time_unit"});
@@ -782,9 +775,7 @@ int main(int argc, char** argv) {
           latencies.size());
   add_row("BM_ServeOverload", overload_ns, overload_requests);
   if (connections > 0) {
-    add_row("BM_ServeManyConnsReactor", reactor_conns.per_conn_ns,
-            connections);
-    add_row("BM_ServeManyConnsThreaded", threaded_conns.per_conn_ns,
+    add_row("BM_ServeManyConnsReactor", parked_conns.per_conn_ns,
             connections);
     report.record_table("connection_sweep", sweep);
   }
@@ -796,6 +787,16 @@ int main(int argc, char** argv) {
   if (min_qps > 0.0 && qps < min_qps) {
     std::fprintf(stderr, "FAIL: %.0f queries/s below the %.0f floor\n", qps,
                  min_qps);
+    return 1;
+  }
+  if (connections >= kRssBudgetMinConnections &&
+      parked_conns.rss_delta > kRssBudgetPerConn * connections) {
+    std::fprintf(stderr,
+                 "FAIL: %zu parked connections grew resident memory by %llu "
+                 "B, over the %llu B per connection budget\n",
+                 connections,
+                 static_cast<unsigned long long>(parked_conns.rss_delta),
+                 static_cast<unsigned long long>(kRssBudgetPerConn));
     return 1;
   }
   return report.finish();

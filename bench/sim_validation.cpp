@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   config.setup.num_stations = static_cast<int>(flags.get_int("stations"));
   config.sets_per_point = static_cast<std::size_t>(flags.get_int("sets"));
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  config.bandwidths_mbps = parse_double_list(flags.get_string("bandwidths-mbps"));
+  config.bandwidths_mbps = flags.get_double_list("bandwidths-mbps");
 
   report.note(
       "# Simulation validation (n=%d, %zu sets/cell)\n"

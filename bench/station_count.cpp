@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   config.jobs = get_jobs(flags);
   config.batch = get_batch(flags, config.sets_per_point);
   config.station_counts.clear();
-  for (double v : parse_double_list(flags.get_string("stations"))) {
+  for (double v : flags.get_double_list("stations")) {
     config.station_counts.push_back(static_cast<int>(v));
   }
 

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
 
   Table table({"BW_Mbps", "ieee8025", "modified8025", "fddi", "recommend",
                "margin"});
-  for (double bw_mbps : parse_double_list(flags.get_string("bandwidths-mbps"))) {
+  for (double bw_mbps : flags.get_double_list("bandwidths-mbps")) {
     const auto rec = planner::recommend_protocol(
         profile, mbps(bw_mbps),
         static_cast<std::size_t>(flags.get_int("sets")),

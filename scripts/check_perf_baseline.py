@@ -65,18 +65,6 @@ PAIRS = [
     # tests/sim_engine_test.cpp. Locally measured 25-50x; 10x is the PR's
     # headline claim for 1k stations.
     ("BM_SimScalingFrontier", "BM_SimScalingEager", 10.0),
-    # Epoll-reactor vs thread-per-connection front end, parking
-    # --connections mostly-idle peers (bench/serve_load.cpp). The timed
-    # loop is client + server serialized on one core, so the client's
-    # connect/ping syscalls (identical for both front ends) dilute the
-    # server-side gap: measured 2.0-3.6x end to end across runs on the
-    # 1-core CI container, occasionally higher when the scheduler is
-    # kind. The memory gap — thread stacks vs a table entry — is ~400x
-    # and reported in the serve_load manifest notes. 1.7x sits below the
-    # observed noise floor, so the gate trips only if the reactor
-    # actually loses its per-connection advantage (e.g. parking starts
-    # spawning something per connection).
-    ("BM_ServeManyConnsReactor", "BM_ServeManyConnsThreaded", 1.7),
 ]
 
 TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}

@@ -143,8 +143,11 @@ def fd_pressure_phase(tool, connections):
     counters = doc["result"]["counters"]
     expect(counters.get("serve.conn.opened", 0) >= connections,
            "stats counts the parked connections")
+    # peak_conns is the largest shard's table; connections are dealt
+    # round-robin over the shards, so the largest holds at least N / count.
     gauges = doc["result"].get("gauges", {})
-    expect(gauges.get("serve.reactor.peak_conns", 0) >= connections / 2,
+    shards = max(1, gauges.get("serve.reactor.count", 1))
+    expect(gauges.get("serve.reactor.peak_conns", 0) >= connections // shards,
            "stats reports the reactor peak-connection gauge")
     sock.close()
 

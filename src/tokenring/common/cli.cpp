@@ -1,13 +1,45 @@
 #include "tokenring/common/cli.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
-#include <stdexcept>
 
 #include "tokenring/common/checks.hpp"
 
 namespace tokenring {
+
+namespace {
+
+/// Run a strto* conversion over `text` less surrounding blanks; nullopt
+/// unless it consumed every character without a range error.
+template <typename T, typename Convert>
+std::optional<T> parse_whole(std::string_view text, Convert convert) {
+  const auto begin = text.find_first_not_of(" \t\r");
+  if (begin == std::string_view::npos) return std::nullopt;
+  const auto last = text.find_last_not_of(" \t\r");
+  const std::string s(text.substr(begin, last + 1 - begin));
+  char* end = nullptr;
+  errno = 0;
+  const T value = convert(s.c_str(), &end);
+  if (errno == ERANGE || end != s.c_str() + s.size()) return std::nullopt;
+  return value;
+}
+
+}  // namespace
+
+std::optional<double> parse_double(std::string_view text) {
+  return parse_whole<double>(text, [](const char* s, char** end) {
+    return std::strtod(s, end);
+  });
+}
+
+std::optional<std::int64_t> parse_int64(std::string_view text) {
+  return parse_whole<std::int64_t>(text, [](const char* s, char** end) {
+    return static_cast<std::int64_t>(std::strtoll(s, end, 10));
+  });
+}
 
 void CliFlags::declare(const std::string& name, const std::string& default_value,
                        const std::string& help) {
@@ -77,19 +109,33 @@ std::string CliFlags::get_string(const std::string& name) const {
 
 double CliFlags::get_double(const std::string& name) const {
   const std::string v = get_string(name);
-  try {
-    return std::stod(v);
-  } catch (const std::exception&) {
-    throw PreconditionError("flag --" + name + " is not a number: " + v);
-  }
+  if (const auto value = parse_double(v)) return *value;
+  throw PreconditionError("flag --" + name + " is not a number: " + v);
 }
 
 std::int64_t CliFlags::get_int(const std::string& name) const {
   const std::string v = get_string(name);
+  if (const auto value = parse_int64(v)) return *value;
+  throw PreconditionError("flag --" + name + " is not an integer: " + v);
+}
+
+std::int64_t CliFlags::get_int(const std::string& name, std::int64_t min,
+                               std::int64_t max) const {
+  const std::int64_t value = get_int(name);
+  if (value < min || value > max) {
+    throw PreconditionError("flag --" + name + " must be in [" +
+                            std::to_string(min) + ", " + std::to_string(max) +
+                            "]: " + get_string(name));
+  }
+  return value;
+}
+
+std::vector<double> CliFlags::get_double_list(const std::string& name) const {
+  const std::string v = get_string(name);
   try {
-    return std::stoll(v);
-  } catch (const std::exception&) {
-    throw PreconditionError("flag --" + name + " is not an integer: " + v);
+    return parse_double_list(v);
+  } catch (const PreconditionError&) {
+    throw PreconditionError("flag --" + name + " is not a number list: " + v);
   }
 }
 
@@ -122,9 +168,8 @@ void declare_jobs_flag(CliFlags& flags) {
 }
 
 std::size_t get_jobs(const CliFlags& flags) {
-  const std::int64_t jobs = flags.get_int("jobs");
-  if (jobs < 0) throw PreconditionError("flag --jobs must be >= 0");
-  return static_cast<std::size_t>(jobs);
+  return static_cast<std::size_t>(
+      flags.get_int("jobs", 0, std::numeric_limits<int>::max()));
 }
 
 void declare_batch_flag(CliFlags& flags) {
@@ -134,9 +179,8 @@ void declare_batch_flag(CliFlags& flags) {
 }
 
 std::size_t get_batch(const CliFlags& flags, std::size_t trials) {
-  const std::int64_t batch = flags.get_int("batch");
-  if (batch < 1) throw PreconditionError("flag --batch must be >= 1");
-  const auto value = static_cast<std::size_t>(batch);
+  const auto value = static_cast<std::size_t>(
+      flags.get_int("batch", 1, std::numeric_limits<int>::max()));
   if (trials > 0 && value > trials) {
     std::fprintf(stderr,
                  "warning: --batch %zu exceeds the %zu trials per point; "
@@ -152,7 +196,9 @@ std::vector<double> parse_double_list(const std::string& csv) {
   std::string item;
   while (std::getline(ss, item, ',')) {
     if (item.empty()) continue;
-    out.push_back(std::stod(item));
+    const auto value = parse_double(item);
+    if (!value) throw PreconditionError("not a number: '" + item + "'");
+    out.push_back(*value);
   }
   return out;
 }

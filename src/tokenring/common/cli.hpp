@@ -9,7 +9,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -37,11 +39,23 @@ class CliFlags {
   /// callers should use parse_detailed so `--help` can exit 0.
   bool parse(int argc, char** argv);
 
-  /// Typed accessors; flag must have been declared.
+  /// Typed accessors; flag must have been declared. Numbers are strict
+  /// (parse_double / parse_int64): a value that is not exactly one number
+  /// throws PreconditionError naming the flag.
   std::string get_string(const std::string& name) const;
   double get_double(const std::string& name) const;
   std::int64_t get_int(const std::string& name) const;
   bool get_bool(const std::string& name) const;
+
+  /// get_int, also rejecting values outside [min, max] with a
+  /// PreconditionError naming the flag and the range. Use it wherever the
+  /// value is narrowed to a smaller or unsigned type.
+  std::int64_t get_int(const std::string& name, std::int64_t min,
+                       std::int64_t max) const;
+
+  /// Comma-separated list of numbers (parse_double_list), with errors
+  /// naming the flag.
+  std::vector<double> get_double_list(const std::string& name) const;
 
   /// True iff the flag was declared (not necessarily set on the command
   /// line). Lets shared helpers probe for optional flags.
@@ -62,7 +76,15 @@ class CliFlags {
   std::map<std::string, Flag> flags_;
 };
 
-/// Split a comma-separated list into values ("1,2,5" -> {1,2,5}).
+/// Strict number parsing, shared by the flag getters and the scenario CSV
+/// reader: the whole text, less surrounding blanks, must be one number in
+/// range ("1e3" is no integer, "100x" no number); nullopt otherwise.
+std::optional<double> parse_double(std::string_view text);
+std::optional<std::int64_t> parse_int64(std::string_view text);
+
+/// Split a comma-separated list into values ("1,2,5" -> {1,2,5}); empty
+/// items are skipped. Throws PreconditionError on an item that is not a
+/// number.
 std::vector<double> parse_double_list(const std::string& csv);
 
 /// Declare the standard `--jobs` flag (worker threads for parallel Monte

@@ -1,10 +1,12 @@
 #include "tokenring/msg/io.hpp"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <vector>
 
 #include "tokenring/common/checks.hpp"
+#include "tokenring/common/cli.hpp"
 
 namespace tokenring::msg {
 
@@ -86,18 +88,21 @@ MessageSet message_set_from_csv(const std::string& text) {
                         " comma-separated fields, got " +
                         std::to_string(cells.size()));
     }
-    SyncStream s;
-    try {
-      std::size_t consumed = 0;
-      s.station = std::stoi(trim(cells[0]), &consumed);
-      s.period = milliseconds(std::stod(trim(cells[1])));
-      s.payload_bits = std::stod(trim(cells[2]));
-      if (has_deadline_column) {
-        s.relative_deadline = milliseconds(std::stod(trim(cells[3])));
-      }
-    } catch (const std::exception& e) {
-      fail(line_no, std::string("could not parse number: ") + e.what());
+    const auto number = [&](std::size_t i) {
+      const auto value = parse_double(cells[i]);
+      if (!value) fail(line_no, "not a number: '" + trim(cells[i]) + "'");
+      return *value;
+    };
+    const auto station = parse_int64(cells[0]);
+    if (!station || *station < std::numeric_limits<int>::min() ||
+        *station > std::numeric_limits<int>::max()) {
+      fail(line_no, "station is not an int: '" + trim(cells[0]) + "'");
     }
+    SyncStream s;
+    s.station = static_cast<int>(*station);
+    s.period = milliseconds(number(1));
+    s.payload_bits = number(2);
+    if (has_deadline_column) s.relative_deadline = milliseconds(number(3));
     try {
       s.validate();
     } catch (const PreconditionError& e) {

@@ -3,9 +3,42 @@
 #include <cerrno>
 #include <utility>
 
+#include "tokenring/obs/registry.hpp"
 #include "tokenring/serve/wire.hpp"
 
 namespace tokenring::serve {
+
+namespace {
+
+/// Bump the serve.conn.* counter for a finished connection.
+void note_connection_end(ConnectionEnd end) {
+  static const obs::Counter idle("serve.conn.idle_timeouts");
+  static const obs::Counter oversized("serve.conn.oversized");
+  static const obs::Counter read_errors("serve.conn.read_errors");
+  static const obs::Counter write_errors("serve.conn.write_errors");
+  static const obs::Counter write_timeouts("serve.conn.write_timeouts");
+  switch (end) {
+    case ConnectionEnd::kIdleTimeout:
+      idle.add();
+      break;
+    case ConnectionEnd::kOversized:
+      oversized.add();
+      break;
+    case ConnectionEnd::kReadError:
+      read_errors.add();
+      break;
+    case ConnectionEnd::kWriteError:
+      write_errors.add();
+      break;
+    case ConnectionEnd::kWriteTimeout:
+      write_timeouts.add();
+      break;
+    case ConnectionEnd::kPeerClosed:
+      break;
+  }
+}
+
+}  // namespace
 
 ConnFsm::ConnFsm(ByteIo& io, const ConnectionLimits& limits, std::string peer)
     : io_(io), limits_(limits), peer_(std::move(peer)) {}
@@ -63,8 +96,12 @@ bool ConnFsm::split_lines(const Submit& submit) {
   buffer_.erase(0, start);
 
   // A line that keeps growing without a newline cannot be resynchronized;
-  // answer once and hang up rather than buffering unboundedly.
-  if (buffer_.size() > limits_.max_line) {
+  // answer once and hang up rather than buffering unboundedly. The bound
+  // leaves room for a trailing '\r' that will be stripped: a fragment of
+  // max_line + 1 bytes is still a valid line if it ends in CR, and one
+  // byte longer is oversized however it ends, so the verdict never
+  // depends on where the read split the line.
+  if (buffer_.size() > limits_.max_line + 1) {
     begin_oversized();
     return false;
   }
@@ -76,8 +113,7 @@ void ConnFsm::begin_oversized() {
   state_ = State::kDraining;
   end_ = ConnectionEnd::kOversized;
   // The 413 takes a slot like any response, so it is released to the
-  // byte stream only after every earlier pipelined answer — exactly the
-  // order the blocking loop produced.
+  // byte stream only after every earlier pipelined answer.
   const std::uint64_t slot = next_slot_++;
   slots_.push_back(Slot{});
   complete(slot, error_response(
@@ -137,7 +173,7 @@ void ConnFsm::on_writable() {
 
 void ConnFsm::expire_idle() {
   if (state_ == State::kClosed) return;
-  // Matches the blocking loop: an idle timeout sends nothing.
+  // An idle timeout sends nothing.
   abort_close(ConnectionEnd::kIdleTimeout);
 }
 

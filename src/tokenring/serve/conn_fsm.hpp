@@ -1,10 +1,8 @@
-// Non-blocking per-connection state machine for the reactor front end.
+// Per-connection state machine of the serve front end.
 //
-// run_connection() (connection.hpp) is a blocking loop: it owns a thread,
-// so it can wait inside read_some() and write a response before reading
-// the next line. A reactor owns thousands of connections per thread, so
-// the same framing rules are re-expressed here as a resumable machine
-// driven by readiness events:
+// A reactor owns thousands of connections per thread, so each one's
+// framing and overload rules live in a resumable machine driven by
+// readiness events:
 //
 //   on_readable()  — pump recv until EAGAIN/EOF, split complete lines,
 //                    hand each to the submit callback with a response slot
@@ -12,17 +10,20 @@
 //                    the reactor's wakeup queue); buffered for writing
 //   on_writable()  — flush the out-buffer until EAGAIN or empty
 //
-// The framing contract is bit-identical to the blocking loop: lines split
-// on '\n' with a trailing '\r' stripped, empty lines ignored, oversized
-// lines (complete or still-growing) answered with one 413 and then the
-// connection closes, a trailing fragment at EOF is dropped unanswered.
+// Framing contract: lines split on '\n' with a trailing '\r' stripped,
+// empty lines ignored, oversized lines (complete or still-growing)
+// answered with one 413 and then the connection closes, a trailing
+// fragment at EOF is dropped unanswered. The verdict depends only on the
+// bytes, never on how TCP chunked them: a line that overflowed mid-read
+// has no trustworthy resynchronization point, so complete-but-oversized
+// lines close the connection too.
+//
 // Pipelining keeps strict request order even though compute may finish
 // out of order: each submitted line gets a monotonically increasing slot,
 // and responses are released to the out-buffer only when every earlier
-// slot has been released — so the byte stream a client sees is the same
-// one the thread-per-connection server would have produced.
+// slot has been released.
 //
-// The machine is transport-agnostic over ByteIo (never calls wait()), so
+// The machine is transport-agnostic over ByteIo and never waits, so
 // FaultyIo fault plans — short reads, EINTR storms, injected EAGAIN
 // readiness edges, resets — drive it in tests exactly like the kernel
 // drives it in production. Timeouts live outside: the machine only
@@ -38,10 +39,32 @@
 #include <string>
 #include <string_view>
 
-#include "tokenring/serve/connection.hpp"
 #include "tokenring/serve/transport.hpp"
 
 namespace tokenring::serve {
+
+struct ConnectionLimits {
+  /// Request lines longer than this are answered with a 413 and the
+  /// connection is closed.
+  std::size_t max_line = 1 << 20;
+  /// Longest silence tolerated while waiting for request bytes
+  /// [milliseconds]; <= 0 waits forever.
+  int idle_timeout_ms = 30000;
+  /// Budget for flushing responses to a peer that stopped reading; <= 0
+  /// waits forever.
+  int write_timeout_ms = 10000;
+};
+
+/// Why a connection finished (either the peer ended it or we shut it
+/// down).
+enum class ConnectionEnd {
+  kPeerClosed,    // orderly EOF from the peer
+  kIdleTimeout,   // no bytes within idle_timeout_ms
+  kOversized,     // 413 answered, connection closed
+  kReadError,     // connection reset or unrecoverable read failure
+  kWriteError,    // peer gone while writing a response
+  kWriteTimeout,  // peer stopped reading
+};
 
 class ConnFsm {
  public:
@@ -72,8 +95,7 @@ class ConnFsm {
   // Graceful drain needs no dedicated entry point: the owner calls
   // shutdown(SHUT_RD) on the fd and pumps on_readable — the kernel hands
   // over whatever the client already sent, then EOF, and the machine
-  // answers the buffered lines before finishing (same contract as the
-  // threaded server's wait()).
+  // answers the buffered lines before finishing.
 
   /// Timer verdicts, decided by the owner's wheel.
   void expire_idle();

@@ -14,8 +14,8 @@
 // thousands of connections through here. The batcher job owns a copy of
 // the request and the completion callback: pool threads call `done`, and
 // the reactor posts the response back to the connection's owning shard.
-// handle_line() is a blocking wrapper over the same pipeline for the
-// thread-per-connection front end and the tests.
+// handle_line() is a blocking wrapper over the same pipeline for tests
+// and other in-process callers.
 //
 // Overload policy (see DESIGN.md §4h): a request that cannot be answered
 // usefully is refused as early and as cheaply as possible. Expired

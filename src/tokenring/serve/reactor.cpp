@@ -30,12 +30,8 @@ std::uint64_t ms_to_ns(int ms) {
 
 }  // namespace
 
-Reactor::Reactor(Engine& engine, const Options& options)
-    : engine_(engine), options_(options) {
-  limits_.max_line = options_.max_line;
-  limits_.idle_timeout_ms = options_.idle_timeout_ms;
-  limits_.write_timeout_ms = options_.write_timeout_ms;
-}
+Reactor::Reactor(Engine& engine, const ConnectionLimits& limits)
+    : engine_(engine), limits_(limits) {}
 
 Reactor::~Reactor() {
   if (thread_.joinable()) {
@@ -201,8 +197,8 @@ void Reactor::adopt(PendingConn&& pending, std::uint64_t now_ns,
     ::close(fd);
     return;
   }
-  if (options_.idle_timeout_ms > 0) {
-    conn->idle_timer = wheel_.arm(now_ns + ms_to_ns(options_.idle_timeout_ms),
+  if (limits_.idle_timeout_ms > 0) {
+    conn->idle_timer = wheel_.arm(now_ns + ms_to_ns(limits_.idle_timeout_ms),
                                   timer_payload(fd, kIdleKind));
     conn->idle_armed = true;
   }
@@ -220,7 +216,7 @@ void Reactor::enter_drain(std::uint64_t now_ns, std::vector<int>& touched) {
   draining_ = true;
   // Half-close every connection: the kernel hands the FSM whatever the
   // client already sent, then EOF; buffered requests are answered, then
-  // the connection finishes (same contract as the threaded wait()).
+  // the connection finishes.
   std::vector<int> fds;
   fds.reserve(conns_.size());
   for (const auto& [fd, conn] : conns_) fds.push_back(fd);
@@ -285,10 +281,10 @@ void Reactor::finalize(int fd, std::uint64_t now_ns) {
     conn->seen_received = conn->fsm.bytes_received();
     conn->last_activity_ns = now_ns;
   }
-  if (options_.write_timeout_ms > 0) {
+  if (limits_.write_timeout_ms > 0) {
     if (conn->fsm.wants_write() && !conn->write_armed) {
       conn->write_timer =
-          wheel_.arm(now_ns + ms_to_ns(options_.write_timeout_ms),
+          wheel_.arm(now_ns + ms_to_ns(limits_.write_timeout_ms),
                      timer_payload(fd, kWriteKind));
       conn->sent_at_write_arm = conn->fsm.bytes_sent();
       conn->write_armed = true;
@@ -309,11 +305,11 @@ void Reactor::handle_timer(const TimerWheel::Expired& fired,
   if (kind == kIdleKind) {
     if (fired.id != conn->idle_timer) return;  // stale
     conn->idle_armed = false;
-    const std::uint64_t idle_ns = ms_to_ns(options_.idle_timeout_ms);
+    const std::uint64_t idle_ns = ms_to_ns(limits_.idle_timeout_ms);
     const std::uint64_t deadline = conn->last_activity_ns + idle_ns;
     // The idle clock only runs while we are waiting for request bytes:
-    // in-flight compute or a pending flush re-arms a full window, like
-    // the threaded loop whose idle budget restarts after each response.
+    // in-flight compute or a pending flush re-arms a full window, so the
+    // idle budget restarts after each response.
     if (conn->fsm.idle() && conn->fsm.reading() && now_ns >= deadline) {
       conn->fsm.expire_idle();
       teardown(*conn);
@@ -334,7 +330,7 @@ void Reactor::handle_timer(const TimerWheel::Expired& fired,
   if (!conn->fsm.wants_write()) return;
   if (conn->fsm.bytes_sent() != conn->sent_at_write_arm) {
     conn->write_timer =
-        wheel_.arm(now_ns + ms_to_ns(options_.write_timeout_ms),
+        wheel_.arm(now_ns + ms_to_ns(limits_.write_timeout_ms),
                    timer_payload(fd, kWriteKind));
     conn->sent_at_write_arm = conn->fsm.bytes_sent();
     conn->write_armed = true;

@@ -21,10 +21,10 @@
 //
 // Sockets are registered edge-triggered (EPOLLIN|EPOLLOUT|EPOLLET), so
 // there is no epoll_ctl churn on the hot path; the ConnFsm pumps reads
-// and writes to EAGAIN as edge-triggering requires. Graceful drain mirrors
-// the threaded front end: begin_drain() half-closes every connection
-// (shutdown(SHUT_RD)), the FSMs consume what the kernel already buffered,
-// answer it, flush, and the loop exits once the shard is empty.
+// and writes to EAGAIN as edge-triggering requires. Graceful drain:
+// begin_drain() half-closes every connection (shutdown(SHUT_RD)), the
+// FSMs consume what the kernel already buffered, answer it, flush, and
+// the loop exits once the shard is empty.
 
 #pragma once
 
@@ -46,15 +46,7 @@ namespace tokenring::serve {
 
 class Reactor {
  public:
-  struct Options {
-    /// Same meaning as Server::Options (<= 0 disables the timeout).
-    int idle_timeout_ms = 30000;
-    int write_timeout_ms = 10000;
-    /// Request lines longer than this get the 413-then-close treatment.
-    std::size_t max_line = 1 << 20;
-  };
-
-  Reactor(Engine& engine, const Options& options);
+  Reactor(Engine& engine, const ConnectionLimits& limits);
   ~Reactor();
 
   Reactor(const Reactor&) = delete;
@@ -128,7 +120,6 @@ class Reactor {
   void teardown(Conn& conn);
 
   Engine& engine_;
-  Options options_;
   ConnectionLimits limits_;
 
   int epoll_fd_ = -1;

@@ -11,13 +11,10 @@
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
-#include <string_view>
-#include <utility>
 
 #include "tokenring/exec/executor.hpp"
 #include "tokenring/obs/registry.hpp"
-#include "tokenring/serve/connection.hpp"
-#include "tokenring/serve/transport.hpp"
+#include "tokenring/serve/conn_fsm.hpp"
 
 namespace tokenring::serve {
 
@@ -85,26 +82,24 @@ bool Server::start(std::string& error) {
     return false;
   }
 
-  if (options_.front_end == FrontEnd::kReactor) {
-    static const obs::Gauge shard_count("serve.reactor.count");
-    const std::size_t n =
-        options_.reactors > 0 ? options_.reactors : exec::default_jobs();
-    Reactor::Options ropts;
-    ropts.idle_timeout_ms = options_.idle_timeout_ms;
-    ropts.write_timeout_ms = options_.write_timeout_ms;
-    ropts.max_line = options_.engine.max_request_bytes;
-    for (std::size_t i = 0; i < n; ++i) {
-      reactors_.push_back(std::make_unique<Reactor>(*engine_, ropts));
-      if (!reactors_.back()->start(error)) {
-        reactors_.clear();
-        close_quietly(listen_fd_);
-        close_quietly(stop_pipe_[0]);
-        close_quietly(stop_pipe_[1]);
-        return false;
-      }
+  static const obs::Gauge shard_count("serve.reactor.count");
+  const std::size_t n =
+      options_.reactors > 0 ? options_.reactors : exec::default_jobs();
+  ConnectionLimits limits;
+  limits.max_line = options_.engine.max_request_bytes;
+  limits.idle_timeout_ms = options_.idle_timeout_ms;
+  limits.write_timeout_ms = options_.write_timeout_ms;
+  for (std::size_t i = 0; i < n; ++i) {
+    reactors_.push_back(std::make_unique<Reactor>(*engine_, limits));
+    if (!reactors_.back()->start(error)) {
+      reactors_.clear();
+      close_quietly(listen_fd_);
+      close_quietly(stop_pipe_[0]);
+      close_quietly(stop_pipe_[1]);
+      return false;
     }
-    shard_count.record(n);
   }
+  shard_count.record(n);
 
   accept_thread_ = std::thread([this] { accept_loop(); });
   started_ = true;
@@ -121,31 +116,10 @@ void Server::request_stop() {
 void Server::wait() {
   if (!started_) return;
   if (accept_thread_.joinable()) accept_thread_.join();
-  if (!reactors_.empty()) {
-    // Each shard half-closes its connections, answers what was buffered
-    // or in flight, and exits once empty.
-    for (auto& reactor : reactors_) reactor->begin_drain();
-    for (auto& reactor : reactors_) reactor->join();
-  }
-  // Threaded mode: half-close every connection so readers see EOF once
-  // they have consumed what the client already sent, answer it, and exit.
-  {
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    for (Connection& c : connections_) {
-      if (c.fd >= 0) ::shutdown(c.fd, SHUT_RD);
-    }
-  }
-  for (;;) {
-    Connection victim;
-    {
-      std::lock_guard<std::mutex> lock(connections_mutex_);
-      if (connections_.empty()) break;
-      victim = std::move(connections_.back());
-      connections_.pop_back();
-    }
-    if (victim.thread.joinable()) victim.thread.join();
-    close_quietly(victim.fd);
-  }
+  // Each shard half-closes its connections, answers what was buffered or
+  // in flight, and exits once empty.
+  for (auto& reactor : reactors_) reactor->begin_drain();
+  for (auto& reactor : reactors_) reactor->join();
   engine_->drain();
   started_ = false;
 }
@@ -205,39 +179,10 @@ bool Server::accept_and_dispatch() {
 
   char ip[INET_ADDRSTRLEN] = "?";
   ::inet_ntop(AF_INET, &peer.sin_addr, ip, sizeof(ip));
-  const std::string peer_id = ip;  // one rate-limit bucket per peer host
-
-  if (!reactors_.empty()) {
-    reactors_[next_reactor_]->add_connection(fd, peer_id);
-    next_reactor_ = (next_reactor_ + 1) % reactors_.size();
-    return true;
-  }
-
-  std::lock_guard<std::mutex> lock(connections_mutex_);
-  Connection c;
-  c.fd = fd;
-  c.thread = std::thread(
-      [this, fd, peer_id] { serve_connection(fd, peer_id); });
-  connections_.push_back(std::move(c));
+  // One rate-limit bucket per peer host.
+  reactors_[next_reactor_]->add_connection(fd, ip);
+  next_reactor_ = (next_reactor_ + 1) % reactors_.size();
   return true;
-}
-
-void Server::serve_connection(int fd, const std::string& peer) {
-  SocketIo io(fd);
-  Transport transport(io);
-  ConnectionLimits limits;
-  limits.max_line = options_.engine.max_request_bytes;
-  limits.idle_timeout_ms = options_.idle_timeout_ms;
-  limits.write_timeout_ms = options_.write_timeout_ms;
-  // During graceful shutdown wait() half-closes the socket; the read side
-  // then reports EOF once the client's buffered lines are consumed, so
-  // the shared loop drains and answers them before exiting.
-  run_connection(
-      transport,
-      [this](std::string_view line, const std::string& who) {
-        return engine_->handle_line(line, who);
-      },
-      limits, peer);
 }
 
 }  // namespace tokenring::serve

@@ -1,27 +1,19 @@
 // Line-delimited-JSON TCP front end for the request Engine.
 //
-// Two front ends share one accept loop and one Engine:
-//
-//   * kReactor (default): a sharded, edge-triggered epoll reactor. N
-//     reactor threads (default exec::default_jobs()) each own an epoll
-//     instance and a shard of nonblocking connections; the accept loop
-//     hands new fds out round-robin through eventfd-signalled inboxes.
-//     Per-connection framing/overload state machines (ConnFsm) carry the
-//     same rules as the blocking loop, with idle/write deadlines on a
-//     per-reactor timer wheel; compute flows through the Engine's
-//     batcher and completes back onto the owning reactor's wakeup queue,
-//     so a reactor thread never blocks on a future. Cost per connection
-//     is a table entry + epoll registration, so thousands of mostly-idle
-//     peers are cheap (DESIGN.md §4j).
-//   * kThreaded: the original thread-per-connection loop (SocketIo +
-//     Transport + run_connection). Kept as the semantic reference the
-//     reactor is golden-tested against, and as the baseline the
-//     BM_ServeManyConns benchmark pair quantifies the reactor's win over.
+// A sharded, edge-triggered epoll reactor: N reactor threads (default
+// exec::default_jobs()) each own an epoll instance and a shard of
+// nonblocking connections; the accept loop hands new fds out round-robin
+// through eventfd-signalled inboxes. Per-connection framing/overload
+// state machines (ConnFsm) carry idle/write deadlines on a per-reactor
+// timer wheel; compute flows through the Engine's batcher and completes
+// back onto the owning reactor's wakeup queue, so a reactor thread never
+// blocks on a future. Cost per connection is a table entry + epoll
+// registration, so thousands of mostly-idle peers are cheap (DESIGN.md
+// §4j).
 //
 // The accept loop polls the listen socket alongside a self-pipe;
 // request_stop() is a single write() to that pipe, making it safe to call
-// from a signal handler. Shutdown is graceful by construction in both
-// modes:
+// from a signal handler. Shutdown is graceful by construction:
 //
 //   request_stop() -> accept loop exits -> every connection gets
 //   shutdown(SHUT_RD) -> buffered lines are answered and flushed ->
@@ -34,7 +26,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -46,11 +37,6 @@ namespace tokenring::serve {
 
 class Server {
  public:
-  enum class FrontEnd {
-    kReactor,   // sharded epoll event loops (production default)
-    kThreaded,  // one blocking thread per connection (reference baseline)
-  };
-
   struct Options {
     std::string host = "127.0.0.1";
     /// 0 binds an ephemeral port; read it back with port().
@@ -64,8 +50,7 @@ class Server {
     /// Budget for writing one response to a peer that stopped reading;
     /// <= 0 waits forever.
     int write_timeout_ms = 10000;
-    FrontEnd front_end = FrontEnd::kReactor;
-    /// Reactor shards (kReactor only); 0 picks exec::default_jobs().
+    /// Reactor shards; 0 picks exec::default_jobs().
     std::size_t reactors = 0;
     Engine::Options engine;
   };
@@ -94,17 +79,11 @@ class Server {
   Engine& engine() { return *engine_; }
 
  private:
-  struct Connection {
-    int fd = -1;
-    std::thread thread;
-  };
-
   void accept_loop();
-  /// One accept() + dispatch to a reactor shard or connection thread.
-  /// False when the queue is empty (EAGAIN) -- only possible once the
-  /// stop path has made the listen socket nonblocking.
+  /// One accept() + hand-off to the next reactor shard. False when the
+  /// queue is empty (EAGAIN) -- only possible once the stop path has
+  /// made the listen socket nonblocking.
   bool accept_and_dispatch();
-  void serve_connection(int fd, const std::string& peer);
 
   Options options_;
   std::unique_ptr<Engine> engine_;
@@ -115,8 +94,6 @@ class Server {
   int port_ = 0;
   bool started_ = false;
   std::thread accept_thread_;
-  std::mutex connections_mutex_;
-  std::vector<Connection> connections_;
 };
 
 }  // namespace tokenring::serve

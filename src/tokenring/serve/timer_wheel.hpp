@@ -1,11 +1,10 @@
 // Hashed timing wheel for per-reactor connection deadlines.
 //
-// The threaded front end enforced idle/write timeouts by passing a budget
-// into every poll() call — one syscall-bounded wait per connection. A
-// reactor multiplexes thousands of connections on one epoll_wait, so the
-// deadlines move into a wheel: arming, re-arming, and cancelling a timer
-// are O(1) map/vector operations, and one sweep per tick fires whatever
-// came due, independent of how many idle connections are parked.
+// A reactor multiplexes thousands of connections on one epoll_wait, so
+// their idle/write deadlines cannot be per-connection poll() budgets; they
+// live in a wheel instead: arming, re-arming, and cancelling a timer are
+// O(1) map/vector operations, and one sweep per tick fires whatever came
+// due, independent of how many idle connections are parked.
 //
 // Entries carry their absolute deadline, so the wheel is lap-safe: a
 // deadline several laps out sits in its slot and is simply skipped (and

@@ -1,14 +1,11 @@
 #include "tokenring/serve/transport.hpp"
 
 #include <fcntl.h>
-#include <poll.h>
 #include <sys/socket.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <utility>
-
-#include "tokenring/common/clock.hpp"
 
 namespace tokenring::serve {
 
@@ -30,15 +27,6 @@ ssize_t SocketIo::send_some(const char* data, std::size_t size, int& err) {
   const ssize_t n = ::send(fd_, data, size, MSG_NOSIGNAL);
   err = n < 0 ? errno : 0;
   return n;
-}
-
-int SocketIo::wait(bool for_write, int timeout_ms, int& err) {
-  pollfd p{fd_, static_cast<short>(for_write ? POLLOUT : POLLIN), 0};
-  const int rc = ::poll(&p, 1, timeout_ms);
-  err = rc < 0 ? errno : 0;
-  // POLLERR/POLLHUP count as "ready": the next recv/send reports the
-  // concrete error (or EOF) instead of this loop guessing.
-  return rc;
 }
 
 void SocketIo::shutdown_both() { ::shutdown(fd_, SHUT_RDWR); }
@@ -148,86 +136,6 @@ ssize_t FaultyIo::send_some(const char* data, std::size_t size, int& err) {
   return static_cast<ssize_t>(n);
 }
 
-int FaultyIo::wait(bool for_write, int timeout_ms, int& err) {
-  (void)timeout_ms;  // no real time passes in-memory
-  if (inject_eintr(pending_wait_eintr_)) {
-    err = EINTR;
-    return -1;
-  }
-  pending_wait_eintr_ = plan_.eintr_per_op;
-  err = 0;
-  if (!for_write && plan_.stall_every > 0 &&
-      ++reads_waited_ % plan_.stall_every == 0) {
-    return 0;  // the peer went quiet: report a poll timeout
-  }
-  return 1;
-}
-
 void FaultyIo::shutdown_both() { shutdown_ = true; }
-
-// ---- Transport ---------------------------------------------------------------
-
-Transport::Transport(ByteIo& io, std::function<std::uint64_t()> clock)
-    : io_(io), clock_(clock ? std::move(clock) : steady_now_ns) {}
-
-int Transport::remaining_ms(bool timed, std::uint64_t deadline_ns) const {
-  if (!timed) return -1;
-  const std::uint64_t now = clock_();
-  if (now >= deadline_ns) return 0;
-  // Round up: a 0.4 ms remainder must poll for 1 ms, not busy-spin at 0.
-  return static_cast<int>((deadline_ns - now + 999'999) / 1'000'000);
-}
-
-IoResult Transport::read_some(char* data, std::size_t size, int timeout_ms) {
-  const bool timed = timeout_ms >= 0;
-  const std::uint64_t deadline_ns =
-      timed ? clock_() + static_cast<std::uint64_t>(timeout_ms) * 1'000'000
-            : 0;
-  for (;;) {
-    int err = 0;
-    const int ready = io_.wait(false, remaining_ms(timed, deadline_ns), err);
-    if (ready < 0) {
-      if (err == EINTR) continue;  // re-arm with the remaining budget
-      return {IoStatus::kError, 0};
-    }
-    if (ready == 0) return {IoStatus::kTimeout, 0};
-
-    const ssize_t n = io_.recv_some(data, size, err);
-    if (n > 0) return {IoStatus::kOk, static_cast<std::size_t>(n)};
-    if (n == 0) return {IoStatus::kEof, 0};
-    if (err == EINTR) continue;
-    if (err == EAGAIN || err == EWOULDBLOCK) continue;  // spurious wakeup
-    return {IoStatus::kError, 0};
-  }
-}
-
-IoStatus Transport::write_all(const char* data, std::size_t size,
-                              int timeout_ms) {
-  const bool timed = timeout_ms >= 0;
-  const std::uint64_t deadline_ns =
-      timed ? clock_() + static_cast<std::uint64_t>(timeout_ms) * 1'000'000
-            : 0;
-  while (size > 0) {
-    int err = 0;
-    const ssize_t n = io_.send_some(data, size, err);
-    if (n > 0) {
-      data += static_cast<std::size_t>(n);
-      size -= static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && err == EINTR) continue;
-    if (n < 0 && (err == EAGAIN || err == EWOULDBLOCK)) {
-      const int budget = remaining_ms(timed, deadline_ns);
-      if (timed && budget == 0) return IoStatus::kTimeout;
-      const int ready = io_.wait(true, budget, err);
-      if (ready < 0 && err == EINTR) continue;
-      if (ready < 0) return IoStatus::kError;
-      if (ready == 0) return IoStatus::kTimeout;
-      continue;
-    }
-    return IoStatus::kError;
-  }
-  return IoStatus::kOk;
-}
 
 }  // namespace tokenring::serve

@@ -1,25 +1,16 @@
-// Fault-injectable byte transport for the admission-control server.
+// Fault-injectable byte transport for the serve front end.
 //
-// The server's I/O is split in two layers so every retry loop is testable
-// without a kernel in the way:
-//
-//   ByteIo     — syscall-shaped primitive interface (recv/send/poll with
-//                errno-style failures). SocketIo is the production
-//                implementation over a non-blocking TCP fd; FaultyIo is a
-//                deterministic in-memory double that injects short reads
-//                and writes, EINTR storms, mid-frame disconnects, byte
-//                corruption, and stalls from a seeded TransportFaultPlan
-//                (the fault/-style idiom: generate the whole failure
-//                schedule up front from a seed, then replay it).
-//   Transport  — the EINTR-safe, deadline-aware read/write loops the
-//                connection handler actually calls. There is exactly one
-//                copy of this logic, shared by production and tests, so a
-//                FaultyIo EINTR storm exercises the very loops a stray
-//                signal would hit in production.
-//
-// Timeouts are computed against the injected clock: a poll interrupted by
-// EINTR re-arms with the *remaining* budget, never the full one, so a
-// signal storm cannot extend an idle deadline.
+// ByteIo is the syscall-shaped primitive interface the connection state
+// machine (ConnFsm) reads and writes through: one recv/send attempt per
+// call, with errno-style failures. SocketIo is the production
+// implementation over a non-blocking TCP fd; FaultyIo is a deterministic
+// in-memory double that injects short reads and writes, EINTR storms,
+// exhausted readiness edges (EAGAIN), mid-frame disconnects and byte
+// corruption from a seeded TransportFaultPlan (the fault/-style idiom:
+// generate the whole failure schedule up front from a seed, then replay
+// it). ConnFsm interprets every recv/send result itself, so a FaultyIo
+// EINTR storm exercises the very retry paths a stray signal would hit in
+// production.
 
 #pragma once
 
@@ -27,7 +18,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <string>
 
@@ -35,43 +25,30 @@
 
 namespace tokenring::serve {
 
-/// Outcome of a Transport-level operation.
-enum class IoStatus { kOk, kEof, kTimeout, kError };
-
-struct IoResult {
-  IoStatus status = IoStatus::kOk;
-  std::size_t bytes = 0;
-};
-
 /// Syscall-shaped byte I/O. Implementations mirror POSIX semantics:
 /// recv/send return >0 on progress, 0 for EOF (recv only), and -1 with
 /// `err` set to an errno value (EINTR, EAGAIN, ECONNRESET, EPIPE, ...).
-/// wait() mirrors poll(): 1 ready, 0 timed out, -1 with `err` (EINTR).
 class ByteIo {
  public:
   virtual ~ByteIo() = default;
 
   virtual ssize_t recv_some(char* data, std::size_t size, int& err) = 0;
   virtual ssize_t send_some(const char* data, std::size_t size, int& err) = 0;
-  /// Wait until the stream is readable (`for_write` false) or writable
-  /// (true). `timeout_ms` < 0 waits forever.
-  virtual int wait(bool for_write, int timeout_ms, int& err) = 0;
   /// Hard-close both directions (no further reads or writes succeed).
   virtual void shutdown_both() = 0;
 };
 
 /// Production ByteIo over a connected TCP socket. The constructor switches
-/// the fd to non-blocking mode so write timeouts are enforceable (a
-/// blocking send() to a stalled peer would park the thread forever). Does
-/// not own the fd; the accept loop closes it after the connection thread
-/// exits.
+/// the fd to non-blocking mode, as the edge-triggered reactor requires (a
+/// blocking send() to a stalled peer would park its whole shard). Does
+/// not own the fd; the reactor closes it when the connection is torn
+/// down.
 class SocketIo final : public ByteIo {
  public:
   explicit SocketIo(int fd);
 
   ssize_t recv_some(char* data, std::size_t size, int& err) override;
   ssize_t send_some(const char* data, std::size_t size, int& err) override;
-  int wait(bool for_write, int timeout_ms, int& err) override;
   void shutdown_both() override;
 
  private:
@@ -88,7 +65,7 @@ struct TransportFaultPlan {
   /// seed, each call draws a size in [1, cap] instead of using the cap.
   std::size_t max_read_chunk = 0;
   std::size_t max_write_chunk = 0;
-  /// EINTR failures injected before every recv/send/wait completes.
+  /// EINTR failures injected before every recv/send completes.
   std::uint32_t eintr_per_op = 0;
   /// Connection drops: reads fail with ECONNRESET once this many input
   /// bytes were delivered; writes fail with EPIPE after this many output
@@ -97,13 +74,10 @@ struct TransportFaultPlan {
   std::size_t reset_write_after = kNever;
   /// Flip one bit of the input byte at this position (wire corruption).
   std::size_t corrupt_read_at = kNever;
-  /// Every Nth read-side wait() reports a timeout instead of readiness
-  /// (a stalled peer; 0 = never stalls).
-  std::uint32_t stall_every = 0;
-  /// Every Nth recv/send call fails with EAGAIN (0 = never). To the
-  /// blocking Transport loops this is a spurious wakeup; to the reactor's
-  /// ConnFsm it ends the current readiness edge, so tests can slice one
-  /// frame across many on_readable()/on_writable() pumps.
+  /// Every Nth recv/send call fails with EAGAIN (0 = never). To ConnFsm
+  /// this ends the current readiness edge, so tests can slice one frame
+  /// across many on_readable()/on_writable() pumps, or model a peer that
+  /// stalls (every call EAGAIN).
   std::uint32_t eagain_every = 0;
   /// Seed for per-call chunk-size draws; 0 = use the caps verbatim.
   std::uint64_t seed = 0;
@@ -125,12 +99,11 @@ class FaultyIo final : public ByteIo {
 
   ssize_t recv_some(char* data, std::size_t size, int& err) override;
   ssize_t send_some(const char* data, std::size_t size, int& err) override;
-  int wait(bool for_write, int timeout_ms, int& err) override;
   void shutdown_both() override;
 
   const std::string& output() const { return output_; }
   bool shutdown_called() const { return shutdown_; }
-  /// EINTRs the Transport loops absorbed (test assertion hook).
+  /// EINTRs injected so far (test assertion hook).
   std::uint64_t eintr_injected() const { return eintr_injected_; }
 
  private:
@@ -145,41 +118,10 @@ class FaultyIo final : public ByteIo {
   std::size_t read_pos_ = 0;
   std::uint32_t pending_recv_eintr_ = 0;
   std::uint32_t pending_send_eintr_ = 0;
-  std::uint32_t pending_wait_eintr_ = 0;
-  std::uint32_t reads_waited_ = 0;
   std::uint32_t recvs_called_ = 0;
   std::uint32_t sends_called_ = 0;
   std::uint64_t eintr_injected_ = 0;
   bool shutdown_ = false;
-};
-
-/// The EINTR-safe, deadline-aware I/O loops over a ByteIo. This is the
-/// only place recv/send/wait results are interpreted; the connection
-/// handler works purely in IoStatus terms.
-class Transport {
- public:
-  /// `clock` returns monotonic nanoseconds (tests inject a scripted one).
-  explicit Transport(ByteIo& io,
-                     std::function<std::uint64_t()> clock = {});
-
-  /// Read up to `size` bytes, waiting at most `timeout_ms` (< 0 = forever)
-  /// for the first byte. EINTR — from wait() or recv() — retries with the
-  /// remaining budget.
-  IoResult read_some(char* data, std::size_t size, int timeout_ms);
-
-  /// Write the whole buffer, riding out partial writes, EAGAIN, and
-  /// EINTR. `timeout_ms` (< 0 = forever) bounds the total call, so a
-  /// stalled peer cannot park the thread (slow-loris on the write side).
-  IoStatus write_all(const char* data, std::size_t size, int timeout_ms);
-
-  void shutdown_both() { io_.shutdown_both(); }
-
- private:
-  /// Remaining budget in ms against `deadline_ns`; -1 when untimed.
-  int remaining_ms(bool timed, std::uint64_t deadline_ns) const;
-
-  ByteIo& io_;
-  std::function<std::uint64_t()> clock_;
 };
 
 }  // namespace tokenring::serve

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tokenring/common/checks.hpp"
@@ -172,6 +173,118 @@ TEST(Cli, BatchFlagDefaultsValidatesAndWarns) {
     const std::string err = testing::internal::GetCapturedStderr();
     EXPECT_NE(err.find("--batch 256 exceeds"), std::string::npos);
   }
+}
+
+/// Flags parsed from `--name=value` pairs, for the getter tests below.
+CliFlags parsed(const std::vector<std::pair<std::string, std::string>>& kv) {
+  CliFlags flags;
+  std::vector<std::string> args = {"prog"};
+  for (const auto& [name, value] : kv) {
+    flags.declare(name, "0", "");
+    args.push_back("--" + name + "=" + value);
+  }
+  Argv a(args);
+  EXPECT_TRUE(flags.parse(a.argc(), a.argv()));
+  return flags;
+}
+
+/// The PreconditionError message get(flags) throws, or "" if none.
+template <typename Get>
+std::string error_of(Get get) {
+  try {
+    get();
+  } catch (const PreconditionError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Cli, NumbersMustBeTheWholeValue) {
+  const CliFlags flags = parsed({{"sets", "1e3"},
+                                 {"bw", "100x"},
+                                 {"pad", " 42 "},
+                                 {"sci", "1e3"},
+                                 {"neg", "-7"},
+                                 {"big", "9223372036854775808"},
+                                 {"empty", ""}});
+  // Trailing text is an error, never ignored: --sets=1e3 must not run 1 set.
+  const std::string sets = error_of([&] { flags.get_int("sets"); });
+  EXPECT_NE(sets.find("flag --sets is not an integer: 1e3"), std::string::npos)
+      << sets;
+  const std::string bw = error_of([&] { flags.get_double("bw"); });
+  EXPECT_NE(bw.find("flag --bw is not a number: 100x"), std::string::npos)
+      << bw;
+  EXPECT_THROW(flags.get_int("big"), PreconditionError);  // > INT64_MAX
+  EXPECT_THROW(flags.get_int("empty"), PreconditionError);
+  EXPECT_THROW(flags.get_double("empty"), PreconditionError);
+  // Surrounding blanks, signs and exponents stay valid where they are
+  // numbers of the requested kind.
+  EXPECT_EQ(flags.get_int("pad"), 42);
+  EXPECT_DOUBLE_EQ(flags.get_double("pad"), 42.0);
+  EXPECT_DOUBLE_EQ(flags.get_double("sci"), 1000.0);
+  EXPECT_EQ(flags.get_int("neg"), -7);
+}
+
+TEST(Cli, RangeCheckedIntAcceptsItsBoundsAndNamesTheFlag) {
+  const CliFlags flags = parsed({{"lo", "0"},
+                                 {"hi", "65535"},
+                                 {"over", "70000"},
+                                 {"under", "-1"},
+                                 {"int-max", "2147483647"},
+                                 {"wraps", "4294967297"}});
+  EXPECT_EQ(flags.get_int("lo", 0, 65535), 0);
+  EXPECT_EQ(flags.get_int("hi", 0, 65535), 65535);
+  EXPECT_EQ(flags.get_int("int-max", 0, 2147483647), 2147483647);
+  const std::string over = error_of([&] { flags.get_int("over", 0, 65535); });
+  EXPECT_NE(over.find("flag --over must be in [0, 65535]: 70000"),
+            std::string::npos)
+      << over;
+  EXPECT_THROW(flags.get_int("under", 0, 65535), PreconditionError);
+  // Refused, not narrowed: as an int, 4294967297 would read as 1.
+  EXPECT_THROW(flags.get_int("wraps", 0, 2147483647), PreconditionError);
+}
+
+TEST(Cli, JobsAndBatchUseTheRangeCheckedGetter) {
+  {
+    CliFlags flags;
+    declare_jobs_flag(flags);
+    Argv a({"prog", "--jobs=0"});
+    ASSERT_TRUE(flags.parse(a.argc(), a.argv()));
+    EXPECT_EQ(get_jobs(flags), 0u);  // boundary: hardware concurrency
+  }
+  for (const char* bad : {"--jobs=-1", "--jobs=2x", "--jobs=4294967297"}) {
+    CliFlags flags;
+    declare_jobs_flag(flags);
+    Argv a({"prog", bad});
+    ASSERT_TRUE(flags.parse(a.argc(), a.argv()));
+    const std::string what = error_of([&] { get_jobs(flags); });
+    EXPECT_NE(what.find("flag --jobs"), std::string::npos) << bad;
+  }
+  {
+    CliFlags flags;
+    declare_batch_flag(flags);
+    Argv a({"prog", "--batch=1"});
+    ASSERT_TRUE(flags.parse(a.argc(), a.argv()));
+    EXPECT_EQ(get_batch(flags, 100), 1u);  // boundary
+  }
+  {
+    CliFlags flags;
+    declare_batch_flag(flags);
+    Argv a({"prog", "--batch=8.5"});
+    ASSERT_TRUE(flags.parse(a.argc(), a.argv()));
+    const std::string what = error_of([&] { get_batch(flags, 100); });
+    EXPECT_NE(what.find("flag --batch"), std::string::npos) << what;
+  }
+}
+
+TEST(Cli, DoubleListRejectsNonNumbersNamingTheFlag) {
+  const CliFlags flags = parsed({{"bandwidths-mbps", "4,x"}, {"ok", "4, 16"}});
+  // A PreconditionError naming the flag, which the tool reports and exits 1.
+  const std::string what =
+      error_of([&] { flags.get_double_list("bandwidths-mbps"); });
+  EXPECT_NE(what.find("flag --bandwidths-mbps"), std::string::npos) << what;
+  EXPECT_EQ(flags.get_double_list("ok"), (std::vector<double>{4.0, 16.0}));
+  EXPECT_THROW(parse_double_list("1,2x"), PreconditionError);
 }
 
 TEST(Cli, ParseDoubleList) {

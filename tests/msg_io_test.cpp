@@ -74,6 +74,34 @@ TEST(MsgIo, NonNumericRejectedWithLineNumber) {
   }
 }
 
+TEST(MsgIo, TrailingTextInANumberRejectedWithLineNumber) {
+  // Trailing text is an error: "0,50ms,10000x" must not load as 0,50,10000,
+  // nor a station of "1e3" as 1.
+  const char* bad[] = {
+      "station,period_ms,payload_bits\n0,50ms,10000\n",
+      "station,period_ms,payload_bits\n0,50,10000x\n",
+      "station,period_ms,payload_bits\n1e3,50,10000\n",
+      "station,period_ms,payload_bits\n4294967296,50,10000\n",
+      "station,period_ms,payload_bits,deadline_ms\n0,50,10000,20ms\n",
+  };
+  for (const char* text : bad) {
+    try {
+      message_set_from_csv(text);
+      FAIL() << "expected ParseError for: " << text;
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << e.what();
+    }
+  }
+  // Blanks around a cell and exponents in non-integer cells still parse.
+  const auto set = message_set_from_csv(
+      "station,period_ms,payload_bits\n 2 , 5e1 , 1e4 \n");
+  ASSERT_EQ(set.size(), 1u);
+  EXPECT_EQ(set[0].station, 2);
+  EXPECT_DOUBLE_EQ(set[0].period, milliseconds(50));
+  EXPECT_DOUBLE_EQ(set[0].payload_bits, 10'000.0);
+}
+
 TEST(MsgIo, InvalidStreamRejected) {
   // Zero period violates the stream invariant.
   EXPECT_THROW(message_set_from_csv(

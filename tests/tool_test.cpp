@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 
 namespace {
 
@@ -120,6 +121,41 @@ TEST_F(ToolTest, CheckRejectsStationWithNoRoomForTheRingSize) {
   EXPECT_EQ(r.exit_code, 1) << r.output;
   EXPECT_NE(r.output.find("room for the ring size"), std::string::npos)
       << r.output;
+}
+
+TEST_F(ToolTest, BadNumbersExitOneNamingTheFlagOrLine) {
+  // Each is refused with exit 1, never truncated, wrapped or aborted.
+  const std::string bad_row = temp_path("tool_test_bad_row.csv");
+  write_scenario(bad_row, "0,50ms,10000x\n");
+  const std::pair<std::string, std::string> cases[] = {
+      {"advise --sets=1e3", "--sets"},
+      {"advise --sets=-1", "--sets"},
+      {"advise --bandwidths-mbps=4,x", "--bandwidths-mbps"},
+      {"check --file=" + light_ + " --bandwidth-mbps=100x",
+       "--bandwidth-mbps"},
+      {"check --file=" + bad_row, "line 2"},
+      {"generate --stations=4294967298", "--stations"},
+      {"serve --port=70000", "--port"},
+      {"serve --idle-timeout-ms=4294967297", "--idle-timeout-ms"},
+      {"serve --max-request-bytes=-1", "--max-request-bytes"},
+      {"serve --reactors=-1", "--reactors"},
+      {"simulate --file=" + light_ + " --seed=-1", "--seed"},
+  };
+  for (const auto& [args, named] : cases) {
+    const auto r = run_tool(args);
+    EXPECT_EQ(r.exit_code, 1) << args << ": " << r.output;
+    EXPECT_NE(r.output.find(named), std::string::npos) << args << ": "
+                                                      << r.output;
+  }
+  std::remove(bad_row.c_str());
+}
+
+TEST_F(ToolTest, BoundaryNumbersAreStillAccepted) {
+  const auto gen = run_tool("generate --stations=1 --utilization=0.1 --seed=0");
+  EXPECT_EQ(gen.exit_code, 0) << gen.output;
+  const auto advise = run_tool(
+      "advise --stations=2 --sets=1 --bandwidths-mbps=100 --seed=0 --jobs=0");
+  EXPECT_EQ(advise.exit_code, 0) << advise.output;
 }
 
 TEST_F(ToolTest, CheckRequiresFileFlag) {

@@ -21,9 +21,11 @@
 
 #include <algorithm>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -49,6 +51,10 @@
 using namespace tokenring;
 
 namespace {
+
+// Ranges for integer flags narrowed to int / size_t / uint64 below.
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+constexpr std::int64_t kSeedMax = std::numeric_limits<std::int64_t>::max();
 
 struct ParsedProtocol {
   bool is_ttp = false;
@@ -300,31 +306,25 @@ int cmd_simulate(const CliFlags& flags, obs::RunReport& report) {
     }
   }
 
-  sim::SimMetrics m;
+  sim::SimConfig cfg;
   if (proto.is_ttp) {
     analysis::TtpParams p;
     p.ring = net::fddi_ring(n);
     p.frame = p.async_frame = net::paper_frame_format();
-    auto cfg = sim::make_sim_config(set, p, bw);
-    cfg.horizon = milliseconds(flags.get_double("horizon-ms"));
-    cfg.async_model = async_model;
-    cfg.async_frames_per_second = flags.get_double("async-fps");
-    cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-    cfg.trace = trace.get();
-    m = sim::run_simulation(set, cfg);
+    cfg = sim::make_sim_config(set, p, bw);
   } else {
     analysis::PdpParams p;
     p.ring = net::ieee8025_ring(n);
     p.frame = net::paper_frame_format();
     p.variant = proto.variant;
-    auto cfg = sim::make_sim_config(set, p, bw);
-    cfg.horizon = milliseconds(flags.get_double("horizon-ms"));
-    cfg.async_model = async_model;
-    cfg.async_frames_per_second = flags.get_double("async-fps");
-    cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-    cfg.trace = trace.get();
-    m = sim::run_simulation(set, cfg);
+    cfg = sim::make_sim_config(set, p, bw);
   }
+  cfg.horizon = milliseconds(flags.get_double("horizon-ms"));
+  cfg.async_model = async_model;
+  cfg.async_frames_per_second = flags.get_double("async-fps");
+  cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 0, kSeedMax));
+  cfg.trace = trace.get();
+  const sim::SimMetrics m = sim::run_simulation(set, cfg);
   report.note("%s", m.summary().c_str());
 
   Table table({"released", "completed", "misses", "miss_ratio",
@@ -364,19 +364,22 @@ void flags_advise(CliFlags& flags) {
 
 int cmd_advise(const CliFlags& flags, obs::RunReport& report) {
   planner::TrafficProfile profile;
-  profile.num_stations = static_cast<int>(flags.get_int("stations"));
+  profile.num_stations =
+      static_cast<int>(flags.get_int("stations", 1, kIntMax));
   profile.mean_period = milliseconds(flags.get_double("mean-period-ms"));
   profile.period_ratio = flags.get_double("period-ratio");
 
   const exec::Executor executor(get_jobs(flags));
-  const auto sets = static_cast<std::size_t>(flags.get_int("sets"));
+  const auto sets =
+      static_cast<std::size_t>(flags.get_int("sets", 1, kIntMax));
   const auto batch = get_batch(flags, sets);
   Table table({"BW_Mbps", "ieee8025", "modified8025", "fddi",
                "resil_8025", "resil_fddi", "recommend"});
-  for (double bw : parse_double_list(flags.get_string("bandwidths-mbps"))) {
+  for (double bw : flags.get_double_list("bandwidths-mbps")) {
     const auto rec = planner::recommend_protocol(
         profile, mbps(bw), sets,
-        static_cast<std::uint64_t>(flags.get_int("seed")), executor, batch);
+        static_cast<std::uint64_t>(flags.get_int("seed", 0, kSeedMax)),
+        executor, batch);
     table.add_row({fmt(bw, 0), fmt(rec.ieee8025, 3), fmt(rec.modified8025, 3),
                    fmt(rec.fddi, 3), fmt(rec.modified8025_resilience, 1),
                    fmt(rec.fddi_resilience, 1), planner::to_string(rec.best)});
@@ -419,12 +422,12 @@ void flags_generate(CliFlags& flags) {
 
 int cmd_generate(const CliFlags& flags, obs::RunReport& report) {
   msg::GeneratorConfig g;
-  g.num_streams = static_cast<int>(flags.get_int("stations"));
+  g.num_streams = static_cast<int>(flags.get_int("stations", 1, kIntMax));
   g.mean_period = milliseconds(flags.get_double("mean-period-ms"));
   g.period_ratio = flags.get_double("period-ratio");
   g.deadline_fraction = flags.get_double("deadline-fraction");
   msg::MessageSetGenerator gen(g);
-  Rng rng(static_cast<std::uint64_t>(flags.get_int("seed")));
+  Rng rng(static_cast<std::uint64_t>(flags.get_int("seed", 0, kSeedMax)));
   auto set = gen.generate(rng);
 
   const BitsPerSecond bw = mbps(flags.get_double("bandwidth-mbps"));
@@ -469,9 +472,6 @@ void flags_serve(CliFlags& flags) {
                 "drop connections silent for this long (0 = never)");
   flags.declare("write-timeout-ms", "10000",
                 "drop connections that stop reading responses (0 = never)");
-  flags.declare("front-end", "reactor",
-                "connection front end: reactor (sharded epoll) or threaded "
-                "(one thread per connection)");
   flags.declare("reactors", "0",
                 "reactor shards (0 = one per available core)");
   flags.declare("backlog", "1024", "listen(2) backlog");
@@ -488,33 +488,27 @@ void serve_stop_handler(int) {
 int cmd_serve(const CliFlags& flags, obs::RunReport& report) {
   serve::Server::Options opt;
   opt.host = flags.get_string("host");
-  opt.port = static_cast<int>(flags.get_int("port"));
+  opt.port = static_cast<int>(flags.get_int("port", 0, 65535));
   opt.engine.jobs = get_jobs(flags);
   opt.engine.max_group =
-      static_cast<std::size_t>(flags.get_int("batch-group"));
+      static_cast<std::size_t>(flags.get_int("batch-group", 0, kIntMax));
   opt.engine.max_request_bytes =
-      static_cast<std::size_t>(flags.get_int("max-request-bytes"));
+      static_cast<std::size_t>(flags.get_int("max-request-bytes", 1, kIntMax));
   opt.engine.cache.shards =
-      static_cast<std::size_t>(flags.get_int("cache-shards"));
+      static_cast<std::size_t>(flags.get_int("cache-shards", 0, kIntMax));
   opt.engine.cache.capacity_per_shard =
-      static_cast<std::size_t>(flags.get_int("cache-capacity"));
+      static_cast<std::size_t>(flags.get_int("cache-capacity", 1, kIntMax));
   opt.engine.limit.rate_per_s = flags.get_double("rate");
   opt.engine.limit.burst = flags.get_double("burst");
-  opt.engine.high_water = static_cast<std::size_t>(flags.get_int("high-water"));
-  opt.idle_timeout_ms = static_cast<int>(flags.get_int("idle-timeout-ms"));
-  opt.write_timeout_ms = static_cast<int>(flags.get_int("write-timeout-ms"));
-  opt.backlog = static_cast<int>(flags.get_int("backlog"));
-  opt.reactors = static_cast<std::size_t>(flags.get_int("reactors"));
-  const std::string front_end = flags.get_string("front-end");
-  if (front_end == "reactor") {
-    opt.front_end = serve::Server::FrontEnd::kReactor;
-  } else if (front_end == "threaded") {
-    opt.front_end = serve::Server::FrontEnd::kThreaded;
-  } else {
-    std::fprintf(stderr, "unknown --front-end '%s' (reactor|threaded)\n",
-                 front_end.c_str());
-    return 1;
-  }
+  opt.engine.high_water =
+      static_cast<std::size_t>(flags.get_int("high-water", 0, kIntMax));
+  opt.idle_timeout_ms =
+      static_cast<int>(flags.get_int("idle-timeout-ms", 0, kIntMax));
+  opt.write_timeout_ms =
+      static_cast<int>(flags.get_int("write-timeout-ms", 0, kIntMax));
+  opt.backlog = static_cast<int>(flags.get_int("backlog", 0, kIntMax));
+  opt.reactors =
+      static_cast<std::size_t>(flags.get_int("reactors", 0, kIntMax));
 
   serve::Server server(opt);
   std::string error;
@@ -637,9 +631,8 @@ int main(int argc, char** argv) {
   }
 
   obs::RunReport report(std::string("tokenring_tool ") + c->name);
-  if (!report.init(flags)) return 1;
-
   try {
+    if (!report.init(flags)) return 1;
     const int rc = c->run(flags, report);
     const int finish_rc = report.finish();
     return rc != 0 ? rc : finish_rc;
