@@ -27,10 +27,10 @@ int main(int argc, char** argv) {
   if (auto rc = obs::bootstrap_run(report, flags, argc, argv)) return *rc;
 
   experiments::AllocationStudyConfig config;
-  config.setup.num_stations = static_cast<int>(flags.get_int("stations"));
+  config.setup.num_stations = get_count(flags, "stations");
   config.bandwidth_mbps = flags.get_double("bandwidth-mbps");
-  config.sets_per_point = static_cast<std::size_t>(flags.get_int("sets"));
-  config.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
+  config.sets_per_point = get_count(flags, "sets");
+  config.seed = get_seed(flags);
   config.jobs = get_jobs(flags);
 
   report.note(
@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   wc.num_sets = config.sets_per_point;
   wc.seed = config.seed;
   wc.jobs = config.jobs;
-  wc.batch = get_batch(flags, wc.num_sets);
+  wc.batch = get_batch(flags);
   const auto worst = experiments::run_worst_case_study(wc);
 
   report.note("\n# Worst-case guarantee (local scheme)\n");

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   }
 
   experiments::PaperSetup setup;
-  setup.num_stations = static_cast<int>(flags.get_int("stations"));
+  setup.num_stations = get_count(flags, "stations");
 
   report.note(
       "# Async capacity vs synchronous load (n=%d)\n"
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   for (double bw_mbps : flags.get_double_list("bandwidths-mbps")) {
     const BitsPerSecond bw = mbps(bw_mbps);
     for (double level : flags.get_double_list("sync-levels")) {
-      Rng rng(static_cast<std::uint64_t>(flags.get_int("seed")));
+      Rng rng(get_seed(flags));
       auto set = gen.generate(rng);
       set = set.scaled(level / set.utilization(bw));
 

@@ -45,10 +45,10 @@ int main(int argc, char** argv) {
   if (auto rc = obs::bootstrap_run(report, flags, argc, argv)) return *rc;
 
   experiments::PaperSetup setup;
-  setup.num_stations = static_cast<int>(flags.get_int("stations"));
-  const auto sets = static_cast<std::size_t>(flags.get_int("sets"));
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  const auto batch = get_batch(flags, sets);
+  setup.num_stations = get_count(flags, "stations");
+  const std::size_t sets = get_count(flags, "sets");
+  const auto seed = get_seed(flags);
+  const auto batch = get_batch(flags);
   const exec::Executor executor(get_jobs(flags));
 
   report.note(

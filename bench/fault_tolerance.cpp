@@ -50,15 +50,15 @@ int main(int argc, char** argv) {
   if (auto rc = obs::bootstrap_run(report, flags, argc, argv)) return *rc;
 
   experiments::FaultStudyConfig config;
-  config.setup.num_stations = static_cast<int>(flags.get_int("stations"));
+  config.setup.num_stations = get_count(flags, "stations");
   config.bandwidth_mbps = flags.get_double("bandwidth-mbps");
   config.load_scale = flags.get_double("load-scale");
-  config.sets_per_point = static_cast<std::size_t>(flags.get_int("sets"));
-  config.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
+  config.sets_per_point = get_count(flags, "sets");
+  config.seed = get_seed(flags);
   config.kinds = parse_kinds(flags.get_string("kinds"));
   config.noise_duration = milliseconds(flags.get_double("noise-ms"));
   config.jobs = get_jobs(flags);
-  config.batch = get_batch(flags, config.sets_per_point);
+  config.batch = get_batch(flags);
   config.fault_counts.clear();
   for (double c : flags.get_double_list("counts")) {
     config.fault_counts.push_back(static_cast<int>(c));

@@ -25,11 +25,11 @@ int main(int argc, char** argv) {
   if (auto rc = obs::bootstrap_run(report, flags, argc, argv)) return *rc;
 
   experiments::FrameSizeStudyConfig config;
-  config.setup.num_stations = static_cast<int>(flags.get_int("stations"));
-  config.sets_per_point = static_cast<std::size_t>(flags.get_int("sets"));
-  config.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
+  config.setup.num_stations = get_count(flags, "stations");
+  config.sets_per_point = get_count(flags, "sets");
+  config.seed = get_seed(flags);
   config.jobs = get_jobs(flags);
-  config.batch = get_batch(flags, config.sets_per_point);
+  config.batch = get_batch(flags);
   config.bandwidths_mbps = flags.get_double_list("bandwidths-mbps");
   config.payload_bytes = flags.get_double_list("payload-bytes");
 

@@ -34,9 +34,9 @@ int main(int argc, char** argv) {
   }
 
   experiments::PaperSetup setup;
-  setup.num_stations = static_cast<int>(flags.get_int("stations"));
-  const auto sets = static_cast<std::size_t>(flags.get_int("sets"));
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
+  setup.num_stations = get_count(flags, "stations");
+  const std::size_t sets = get_count(flags, "sets");
+  const auto seed = get_seed(flags);
   const BitsPerSecond bw = mbps(flags.get_double("bandwidth-mbps"));
 
   msg::MessageSetGenerator gen(setup.generator_config());

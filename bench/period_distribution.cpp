@@ -23,12 +23,12 @@ int main(int argc, char** argv) {
   if (auto rc = obs::bootstrap_run(report, flags, argc, argv)) return *rc;
 
   experiments::DistributionStudyConfig config;
-  config.setup.num_stations = static_cast<int>(flags.get_int("stations"));
+  config.setup.num_stations = get_count(flags, "stations");
   config.bandwidth_mbps = flags.get_double("bandwidth-mbps");
-  config.sets_per_point = static_cast<std::size_t>(flags.get_int("sets"));
-  config.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
+  config.sets_per_point = get_count(flags, "sets");
+  config.seed = get_seed(flags);
   config.jobs = get_jobs(flags);
-  config.batch = get_batch(flags, config.sets_per_point);
+  config.batch = get_batch(flags);
 
   report.note("# Period-distribution ablation at %.0f Mbps (n=%d)\n\n",
               config.bandwidth_mbps, config.setup.num_stations);

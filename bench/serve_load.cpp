@@ -559,16 +559,18 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const auto clients = static_cast<std::size_t>(flags.get_int("clients"));
-  const auto requests = static_cast<std::size_t>(flags.get_int("requests"));
-  const auto depth =
-      std::max<std::size_t>(1, static_cast<std::size_t>(flags.get_int("pipeline")));
+  const auto clients =
+      static_cast<std::size_t>(flags.get_int("clients", 1, kIntFlagMax));
+  const auto requests =
+      static_cast<std::size_t>(flags.get_int("requests", 1, kIntFlagMax));
+  const auto depth = std::max<std::size_t>(
+      1, static_cast<std::size_t>(flags.get_int("pipeline", 0, kIntFlagMax)));
   const auto hot_set = std::max<std::size_t>(
-      1, static_cast<std::size_t>(flags.get_int("hot-set")));
-  const int sets = static_cast<int>(flags.get_int("sets"));
+      1, static_cast<std::size_t>(flags.get_int("hot-set", 0, kIntFlagMax)));
+  const int sets = get_count(flags, "sets");
   const double deadline_ms = flags.get_double("deadline-ms");
   const auto connections =
-      static_cast<std::size_t>(flags.get_int("connections"));
+      static_cast<std::size_t>(flags.get_int("connections", 0, kIntFlagMax));
 
   // 2 fds per parked connection (client + server side) plus slack for the
   // servers, clients, and engine plumbing.

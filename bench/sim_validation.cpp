@@ -25,9 +25,9 @@ int main(int argc, char** argv) {
   }
 
   experiments::SimValidationConfig config;
-  config.setup.num_stations = static_cast<int>(flags.get_int("stations"));
-  config.sets_per_point = static_cast<std::size_t>(flags.get_int("sets"));
-  config.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
+  config.setup.num_stations = get_count(flags, "stations");
+  config.sets_per_point = get_count(flags, "sets");
+  config.seed = get_seed(flags);
   config.bandwidths_mbps = flags.get_double_list("bandwidths-mbps");
 
   report.note(

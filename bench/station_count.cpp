@@ -24,10 +24,10 @@ int main(int argc, char** argv) {
 
   experiments::StationCountStudyConfig config;
   config.bandwidth_mbps = flags.get_double("bandwidth-mbps");
-  config.sets_per_point = static_cast<std::size_t>(flags.get_int("sets"));
-  config.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
+  config.sets_per_point = get_count(flags, "sets");
+  config.seed = get_seed(flags);
   config.jobs = get_jobs(flags);
-  config.batch = get_batch(flags, config.sets_per_point);
+  config.batch = get_batch(flags);
   config.station_counts.clear();
   for (double v : flags.get_double_list("stations")) {
     config.station_counts.push_back(static_cast<int>(v));

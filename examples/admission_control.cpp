@@ -23,31 +23,27 @@ int main(int argc, char** argv) {
   flags.declare("seed", "3", "RNG seed for the request workload");
   if (!flags.parse(argc, argv)) return 1;
 
-  planner::Protocol protocol;
   const std::string name = flags.get_string("protocol");
-  if (name == "ieee8025") {
-    protocol = planner::Protocol::kIeee8025;
-  } else if (name == "modified8025") {
-    protocol = planner::Protocol::kModified8025;
-  } else if (name == "fddi") {
-    protocol = planner::Protocol::kFddi;
-  } else {
-    std::fprintf(stderr, "unknown protocol: %s\n", name.c_str());
+  const auto protocol = planner::protocol_from_name(name);
+  if (!protocol) {
+    std::fprintf(stderr, "unknown protocol '%s' (%s)\n", name.c_str(),
+                 planner::kProtocolNames);
     return 1;
   }
 
-  const int stations = static_cast<int>(flags.get_int("stations"));
+  const int stations = get_count(flags, "stations");
   const auto config = planner::default_config(
-      protocol, mbps(flags.get_double("bandwidth-mbps")), stations);
+      *protocol, mbps(flags.get_double("bandwidth-mbps")), stations);
   planner::AdmissionController controller(config);
 
   std::printf("Admission control on %s at %.0f Mbps (%d stations)\n\n",
-              planner::to_string(protocol), to_mbps(config.bandwidth),
+              planner::to_string(*protocol), to_mbps(config.bandwidth),
               stations);
 
   // Replay a random arrival sequence of guarantee requests.
-  Rng rng(static_cast<std::uint64_t>(flags.get_int("seed")));
-  const auto requests = static_cast<int>(flags.get_int("requests"));
+  Rng rng(get_seed(flags));
+  const auto requests =
+      static_cast<int>(flags.get_int("requests", 0, kIntFlagMax));
   int admitted = 0;
   for (int i = 0; i < requests; ++i) {
     msg::SyncStream s;

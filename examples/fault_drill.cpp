@@ -10,7 +10,7 @@
 #include "tokenring/common/rng.hpp"
 #include "tokenring/fault/plan.hpp"
 #include "tokenring/fault/recovery.hpp"
-#include "tokenring/net/standards.hpp"
+#include "tokenring/planner/planner.hpp"
 #include "tokenring/sim/config.hpp"
 #include "tokenring/sim/workload.hpp"
 
@@ -30,7 +30,8 @@ int main(int argc, char** argv) {
 
   const BitsPerSecond bw = mbps(flags.get_double("bandwidth-mbps"));
   const Seconds horizon = milliseconds(flags.get_double("horizon-ms"));
-  const auto faults = static_cast<int>(flags.get_int("faults"));
+  const auto faults =
+      static_cast<int>(flags.get_int("faults", 0, kIntFlagMax));
   const auto kind = fault::parse_fault_kind(flags.get_string("kind"));
   if (!kind) {
     std::fprintf(stderr, "unknown fault kind '%s'\n",
@@ -46,7 +47,7 @@ int main(int argc, char** argv) {
   // One shared schedule hits both rings.
   fault::FaultPlan plan;
   {
-    Rng rng(static_cast<std::uint64_t>(flags.get_int("seed")));
+    Rng rng(get_seed(flags));
     const Seconds noise = milliseconds(flags.get_double("noise-ms"));
     for (int i = 0; i < faults; ++i) {
       const Seconds at = rng.uniform(0.0, 0.9 * horizon);
@@ -76,10 +77,9 @@ int main(int argc, char** argv) {
               fault::to_string(*kind), to_milliseconds(horizon), to_mbps(bw));
 
   {
-    analysis::PdpParams p;
-    p.ring = net::ieee8025_ring(8);
-    p.frame = net::paper_frame_format();
-    p.variant = analysis::PdpVariant::kModified8025;
+    const analysis::PdpParams p =
+        planner::default_config(planner::Protocol::kModified8025, bw, 8)
+            .pdp_params();
     auto cfg = sim::make_sim_config(set, p, bw);
     cfg.horizon = horizon;
     cfg.faults = plan;
@@ -90,9 +90,8 @@ int main(int argc, char** argv) {
                 m.summary().c_str());
   }
   {
-    analysis::TtpParams p;
-    p.ring = net::fddi_ring(8);
-    p.frame = p.async_frame = net::paper_frame_format();
+    const analysis::TtpParams p =
+        planner::default_config(planner::Protocol::kFddi, bw, 8).ttp_params();
     auto cfg = sim::make_sim_config(set, p, bw);
     cfg.horizon = horizon;
     cfg.faults = plan;

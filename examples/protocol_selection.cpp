@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   if (!flags.parse(argc, argv)) return 1;
 
   planner::TrafficProfile profile;
-  profile.num_stations = static_cast<int>(flags.get_int("stations"));
+  profile.num_stations = get_count(flags, "stations");
   profile.mean_period = milliseconds(flags.get_double("mean-period-ms"));
   profile.period_ratio = flags.get_double("period-ratio");
 
@@ -42,8 +42,7 @@ int main(int argc, char** argv) {
   for (double bw_mbps : flags.get_double_list("bandwidths-mbps")) {
     const auto rec = planner::recommend_protocol(
         profile, mbps(bw_mbps),
-        static_cast<std::size_t>(flags.get_int("sets")),
-        static_cast<std::uint64_t>(flags.get_int("seed")), exec::Executor(1));
+        get_count(flags, "sets"), get_seed(flags), exec::Executor(1));
     table.add_row({fmt(bw_mbps, 0), fmt(rec.ieee8025, 3),
                    fmt(rec.modified8025, 3), fmt(rec.fddi, 3),
                    planner::to_string(rec.best), fmt(rec.margin, 2)});

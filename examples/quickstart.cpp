@@ -8,7 +8,6 @@
 //
 //   ./quickstart [--bandwidth-mbps=16] [--file=scenario.csv]
 
-#include <algorithm>
 #include <cstdio>
 
 #include "tokenring/analysis/async_capacity.hpp"
@@ -18,7 +17,7 @@
 #include "tokenring/analysis/ttrt.hpp"
 #include "tokenring/common/cli.hpp"
 #include "tokenring/msg/io.hpp"
-#include "tokenring/net/standards.hpp"
+#include "tokenring/query/query.hpp"
 
 using namespace tokenring;
 
@@ -64,24 +63,20 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  int ring_size = static_cast<int>(set.size());
-  for (const auto& s : set.streams()) {
-    ring_size = std::max(ring_size, s.station + 1);
-  }
+  const int ring_size = query::ring_size_for(set);
+  const auto params = [&](planner::Protocol protocol) {
+    return planner::default_config(protocol, bw, ring_size);
+  };
 
   std::printf("message set: %zu streams, utilization %.3f at %.0f Mbps\n\n",
               set.size(), set.utilization(bw), to_mbps(bw));
 
   // --- Priority-driven protocol (both 802.5 implementations) ------------
-  for (auto variant :
-       {analysis::PdpVariant::kStandard8025, analysis::PdpVariant::kModified8025}) {
-    analysis::PdpParams pdp;
-    pdp.ring = net::ieee8025_ring(ring_size);
-    pdp.frame = net::paper_frame_format();
-    pdp.variant = variant;
-
+  for (auto protocol :
+       {planner::Protocol::kIeee8025, planner::Protocol::kModified8025}) {
+    const analysis::PdpParams pdp = params(protocol).pdp_params();
     const auto verdict = analysis::pdp_schedulable(set, pdp, bw);
-    std::printf("%-22s: %s  (blocking B = %.1f us)\n", to_string(variant),
+    std::printf("%-22s: %s  (blocking B = %.1f us)\n", to_string(pdp.variant),
                 verdict.schedulable ? "SCHEDULABLE" : "NOT schedulable",
                 to_microseconds(verdict.blocking));
     for (const auto& r : verdict.reports) {
@@ -99,11 +94,7 @@ int main(int argc, char** argv) {
   }
 
   // --- Timed-token protocol (FDDI) ---------------------------------------
-  analysis::TtpParams ttp;
-  ttp.ring = net::fddi_ring(ring_size);
-  ttp.frame = net::paper_frame_format();
-  ttp.async_frame = net::paper_frame_format();
-
+  const analysis::TtpParams ttp = params(planner::Protocol::kFddi).ttp_params();
   const auto verdict = analysis::ttp_schedulable(set, ttp, bw);
   std::printf("%-22s: %s\n", "FDDI timed token",
               verdict.schedulable ? "SCHEDULABLE" : "NOT schedulable");
@@ -125,13 +116,11 @@ int main(int argc, char** argv) {
                 to_milliseconds(b.response_bound), to_milliseconds(b.slack));
   }
 
-  analysis::PdpParams pdp_mod;
-  pdp_mod.ring = net::ieee8025_ring(ring_size);
-  pdp_mod.frame = net::paper_frame_format();
-  pdp_mod.variant = analysis::PdpVariant::kModified8025;
   std::printf(
       "\nleftover asynchronous capacity: modified 802.5 %.1f%%, FDDI %.1f%%\n",
-      100.0 * analysis::pdp_async_capacity(set, pdp_mod, bw),
+      100.0 * analysis::pdp_async_capacity(
+                  set, params(planner::Protocol::kModified8025).pdp_params(),
+                  bw),
       100.0 * analysis::ttp_async_capacity(set, ttp, bw));
   return 0;
 }

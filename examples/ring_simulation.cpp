@@ -9,7 +9,7 @@
 #include "tokenring/analysis/ttrt.hpp"
 #include "tokenring/common/cli.hpp"
 #include "tokenring/common/table.hpp"
-#include "tokenring/net/standards.hpp"
+#include "tokenring/planner/planner.hpp"
 #include "tokenring/sim/config.hpp"
 
 using namespace tokenring;
@@ -80,9 +80,8 @@ int main(int argc, char** argv) {
   {
     sim::SimConfig cfg;
     cfg.protocol = sim::Protocol::kPdp;
-    cfg.pdp.ring = net::ieee8025_ring(8);
-    cfg.pdp.frame = net::paper_frame_format();
-    cfg.pdp.variant = analysis::PdpVariant::kModified8025;
+    cfg.pdp = planner::default_config(planner::Protocol::kModified8025, bw, 8)
+                  .pdp_params();
     cfg.bandwidth = bw;
     cfg.horizon = horizon;
     cfg.async_model = async_model;
@@ -101,9 +100,8 @@ int main(int argc, char** argv) {
   {
     sim::SimConfig cfg;
     cfg.protocol = sim::Protocol::kTtp;
-    cfg.ttp.ring = net::fddi_ring(8);
-    cfg.ttp.frame = net::paper_frame_format();
-    cfg.ttp.async_frame = net::paper_frame_format();
+    cfg.ttp = planner::default_config(planner::Protocol::kFddi, bw, 8)
+                  .ttp_params();
     cfg.bandwidth = bw;
     cfg.horizon = horizon;
     cfg.async_model = async_model;

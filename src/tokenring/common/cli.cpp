@@ -168,8 +168,15 @@ void declare_jobs_flag(CliFlags& flags) {
 }
 
 std::size_t get_jobs(const CliFlags& flags) {
-  return static_cast<std::size_t>(
-      flags.get_int("jobs", 0, std::numeric_limits<int>::max()));
+  return static_cast<std::size_t>(flags.get_int("jobs", 0, kIntFlagMax));
+}
+
+int get_count(const CliFlags& flags, const std::string& name) {
+  return static_cast<int>(flags.get_int(name, 1, kIntFlagMax));
+}
+
+std::uint64_t get_seed(const CliFlags& flags) {
+  return static_cast<std::uint64_t>(flags.get_int("seed", 0, kSeedFlagMax));
 }
 
 void declare_batch_flag(CliFlags& flags) {
@@ -178,16 +185,8 @@ void declare_batch_flag(CliFlags& flags) {
                 "results are identical for every value");
 }
 
-std::size_t get_batch(const CliFlags& flags, std::size_t trials) {
-  const auto value = static_cast<std::size_t>(
-      flags.get_int("batch", 1, std::numeric_limits<int>::max()));
-  if (trials > 0 && value > trials) {
-    std::fprintf(stderr,
-                 "warning: --batch %zu exceeds the %zu trials per point; "
-                 "the extra lanes are never filled\n",
-                 value, trials);
-  }
-  return value;
+std::size_t get_batch(const CliFlags& flags) {
+  return static_cast<std::size_t>(flags.get_int("batch", 1, kIntFlagMax));
 }
 
 std::vector<double> parse_double_list(const std::string& csv) {

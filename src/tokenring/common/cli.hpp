@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -16,6 +17,13 @@
 #include <vector>
 
 namespace tokenring {
+
+/// Upper bounds for CliFlags::get_int(name, min, max) at the common
+/// narrowings: counts and sizes kept in an int, and seeds kept in a
+/// std::uint64_t (a negative seed is refused, never wrapped).
+inline constexpr std::int64_t kIntFlagMax = std::numeric_limits<int>::max();
+inline constexpr std::int64_t kSeedFlagMax =
+    std::numeric_limits<std::int64_t>::max();
 
 /// Parses `--key=value` style flags with typed accessors and defaults.
 class CliFlags {
@@ -49,7 +57,8 @@ class CliFlags {
 
   /// get_int, also rejecting values outside [min, max] with a
   /// PreconditionError naming the flag and the range. Use it wherever the
-  /// value is narrowed to a smaller or unsigned type.
+  /// value is narrowed to a smaller or unsigned type (kIntFlagMax,
+  /// kSeedFlagMax below).
   std::int64_t get_int(const std::string& name, std::int64_t min,
                        std::int64_t max) const;
 
@@ -97,14 +106,21 @@ void declare_jobs_flag(CliFlags& flags);
 /// negative values; returns 0 for "use hardware concurrency".
 std::size_t get_jobs(const CliFlags& flags);
 
+/// A count flag such as `--stations` or `--sets`: get_int(name, 1,
+/// kIntFlagMax).
+int get_count(const CliFlags& flags, const std::string& name);
+
+/// The `--seed` flag: get_int("seed", 0, kSeedFlagMax).
+std::uint64_t get_seed(const CliFlags& flags);
+
 /// Declare the standard `--batch` flag (trials saturated per lockstep SoA
 /// batch in the Monte Carlo boundary search). Like `--jobs`, a pure
 /// throughput knob: results are bit-identical for every value.
 void declare_batch_flag(CliFlags& flags);
 
 /// Read the `--batch` flag declared by `declare_batch_flag`. Rejects
-/// values < 1; warns on stderr when the batch exceeds `trials` (harmless,
-/// but the extra lanes buy nothing).
-std::size_t get_batch(const CliFlags& flags, std::size_t trials);
+/// values < 1. A batch larger than the trial count is fine: a batch group
+/// is min(batch, trials) lanes wide.
+std::size_t get_batch(const CliFlags& flags);
 
 }  // namespace tokenring

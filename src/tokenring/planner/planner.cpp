@@ -19,11 +19,35 @@ const char* to_string(Protocol protocol) {
   return "?";
 }
 
+const char* protocol_name(Protocol protocol) {
+  constexpr const char* kNames[] = {"ieee8025", "modified8025", "fddi"};
+  return kNames[static_cast<int>(protocol)];
+}
+
+std::optional<Protocol> protocol_from_name(std::string_view name) {
+  for (Protocol p :
+       {Protocol::kIeee8025, Protocol::kModified8025, Protocol::kFddi}) {
+    if (name == protocol_name(p)) return p;
+  }
+  return std::nullopt;
+}
+
 void PlannerConfig::validate() const {
   TR_EXPECTS(bandwidth > 0.0);
   ring.validate();
   frame.validate();
   async_frame.validate();
+}
+
+analysis::PdpParams PlannerConfig::pdp_params() const {
+  TR_EXPECTS(protocol != Protocol::kFddi);
+  return {ring, frame,
+          protocol == Protocol::kIeee8025 ? analysis::PdpVariant::kStandard8025
+                                          : analysis::PdpVariant::kModified8025};
+}
+
+analysis::TtpParams PlannerConfig::ttp_params() const {
+  return {ring, frame, async_frame};
 }
 
 PlannerConfig default_config(Protocol protocol, BitsPerSecond bandwidth,
@@ -49,26 +73,11 @@ double AdmissionController::utilization() const {
 
 bool AdmissionController::feasible(const msg::MessageSet& set) const {
   if (set.empty()) return true;
-  switch (config_.protocol) {
-    case Protocol::kIeee8025:
-    case Protocol::kModified8025: {
-      analysis::PdpParams p;
-      p.ring = config_.ring;
-      p.frame = config_.frame;
-      p.variant = config_.protocol == Protocol::kIeee8025
-                      ? analysis::PdpVariant::kStandard8025
-                      : analysis::PdpVariant::kModified8025;
-      return analysis::pdp_feasible(set, p, config_.bandwidth);
-    }
-    case Protocol::kFddi: {
-      analysis::TtpParams p;
-      p.ring = config_.ring;
-      p.frame = config_.frame;
-      p.async_frame = config_.async_frame;
-      return analysis::ttp_feasible(set, p, config_.bandwidth);
-    }
-  }
-  return false;
+  return config_.protocol == Protocol::kFddi
+             ? analysis::ttp_feasible(set, config_.ttp_params(),
+                                      config_.bandwidth)
+             : analysis::pdp_feasible(set, config_.pdp_params(),
+                                      config_.bandwidth);
 }
 
 AdmissionDecision AdmissionController::try_admit(const msg::SyncStream& stream) {

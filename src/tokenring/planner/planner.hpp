@@ -11,6 +11,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "tokenring/analysis/pdp.hpp"
 #include "tokenring/analysis/ttp.hpp"
@@ -28,6 +29,17 @@ enum class Protocol {
 /// Display name, e.g. "FDDI timed token".
 const char* to_string(Protocol protocol);
 
+/// Name on the command line and the wire: "ieee8025", "modified8025" or
+/// "fddi".
+const char* protocol_name(Protocol protocol);
+
+/// The three protocol names for usage and refusal messages.
+inline constexpr const char* kProtocolNames = "ieee8025|modified8025|fddi";
+
+/// The protocol `name` names (see protocol_name); nullopt for any other
+/// text.
+std::optional<Protocol> protocol_from_name(std::string_view name);
+
 /// Static ring description for a controller. `ring`/`frame` defaults follow
 /// the protocol family's standard constants when constructed via
 /// `default_config`.
@@ -40,6 +52,12 @@ struct PlannerConfig {
   net::FrameFormat async_frame;
 
   void validate() const;
+
+  /// Theorem 4.1 parameters: ring, frame and the 802.5 variant of
+  /// `protocol` (an 802.5 protocol).
+  analysis::PdpParams pdp_params() const;
+  /// Theorem 5.1 parameters: ring, frame and asynchronous frame.
+  analysis::TtpParams ttp_params() const;
 };
 
 /// Standard-conformant config for a protocol at a bandwidth.

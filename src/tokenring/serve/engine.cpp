@@ -8,15 +8,11 @@
 #include <utility>
 #include <vector>
 
-#include "tokenring/analysis/pdp.hpp"
-#include "tokenring/analysis/ttp.hpp"
 #include "tokenring/common/checks.hpp"
 #include "tokenring/common/clock.hpp"
-#include "tokenring/fault/margins.hpp"
-#include "tokenring/net/standards.hpp"
 #include "tokenring/obs/json.hpp"
 #include "tokenring/obs/registry.hpp"
-#include "tokenring/planner/advisor.hpp"
+#include "tokenring/query/query.hpp"
 
 namespace tokenring::serve {
 
@@ -27,30 +23,6 @@ namespace {
 struct DeadlineExceeded {
   double elapsed_ms = 0.0;
 };
-
-/// Same protocol split as tokenring_tool's parse_protocol (names are
-/// validated at parse time, so no error path here).
-struct ProtocolChoice {
-  bool is_ttp = false;
-  analysis::PdpVariant variant = analysis::PdpVariant::kStandard8025;
-};
-
-ProtocolChoice protocol_choice(const std::string& name) {
-  ProtocolChoice out;
-  if (name == "fddi") {
-    out.is_ttp = true;
-  } else if (name == "modified8025") {
-    out.variant = analysis::PdpVariant::kModified8025;
-  }
-  return out;
-}
-
-/// Same ring sizing rule as tokenring_tool.
-int ring_size_for(const msg::MessageSet& set) {
-  int n = std::max<int>(2, static_cast<int>(set.size()));
-  for (const auto& s : set.streams()) n = std::max(n, s.station + 1);
-  return n;
-}
 
 /// Request latency buckets [us], log-spaced from sub-cache-hit to
 /// multi-second Monte Carlo sweeps.
@@ -166,7 +138,8 @@ void Engine::dispatch_async(Request request, const std::string& fallback_client,
   static const obs::Counter deadline_expired("serve.deadline_expired");
   static const obs::Counter shed("serve.shed");
 
-  // Overload gates, cheapest refusal first (DESIGN.md §4h).
+  // Overload gates, cheapest refusal first (DESIGN.md §4h). The wire caps
+  // deadline_ms at kMaxDeadlineMs, so the cast below cannot overflow.
   const std::uint64_t deadline_ns =
       request.deadline_ms > 0.0
           ? static_cast<std::uint64_t>(request.deadline_ms * 1e6)
@@ -275,139 +248,18 @@ void Engine::dispatch_async(Request request, const std::string& fallback_client,
   }
 }
 
-std::string Engine::compute_check(const CheckQuery& query) {
-  const ProtocolChoice proto = protocol_choice(query.protocol);
-  const BitsPerSecond bw = mbps(query.bandwidth_mbps);
-  const int n = ring_size_for(query.set);
-
-  std::ostringstream os;
-  obs::JsonWriter w(os);
-  w.set_strict(true);
-  w.begin_object();
-  w.key("protocol").value_string(query.protocol);
-  if (proto.is_ttp) {
-    analysis::TtpParams p;
-    p.ring = net::fddi_ring(n);
-    p.frame = p.async_frame = net::paper_frame_format();
-    const auto v = analysis::ttp_schedulable(query.set, p, bw);
-    w.key("schedulable").value_bool(v.schedulable);
-    w.key("ttrt_ms").value_number(to_milliseconds(v.ttrt));
-    w.key("allocated_ms").value_number(to_milliseconds(v.allocated));
-    w.key("available_ms").value_number(to_milliseconds(v.available));
-  } else {
-    analysis::PdpParams p;
-    p.ring = net::ieee8025_ring(n);
-    p.frame = net::paper_frame_format();
-    p.variant = proto.variant;
-    const auto v = analysis::pdp_schedulable(query.set, p, bw);
-    w.key("schedulable").value_bool(v.schedulable);
-    w.key("blocking_us").value_number(to_microseconds(v.blocking));
-    w.key("misses").begin_array();
-    for (const auto& r : v.reports) {
-      if (r.schedulable) continue;
-      w.begin_object();
-      w.key("station").value_int(r.stream.station);
-      w.key("augmented_ms").value_number(to_milliseconds(r.augmented_length));
-      w.key("period_ms").value_number(to_milliseconds(r.stream.period));
-      w.end_object();
-    }
-    w.end_array();
-  }
-  w.end_object();
-  return os.str();
+std::string Engine::compute_check(const query::CheckQuery& query) {
+  return query::to_json(query::check(query));
 }
 
-std::string Engine::compute_faultcheck(const CheckQuery& query) {
-  const ProtocolChoice proto = protocol_choice(query.protocol);
-  const BitsPerSecond bw = mbps(query.bandwidth_mbps);
-  const int n = ring_size_for(query.set);
-  const Seconds noise = milliseconds(query.noise_ms);
-
-  bool fault_free = false;
-  std::ostringstream os;
-  obs::JsonWriter w(os);
-  w.set_strict(true);
-  w.begin_object();
-  w.key("protocol").value_string(query.protocol);
-  w.key("noise_ms").value_number(query.noise_ms);
-
-  std::ostringstream margins;
-  obs::JsonWriter mw(margins);
-  mw.set_strict(true);
-  mw.begin_array();
-  const auto add_row = [&](fault::FaultKind kind,
-                           const fault::FaultMarginReport& fmr) {
-    fault_free = fmr.fault_free_schedulable;
-    mw.begin_object();
-    mw.key("fault_kind").value_string(fault::to_string(kind));
-    mw.key("recovery_us").value_number(to_microseconds(fmr.recovery_per_fault));
-    if (fmr.margin < 0) {
-      mw.key("margin").value_null();
-    } else {
-      mw.key("margin").value_int(fmr.margin);
-    }
-    mw.end_object();
-  };
-
-  if (proto.is_ttp) {
-    analysis::TtpParams p;
-    p.ring = net::fddi_ring(n);
-    p.frame = p.async_frame = net::paper_frame_format();
-    for (fault::FaultKind kind : fault::kAllFaultKinds) {
-      if (kind == fault::FaultKind::kStationRejoin) continue;  // = crash cost
-      fault::FaultBudget budget{kind, noise};
-      add_row(kind, fault::ttp_fault_margin(query.set, p, bw, 0.0, budget));
-    }
-  } else {
-    analysis::PdpParams p;
-    p.ring = net::ieee8025_ring(n);
-    p.frame = net::paper_frame_format();
-    p.variant = proto.variant;
-    for (fault::FaultKind kind : fault::kAllFaultKinds) {
-      if (kind == fault::FaultKind::kStationRejoin) continue;  // = crash cost
-      fault::FaultBudget budget{kind, noise};
-      add_row(kind, fault::pdp_fault_margin(query.set, p, bw, budget));
-    }
-  }
-  mw.end_array();
-
-  w.key("schedulable").value_bool(fault_free);
-  w.key("margins").value_raw(margins.str());
-  w.end_object();
-  return os.str();
+std::string Engine::compute_faultcheck(const query::CheckQuery& query) {
+  return query::to_json(query::faultcheck(query));
 }
 
-std::string Engine::compute_advise(const AdviseQuery& query) {
-  planner::TrafficProfile profile;
-  profile.num_stations = query.stations;
-  profile.mean_period = milliseconds(query.mean_period_ms);
-  profile.period_ratio = query.period_ratio;
-
-  std::ostringstream os;
-  obs::JsonWriter w(os);
-  w.set_strict(true);
-  w.begin_object();
-  w.key("recommendations").begin_array();
-  for (double bw : query.bandwidths_mbps) {
-    // Inline: batch jobs must not re-enter the group executor, and the
-    // recommendation is identical for every (jobs, batch) combination,
-    // so this matches `tokenring_tool advise`.
-    const auto rec = planner::recommend_protocol(
-        profile, mbps(bw), static_cast<std::size_t>(query.sets), query.seed,
-        exec::Executor(1));
-    w.begin_object();
-    w.key("bandwidth_mbps").value_number(bw);
-    w.key("ieee8025").value_number(rec.ieee8025);
-    w.key("modified8025").value_number(rec.modified8025);
-    w.key("fddi").value_number(rec.fddi);
-    w.key("resil_8025").value_number(rec.modified8025_resilience);
-    w.key("resil_fddi").value_number(rec.fddi_resilience);
-    w.key("recommend").value_string(planner::to_string(rec.best));
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  return os.str();
+std::string Engine::compute_advise(const query::AdviseQuery& query) {
+  // Inline: batch jobs must not re-enter the group executor, and the
+  // recommendation is the same for every (jobs, batch) combination.
+  return query::to_json(query::advise(query, exec::Executor(1)));
 }
 
 std::string Engine::render_stats() {

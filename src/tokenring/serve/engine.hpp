@@ -27,11 +27,11 @@
 // re-checks its deadline at compute start, so work that expired while
 // queued is skipped, not executed.
 //
-// Compute handlers mirror the offline `tokenring_tool` subcommands call
-// for call (same ring construction, same frame format, same analysis entry
-// points), so a daemon verdict is bit-identical to what the CLI prints for
-// the same query — the service is a faster path to the same answer, never
-// a different answer.
+// Compute is the query layer (query/query.hpp): each handler runs the
+// query function `tokenring_tool` runs for the same subcommand and renders
+// its typed result with query::to_json, so a daemon verdict is the CLI's
+// verdict by construction — the service is a faster path to the same
+// answer, never a different answer.
 //
 // Compute runs on the Batcher's executor group dispatch; handlers
 // themselves are sequential (nested parallel_for on one pool would
@@ -120,9 +120,9 @@ class Engine {
 
   // Compute handlers, public so tests can compare a daemon response's
   // "result" byte-for-byte against a direct library call.
-  static std::string compute_check(const CheckQuery& query);
-  static std::string compute_faultcheck(const CheckQuery& query);
-  static std::string compute_advise(const AdviseQuery& query);
+  static std::string compute_check(const query::CheckQuery& query);
+  static std::string compute_faultcheck(const query::CheckQuery& query);
+  static std::string compute_advise(const query::AdviseQuery& query);
 
  private:
   void dispatch_async(Request request, const std::string& fallback_client,

@@ -39,16 +39,20 @@ bool fail(std::string& error, std::string message) {
   return false;
 }
 
-/// Finite number >= `min`; `name` feeds the 400 message.
-bool read_number(const obs::JsonValue& v, const char* name, double min,
-                 double& out, std::string& error) {
+const char* non_negative(double v) {
+  return v >= 0.0 ? nullptr : "must be >= 0";
+}
+
+/// Number inside `violation`'s range (a query range rule from
+/// query/query.hpp, or non_negative); `name` feeds the 400 message.
+bool read_number(const obs::JsonValue& v, const char* name, double& out,
+                 std::string& error,
+                 const char* (*violation)(double) = non_negative) {
   if (!v.is_number()) return fail(error, std::string("\"") + name + "\" must be a number");
-  const double d = v.as_double();
-  if (!(d >= min)) {
-    return fail(error, std::string("\"") + name + "\" must be >= " +
-                           obs::json_number(min));
+  out = v.as_double();
+  if (const char* bound = violation(out)) {
+    return fail(error, std::string("\"") + name + "\" " + bound);
   }
-  out = d;
   return true;
 }
 
@@ -75,13 +79,9 @@ bool read_int(const obs::JsonValue& v, const char* name, std::int64_t min,
 /// Upper bound of the wire integers that land in an `int`.
 constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
 
-bool known_protocol(const std::string& name) {
-  return name == "fddi" || name == "ieee8025" || name == "modified8025";
-}
-
 bool parse_streams(const obs::JsonValue& v, msg::MessageSet& out,
                    std::string& error) {
-  if (!v.is_array() || v.items().empty()) {
+  if (!v.is_array()) {
     return fail(error, "\"streams\" must be a non-empty array");
   }
   for (std::size_t i = 0; i < v.items().size(); ++i) {
@@ -101,17 +101,17 @@ bool parse_streams(const obs::JsonValue& v, msg::MessageSet& out,
         }
         s.station = static_cast<int>(station);
       } else if (key == "period_ms") {
-        if (!read_number(value, "period_ms", 0.0, period_ms, error)) {
+        if (!read_number(value, "period_ms", period_ms, error)) {
           return fail(error, where + ": " + error);
         }
         have_period = true;
       } else if (key == "payload_bits") {
-        if (!read_number(value, "payload_bits", 0.0, s.payload_bits, error)) {
+        if (!read_number(value, "payload_bits", s.payload_bits, error)) {
           return fail(error, where + ": " + error);
         }
         have_payload = true;
       } else if (key == "deadline_ms") {
-        if (!read_number(value, "deadline_ms", 0.0, deadline_ms, error)) {
+        if (!read_number(value, "deadline_ms", deadline_ms, error)) {
           return fail(error, where + ": " + error);
         }
       } else {
@@ -131,22 +131,28 @@ bool parse_streams(const obs::JsonValue& v, msg::MessageSet& out,
     }
     out.add(s);
   }
+  if (query::scenario_violation(out) != nullptr) {
+    return fail(error, "\"streams\" must be a non-empty array");
+  }
   return true;
 }
 
 bool parse_bandwidths(const obs::JsonValue& v, std::vector<double>& out,
                       std::string& error) {
-  if (!v.is_array() || v.items().empty()) {
+  if (!v.is_array()) {
     return fail(error, "\"bandwidths_mbps\" must be a non-empty array");
   }
   out.clear();
   for (const obs::JsonValue& item : v.items()) {
-    double bw = 0.0;
-    if (!item.is_number() || !((bw = item.as_double()) > 0.0)) {
+    if (!item.is_number() ||
+        query::bandwidth_violation(item.as_double()) != nullptr) {
       return fail(error,
                   "\"bandwidths_mbps\" entries must be positive numbers");
     }
-    out.push_back(bw);
+    out.push_back(item.as_double());
+  }
+  if (query::bandwidths_violation(out) != nullptr) {
+    return fail(error, "\"bandwidths_mbps\" must be a non-empty array");
   }
   return true;
 }
@@ -210,28 +216,33 @@ bool parse_request(const obs::JsonValue& doc, Request& out,
       if (!value.is_string()) return fail(error, "\"client\" must be a string");
       out.client = value.as_string();
     } else if (is_compute && key == "deadline_ms") {
-      if (!read_number(value, "deadline_ms", 0.0, out.deadline_ms, error)) {
+      if (!read_number(value, "deadline_ms", out.deadline_ms, error)) {
         return false;
       }
-    } else if (is_check && key == "protocol") {
-      if (!value.is_string() || !known_protocol(value.as_string())) {
-        return fail(error,
-                    "\"protocol\" must be ieee8025|modified8025|fddi");
+      if (out.deadline_ms > kMaxDeadlineMs) {
+        return fail(error, "\"deadline_ms\" must be <= " +
+                               obs::json_number(kMaxDeadlineMs));
       }
-      out.check.protocol = value.as_string();
+    } else if (is_check && key == "protocol") {
+      const auto protocol = value.is_string()
+                                ? planner::protocol_from_name(value.as_string())
+                                : std::nullopt;
+      if (!protocol) {
+        return fail(error, std::string("\"protocol\" must be ") +
+                               planner::kProtocolNames);
+      }
+      out.check.protocol = *protocol;
     } else if (is_check && key == "bandwidth_mbps") {
-      if (!read_number(value, "bandwidth_mbps", 0.0, out.check.bandwidth_mbps,
-                       error) ||
-          out.check.bandwidth_mbps <= 0.0) {
-        return error.empty()
-                   ? fail(error, "\"bandwidth_mbps\" must be > 0")
-                   : false;
+      if (!read_number(value, "bandwidth_mbps", out.check.bandwidth_mbps,
+                       error, query::bandwidth_violation)) {
+        return false;
       }
     } else if (is_check && key == "streams") {
       if (!parse_streams(value, out.check.set, error)) return false;
       have_streams = true;
     } else if (out.type == RequestType::kFaultcheck && key == "noise_ms") {
-      if (!read_number(value, "noise_ms", 0.0, out.check.noise_ms, error)) {
+      if (!read_number(value, "noise_ms", out.check.noise_ms,
+                       error, query::noise_violation)) {
         return false;
       }
     } else if (is_advise && key == "stations") {
@@ -241,16 +252,13 @@ bool parse_request(const obs::JsonValue& doc, Request& out,
       }
       out.advise.stations = static_cast<int>(stations);
     } else if (is_advise && key == "mean_period_ms") {
-      if (!read_number(value, "mean_period_ms", 0.0,
-                       out.advise.mean_period_ms, error) ||
-          out.advise.mean_period_ms <= 0.0) {
-        return error.empty()
-                   ? fail(error, "\"mean_period_ms\" must be > 0")
-                   : false;
+      if (!read_number(value, "mean_period_ms", out.advise.mean_period_ms,
+                       error, query::mean_period_violation)) {
+        return false;
       }
     } else if (is_advise && key == "period_ratio") {
-      if (!read_number(value, "period_ratio", 1.0, out.advise.period_ratio,
-                       error)) {
+      if (!read_number(value, "period_ratio", out.advise.period_ratio,
+                       error, query::period_ratio_violation)) {
         return false;
       }
     } else if (is_advise && key == "bandwidths_mbps") {
@@ -289,7 +297,8 @@ std::string cache_key(const Request& request) {
     case RequestType::kFaultcheck: {
       // json_number canonicalizes spelled-out numbers ("1e2" == "100").
       std::string key = to_string(request.type);
-      key += "|p=" + request.check.protocol;
+      key += "|p=";
+      key += planner::protocol_name(request.check.protocol);
       key += "|bw=" + obs::json_number(request.check.bandwidth_mbps);
       if (request.type == RequestType::kFaultcheck) {
         key += "|noise=" + obs::json_number(request.check.noise_ms);

@@ -22,7 +22,8 @@
 //
 // Parsing is strict: unknown fields are rejected with a 400 naming the
 // field, so a typo'd "bandwith_mbps" fails loudly instead of silently
-// running with the default.
+// running with the default. Values outside the query layer's range rules
+// (query/query.hpp) get a 400 naming the field and the bound.
 
 #pragma once
 
@@ -30,10 +31,9 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
-#include "tokenring/msg/message_set.hpp"
 #include "tokenring/obs/json.hpp"
+#include "tokenring/query/query.hpp"
 
 namespace tokenring::serve {
 
@@ -43,26 +43,9 @@ enum class RequestType { kPing, kStats, kCheck, kFaultcheck, kAdvise };
 
 const char* to_string(RequestType type);
 
-/// check / faultcheck: one explicit scenario against one protocol.
-struct CheckQuery {
-  /// Validated protocol name: "fddi" | "ieee8025" | "modified8025".
-  std::string protocol = "fddi";
-  double bandwidth_mbps = 100.0;
-  msg::MessageSet set;
-  /// faultcheck only: noise burst duration.
-  double noise_ms = 1.0;
-};
-
-/// advise: a traffic profile and candidate bandwidths, mirroring the
-/// `tokenring_tool advise` flags.
-struct AdviseQuery {
-  int stations = 100;
-  double mean_period_ms = 100.0;
-  double period_ratio = 10.0;
-  std::vector<double> bandwidths_mbps = {4.0, 16.0, 100.0, 622.0};
-  int sets = 50;
-  std::uint64_t seed = 1;
-};
+/// Largest accepted "deadline_ms" (about 31.7 years): its nanosecond count
+/// stays well inside std::uint64_t, the type the engine times it in.
+inline constexpr double kMaxDeadlineMs = 1e12;
 
 struct Request {
   RequestType type = RequestType::kPing;
@@ -76,10 +59,10 @@ struct Request {
   /// deadline expires before its compute starts is answered with a 504
   /// instead of burning a Monte Carlo sweep nobody is waiting for.
   /// Deliberately NOT part of the cache key: the same query with a
-  /// different patience is still the same query.
+  /// different patience is still the same query. At most kMaxDeadlineMs.
   double deadline_ms = 0.0;
-  CheckQuery check;    // meaningful for kCheck / kFaultcheck
-  AdviseQuery advise;  // meaningful for kAdvise
+  query::CheckQuery check;    // meaningful for kCheck / kFaultcheck
+  query::AdviseQuery advise;  // meaningful for kAdvise
 };
 
 /// Interpret a parsed JSON document as a request. On failure returns

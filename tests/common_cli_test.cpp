@@ -145,33 +145,30 @@ TEST(Cli, BatchFlagDefaultsValidatesAndWarns) {
     declare_batch_flag(flags);
     Argv a({"prog"});
     ASSERT_TRUE(flags.parse(a.argc(), a.argv()));
-    EXPECT_EQ(get_batch(flags, 100), 64u);
+    EXPECT_EQ(get_batch(flags), 64u);
   }
   {
     CliFlags flags;
     declare_batch_flag(flags);
     Argv a({"prog", "--batch=8"});
     ASSERT_TRUE(flags.parse(a.argc(), a.argv()));
-    EXPECT_EQ(get_batch(flags, 100), 8u);
+    EXPECT_EQ(get_batch(flags), 8u);
   }
   {
     CliFlags flags;
     declare_batch_flag(flags);
     Argv a({"prog", "--batch=0"});
     ASSERT_TRUE(flags.parse(a.argc(), a.argv()));
-    EXPECT_THROW(get_batch(flags, 100), PreconditionError);
+    EXPECT_THROW(get_batch(flags), PreconditionError);
   }
   {
-    // Oversized batches are accepted (the extra lanes are simply unused)
-    // but warn on stderr.
+    // Oversized batches are accepted: a batch group is min(batch, trials)
+    // lanes wide.
     CliFlags flags;
     declare_batch_flag(flags);
     Argv a({"prog", "--batch=256"});
     ASSERT_TRUE(flags.parse(a.argc(), a.argv()));
-    testing::internal::CaptureStderr();
-    EXPECT_EQ(get_batch(flags, 10), 256u);
-    const std::string err = testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find("--batch 256 exceeds"), std::string::npos);
+    EXPECT_EQ(get_batch(flags), 256u);
   }
 }
 
@@ -231,7 +228,8 @@ TEST(Cli, RangeCheckedIntAcceptsItsBoundsAndNamesTheFlag) {
                                  {"over", "70000"},
                                  {"under", "-1"},
                                  {"int-max", "2147483647"},
-                                 {"wraps", "4294967297"}});
+                                 {"wraps", "4294967297"},
+                                 {"seed", "-1"}});
   EXPECT_EQ(flags.get_int("lo", 0, 65535), 0);
   EXPECT_EQ(flags.get_int("hi", 0, 65535), 65535);
   EXPECT_EQ(flags.get_int("int-max", 0, 2147483647), 2147483647);
@@ -242,6 +240,14 @@ TEST(Cli, RangeCheckedIntAcceptsItsBoundsAndNamesTheFlag) {
   EXPECT_THROW(flags.get_int("under", 0, 65535), PreconditionError);
   // Refused, not narrowed: as an int, 4294967297 would read as 1.
   EXPECT_THROW(flags.get_int("wraps", 0, 2147483647), PreconditionError);
+  // The count and seed readers of the bench and example binaries.
+  EXPECT_EQ(get_count(flags, "int-max"), 2147483647);
+  EXPECT_NE(error_of([&] { get_count(flags, "lo"); })
+                .find("flag --lo must be in [1, 2147483647]: 0"),
+            std::string::npos);
+  EXPECT_THROW(get_count(flags, "wraps"), PreconditionError);
+  EXPECT_NE(error_of([&] { get_seed(flags); }).find("flag --seed"),
+            std::string::npos);
 }
 
 TEST(Cli, JobsAndBatchUseTheRangeCheckedGetter) {
@@ -265,14 +271,14 @@ TEST(Cli, JobsAndBatchUseTheRangeCheckedGetter) {
     declare_batch_flag(flags);
     Argv a({"prog", "--batch=1"});
     ASSERT_TRUE(flags.parse(a.argc(), a.argv()));
-    EXPECT_EQ(get_batch(flags, 100), 1u);  // boundary
+    EXPECT_EQ(get_batch(flags), 1u);  // boundary
   }
   {
     CliFlags flags;
     declare_batch_flag(flags);
     Argv a({"prog", "--batch=8.5"});
     ASSERT_TRUE(flags.parse(a.argc(), a.argv()));
-    const std::string what = error_of([&] { get_batch(flags, 100); });
+    const std::string what = error_of([&] { get_batch(flags); });
     EXPECT_NE(what.find("flag --batch"), std::string::npos) << what;
   }
 }

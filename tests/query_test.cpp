@@ -1,0 +1,293 @@
+// Tests for the query layer (query/): the frozen bytes of the daemon's
+// compute handlers, the protocol-name mapping, ring sizing, the shared
+// parameter blocks and the range rules both front ends enforce.
+
+#include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
+
+#include "tokenring/obs/json.hpp"
+#include "tokenring/planner/planner.hpp"
+#include "tokenring/query/query.hpp"
+#include "tokenring/serve/engine.hpp"
+#include "tokenring/serve/wire.hpp"
+
+namespace {
+
+using namespace tokenring;
+
+// ---- frozen goldens ---------------------------------------------------------
+
+struct ComputeGolden {
+  const char* request;
+  const char* result;
+};
+
+// Engine::compute_* bytes, captured from the build before the query layer
+// existed (when the handlers re-derived tokenring_tool's subcommands): all
+// three protocols, 802.5 sets with and without misses, a faultcheck set
+// infeasible even fault-free ("margin":null), deadlines below the period,
+// and two small advise queries. tool_test.cpp freezes the CLI output for
+// the same scenarios.
+constexpr ComputeGolden kComputeGoldens[] = {
+    {R"({"type":"check","protocol":"fddi","bandwidth_mbps":100,)"
+     R"("streams":[{"station":0,"period_ms":50,"payload_bits":10000},)"
+     R"({"station":1,"period_ms":100,"payload_bits":20000}]})",
+     R"({"protocol":"fddi","schedulable":true,"ttrt_ms":0.4043206805162048,)"
+     R"("allocated_ms":0.003872680261228842,)"
+     R"("available_ms":0.3948111762623431})"},
+    {R"({"type":"check","protocol":"ieee8025","bandwidth_mbps":16,)"
+     R"("streams":[{"station":0,"period_ms":50,"payload_bits":10000},)"
+     R"({"station":1,"period_ms":100,"payload_bits":20000}]})",
+     R"({"protocol":"ieee8025","schedulable":true,"blocking_us":78,)"
+     R"("misses":[]})"},
+    {R"({"type":"check","protocol":"modified8025","bandwidth_mbps":4,)"
+     R"("streams":[{"station":0,"period_ms":50,"payload_bits":10000},)"
+     R"({"station":1,"period_ms":100,"payload_bits":20000}]})",
+     R"({"protocol":"modified8025","schedulable":true,"blocking_us":312,)"
+     R"("misses":[]})"},
+    {R"({"type":"check","protocol":"ieee8025","bandwidth_mbps":100,)"
+     R"("streams":[{"station":0,"period_ms":10,"payload_bits":2000000},)"
+     R"({"station":1,"period_ms":10,"payload_bits":2000000}]})",
+     R"({"protocol":"ieee8025","schedulable":false,"blocking_us":12.48,)"
+     R"("misses":[{"station":0,"augmented_ms":26.738606559918907,)"
+     R"("period_ms":10},{"station":1,"augmented_ms":26.738606559918907,)"
+     R"("period_ms":10}]})"},
+    {R"({"type":"check","protocol":"fddi","bandwidth_mbps":16,)"
+     R"("streams":[{"station":0,"period_ms":10,"payload_bits":2000000},)"
+     R"({"station":1,"period_ms":10,"payload_bits":2000000}]})",
+     R"({"protocol":"fddi","schedulable":false,"ttrt_ms":0.3970453910305689,)"
+     R"("allocated_ms":10.430666666666665,"available_ms":0.3422808867767072})"},
+    {R"({"type":"check","protocol":"modified8025","bandwidth_mbps":16,)"
+     R"("streams":[{"station":0,"period_ms":20,"payload_bits":50000,)"
+     R"("deadline_ms":12},{"station":1,"period_ms":40,"payload_bits":80000,)"
+     R"("deadline_ms":40},{"station":2,"period_ms":100,)"
+     R"("payload_bits":200000,"deadline_ms":60}]})",
+     R"({"protocol":"modified8025","schedulable":true,"blocking_us":78,)"
+     R"("misses":[]})"},
+    {R"({"type":"check","protocol":"ieee8025","bandwidth_mbps":4,)"
+     R"("streams":[{"station":0,"period_ms":20,"payload_bits":50000,)"
+     R"("deadline_ms":12},{"station":1,"period_ms":40,"payload_bits":80000,)"
+     R"("deadline_ms":40},{"station":2,"period_ms":100,)"
+     R"("payload_bits":200000,"deadline_ms":60}]})",
+     R"({"protocol":"ieee8025","schedulable":false,"blocking_us":312,)"
+     R"("misses":[{"station":0,"augmented_ms":15.750378562658838,)"
+     R"("period_ms":20},{"station":1,"augmented_ms":25.20723912589222,)"
+     R"("period_ms":40},{"station":2,"augmented_ms":62.96834712244495,)"
+     R"("period_ms":100}]})"},
+    {R"({"type":"check","protocol":"ieee8025","bandwidth_mbps":4,)"
+     R"("streams":[{"station":0,"period_ms":10,"payload_bits":6000},)"
+     R"({"station":1,"period_ms":20,"payload_bits":9000},{"station":2,)"
+     R"("period_ms":50,"payload_bits":60000},{"station":3,"period_ms":100,)"
+     R"("payload_bits":120000}]})",
+     R"({"protocol":"ieee8025","schedulable":false,"blocking_us":312,)"
+     R"("misses":[{"station":3,"augmented_ms":37.96403349965751,)"
+     R"("period_ms":100}]})"},
+    {R"({"type":"faultcheck","protocol":"fddi","bandwidth_mbps":100,)"
+     R"("streams":[{"station":0,"period_ms":50,"payload_bits":10000},)"
+     R"({"station":1,"period_ms":100,"payload_bits":20000}]})",
+     R"({"protocol":"fddi","noise_ms":1,"schedulable":true,)"
+     R"("margins":[{"fault_kind":"token_loss",)"
+     R"("recovery_us":814.3003695401331,"margin":40},)"
+     R"({"fault_kind":"frame_corruption","recovery_us":6.24,"margin":119},)"
+     R"({"fault_kind":"noise_burst","recovery_us":1814.300369540133,)"
+     R"("margin":22},{"fault_kind":"station_crash",)"
+     R"("recovery_us":8.048512761585219,"margin":119},)"
+     R"({"fault_kind":"duplicate_token","recovery_us":8.048512761585219,)"
+     R"("margin":119}]})"},
+    {R"({"type":"faultcheck","protocol":"modified8025","bandwidth_mbps":16,)"
+     R"("noise_ms":2,"streams":[{"station":0,"period_ms":50,)"
+     R"("payload_bits":10000},{"station":1,"period_ms":100,)"
+     R"("payload_bits":20000}]})",
+     R"({"protocol":"modified8025","noise_ms":2,"schedulable":true,)"
+     R"("margins":[{"fault_kind":"token_loss",)"
+     R"("recovery_us":41.889504253861745,"margin":607},)"
+     R"({"fault_kind":"frame_corruption","recovery_us":39,"margin":630},)"
+     R"({"fault_kind":"noise_burst","recovery_us":2041.8895042538616,)"
+     R"("margin":23},{"fault_kind":"station_crash",)"
+     R"("recovery_us":43.27900850772348,"margin":597},)"
+     R"({"fault_kind":"duplicate_token","recovery_us":4.389504253861739,)"
+     R"("margin":1132}]})"},
+    {R"({"type":"faultcheck","protocol":"ieee8025","bandwidth_mbps":100,)"
+     R"("streams":[{"station":0,"period_ms":10,"payload_bits":2000000},)"
+     R"({"station":1,"period_ms":10,"payload_bits":2000000}]})",
+     R"({"protocol":"ieee8025","noise_ms":1,"schedulable":false,)"
+     R"("margins":[{"fault_kind":"token_loss",)"
+     R"("recovery_us":7.449504253861739,"margin":null},)"
+     R"({"fault_kind":"frame_corruption","recovery_us":6.24,"margin":null},)"
+     R"({"fault_kind":"noise_burst","recovery_us":1007.4495042538618,)"
+     R"("margin":null},{"fault_kind":"station_crash",)"
+     R"("recovery_us":8.419008507723477,"margin":null},)"
+     R"({"fault_kind":"duplicate_token","recovery_us":1.4495042538617389,)"
+     R"("margin":null}]})"},
+    {R"({"type":"faultcheck","protocol":"fddi","bandwidth_mbps":100,)"
+     R"("noise_ms":0.5,"streams":[{"station":0,"period_ms":20,)"
+     R"("payload_bits":50000,"deadline_ms":12},{"station":1,"period_ms":40,)"
+     R"("payload_bits":80000,"deadline_ms":40},{"station":2,"period_ms":100,)"
+     R"("payload_bits":200000,"deadline_ms":60}]})",
+     R"({"protocol":"fddi","noise_ms":0.5,"schedulable":true,)"
+     R"("margins":[{"fault_kind":"token_loss",)"
+     R"("recovery_us":470.95704182326193,"margin":15},)"
+     R"({"fault_kind":"frame_corruption","recovery_us":6.24,"margin":46},)"
+     R"({"fault_kind":"noise_burst","recovery_us":970.957041823262,)"
+     R"("margin":9},{"fault_kind":"station_crash",)"
+     R"("recovery_us":11.632769142377825,"margin":45},)"
+     R"({"fault_kind":"duplicate_token","recovery_us":11.632769142377825,)"
+     R"("margin":45}]})"},
+    {R"({"type":"faultcheck","protocol":"modified8025","bandwidth_mbps":16,)"
+     R"("streams":[{"station":0,"period_ms":10,"payload_bits":6000},)"
+     R"({"station":1,"period_ms":20,"payload_bits":9000},{"station":2,)"
+     R"("period_ms":50,"payload_bits":60000},{"station":3,"period_ms":100,)"
+     R"("payload_bits":120000}]})",
+     R"({"protocol":"modified8025","noise_ms":1,"schedulable":true,)"
+     R"("margins":[{"fault_kind":"token_loss",)"
+     R"("recovery_us":43.279008507723475,"margin":114},)"
+     R"({"fault_kind":"frame_corruption","recovery_us":39,"margin":121},)"
+     R"({"fault_kind":"noise_burst","recovery_us":1043.2790085077233,)"
+     R"("margin":8},{"fault_kind":"station_crash",)"
+     R"("recovery_us":46.05801701544696,"margin":111},)"
+     R"({"fault_kind":"duplicate_token","recovery_us":5.779008507723478,)"
+     R"("margin":211}]})"},
+    {R"({"type":"advise","stations":10,"sets":4,"bandwidths_mbps":[16,100],)"
+     R"("seed":3})",
+     R"({"recommendations":[{"bandwidth_mbps":16,)"
+     R"("ieee8025":0.6370473403762931,"modified8025":0.7058107910843929,)"
+     R"("fddi":0.8436704735567973,"resil_8025":324.5,"resil_fddi":3.25,)"
+     R"("recommend":"FDDI timed token"},{"bandwidth_mbps":100,)"
+     R"("ieee8025":0.5019644393118742,"modified8025":0.7064753335171619,)"
+     R"("fddi":0.9348030166499389,"resil_8025":1601.25,"resil_fddi":7.75,)"
+     R"("recommend":"FDDI timed token"}]})"},
+    {R"({"type":"advise","stations":20,"sets":8,"bandwidths_mbps":[4,622],)"
+     R"("seed":7,"mean_period_ms":50,"period_ratio":4})",
+     R"({"recommendations":[{"bandwidth_mbps":4,)"
+     R"("ieee8025":0.5978074467151754,"modified8025":0.6610583368568977,)"
+     R"("fddi":0.5442431892143477,"resil_8025":46.875,"resil_fddi":0.125,)"
+     R"("recommend":"Modified IEEE 802.5"},{"bandwidth_mbps":622,)"
+     R"("ieee8025":0.04981785556720841,"modified8025":0.07461217962841986,)"
+     R"("fddi":0.9475810646927678,"resil_8025":867.75,"resil_fddi":6.125,)"
+     R"("recommend":"FDDI timed token"}]})"},
+
+};
+
+std::string compute(const std::string& line) {
+  const obs::JsonParseResult doc = obs::parse_json(line);
+  EXPECT_TRUE(doc.ok) << line;
+  serve::Request request;
+  std::string error;
+  EXPECT_TRUE(serve::parse_request(doc.value, request, error)) << error;
+  switch (request.type) {
+    case serve::RequestType::kCheck:
+      return serve::Engine::compute_check(request.check);
+    case serve::RequestType::kFaultcheck:
+      return serve::Engine::compute_faultcheck(request.check);
+    default:
+      return serve::Engine::compute_advise(request.advise);
+  }
+}
+
+TEST(QueryGolden, ComputeBytesMatchTheFrozenGoldens) {
+  for (const ComputeGolden& golden : kComputeGoldens) {
+    EXPECT_EQ(compute(golden.request), golden.result) << golden.request;
+  }
+}
+
+// ---- protocol names, ring sizing, parameter blocks --------------------------
+
+TEST(Query, ProtocolNamesRoundTrip) {
+  for (planner::Protocol p :
+       {planner::Protocol::kIeee8025, planner::Protocol::kModified8025,
+        planner::Protocol::kFddi}) {
+    EXPECT_EQ(planner::protocol_from_name(planner::protocol_name(p)), p);
+  }
+  EXPECT_EQ(planner::protocol_name(planner::Protocol::kModified8025),
+            std::string("modified8025"));
+  for (const char* bad : {"", "FDDI", "wifi", "fddi "}) {
+    EXPECT_FALSE(planner::protocol_from_name(bad).has_value()) << bad;
+  }
+}
+
+TEST(Query, RingSizeCoversEveryStreamAndStation) {
+  msg::MessageSet one;
+  one.add(msg::SyncStream{0.05, 1000.0, 0});
+  EXPECT_EQ(query::ring_size_for(one), 2);  // a ring needs two stations
+  msg::MessageSet sparse;
+  sparse.add(msg::SyncStream{0.05, 1000.0, 0});
+  sparse.add(msg::SyncStream{0.05, 1000.0, 9});
+  EXPECT_EQ(query::ring_size_for(sparse), 10);
+  msg::MessageSet dense;
+  for (int i = 0; i < 5; ++i) dense.add(msg::SyncStream{0.05, 1000.0, 0});
+  EXPECT_EQ(query::ring_size_for(dense), 5);
+}
+
+TEST(Query, AdmissionControllerAndCheckShareOneVerdict) {
+  // Both take their parameter blocks from PlannerConfig.
+  for (planner::Protocol p :
+       {planner::Protocol::kIeee8025, planner::Protocol::kModified8025,
+        planner::Protocol::kFddi}) {
+    for (double payload : {1e4, 1e6, 3e6}) {
+      query::CheckQuery q;
+      q.protocol = p;
+      q.set.add(msg::SyncStream{0.02, payload, 0});
+      q.set.add(msg::SyncStream{0.05, payload, 1});
+      const planner::AdmissionController controller(query::config_for(q));
+      EXPECT_EQ(controller.feasible(q.set), query::check(q).schedulable)
+          << planner::protocol_name(p) << " " << payload;
+    }
+  }
+}
+
+// ---- range rules ------------------------------------------------------------
+
+TEST(Query, RangeRulesNameTheBoundTheyBreak) {
+  using query::bandwidth_violation;
+  EXPECT_EQ(bandwidth_violation(1e-300), nullptr);
+  EXPECT_STREQ(bandwidth_violation(0.0), "must be > 0");
+  EXPECT_STREQ(bandwidth_violation(-1.0), "must be >= 0");
+  EXPECT_EQ(query::noise_violation(0.0), nullptr);
+  EXPECT_STREQ(query::noise_violation(-1.0), "must be >= 0");
+  EXPECT_EQ(query::mean_period_violation(0.5), nullptr);
+  EXPECT_STREQ(query::mean_period_violation(0.0), "must be > 0");
+  EXPECT_EQ(query::period_ratio_violation(1.0), nullptr);
+  EXPECT_STREQ(query::period_ratio_violation(0.99), "must be >= 1");
+  EXPECT_EQ(query::bandwidths_violation({4.0, 16.0}), nullptr);
+  EXPECT_STREQ(query::bandwidths_violation({}),
+               "must list at least one bandwidth");
+  EXPECT_STREQ(query::bandwidths_violation({4.0, 0.0}),
+               "entries must be > 0");
+  EXPECT_STREQ(query::scenario_violation(msg::MessageSet()),
+               "must hold at least one stream");
+}
+
+TEST(Query, DaemonRefusalTextsComeFromTheSharedRules) {
+  const auto refusal = [](const std::string& line) {
+    serve::Request request;
+    std::string error;
+    EXPECT_FALSE(
+        serve::parse_request(obs::parse_json(line).value, request, error))
+        << line;
+    return error;
+  };
+  const std::string streams =
+      R"("streams":[{"station":0,"period_ms":50,"payload_bits":1}])";
+  EXPECT_EQ(refusal(R"({"type":"check","bandwidth_mbps":0,)" + streams + "}"),
+            "\"bandwidth_mbps\" must be > 0");
+  EXPECT_EQ(refusal(R"({"type":"check","bandwidth_mbps":-1,)" + streams + "}"),
+            "\"bandwidth_mbps\" must be >= 0");
+  EXPECT_EQ(refusal(R"({"type":"faultcheck","noise_ms":-1,)" + streams + "}"),
+            "\"noise_ms\" must be >= 0");
+  EXPECT_EQ(refusal(R"({"type":"check","streams":[]})"),
+            "\"streams\" must be a non-empty array");
+  EXPECT_EQ(refusal(R"({"type":"advise","mean_period_ms":0})"),
+            "\"mean_period_ms\" must be > 0");
+  EXPECT_EQ(refusal(R"({"type":"advise","period_ratio":0.5})"),
+            "\"period_ratio\" must be >= 1");
+  EXPECT_EQ(refusal(R"({"type":"advise","bandwidths_mbps":[]})"),
+            "\"bandwidths_mbps\" must be a non-empty array");
+  EXPECT_EQ(refusal(R"({"type":"advise","bandwidths_mbps":[4,0]})"),
+            "\"bandwidths_mbps\" entries must be positive numbers");
+  EXPECT_EQ(refusal(R"({"type":"check","protocol":"wifi",)" + streams + "}"),
+            "\"protocol\" must be ieee8025|modified8025|fddi");
+}
+
+}  // namespace

@@ -79,7 +79,7 @@ TEST(ServeWire, ParsesCheckRequestAndEchoesId) {
   const auto request = parse_request_ok(kCheckLine);
   EXPECT_EQ(request.type, serve::RequestType::kCheck);
   EXPECT_EQ(request.id_token, "7");
-  EXPECT_EQ(request.check.protocol, "fddi");
+  EXPECT_EQ(request.check.protocol, planner::Protocol::kFddi);
   EXPECT_DOUBLE_EQ(request.check.bandwidth_mbps, 100.0);
   ASSERT_EQ(request.check.set.size(), 2u);
   EXPECT_DOUBLE_EQ(request.check.set.streams()[0].period, 0.05);
@@ -470,12 +470,24 @@ TEST(ServeEngine, OutOfRangeIntegersGet400NamingTheFieldAndBound) {
   EXPECT_NE(refusal(check_line_with_station("2147483647"))
                 .find("room for the ring size"),
             std::string::npos);
+  // A deadline whose nanosecond count overflows uint64 used to be cast
+  // anyway: undefined behaviour, and a silently dropped deadline.
+  const std::string streams =
+      "\"streams\":[{\"station\":0,\"period_ms\":50,\"payload_bits\":1}]";
+  EXPECT_NE(refusal("{\"type\":\"check\",\"deadline_ms\":1e300," + streams +
+                    "}")
+                .find("\"deadline_ms\" must be <= 1e+12"),
+            std::string::npos);
 
   // The largest accepted values still get through: station INT_MAX - 1 is
   // answered, and INT_MAX stations and sets parse (their Monte Carlo
   // sweep is far too large to run here).
   EXPECT_EQ(response_status(parse_ok(engine.handle_line(
                 check_line_with_station("2147483646"), "test"))),
+            200);
+  EXPECT_EQ(response_status(parse_ok(engine.handle_line(
+                "{\"type\":\"check\",\"deadline_ms\":1e12," + streams + "}",
+                "test"))),
             200);
   const auto advise = parse_request_ok(
       "{\"type\":\"advise\",\"stations\":2147483647,\"sets\":2147483647}");

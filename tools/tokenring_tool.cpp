@@ -19,31 +19,24 @@
 // Exit codes: 0 = success / schedulable, 2 = not schedulable (check,
 // faultcheck, plan, simulate), 1 = usage or input error.
 
-#include <algorithm>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <string>
 
 #include "tokenring/analysis/async_capacity.hpp"
+#include "tokenring/analysis/fixed_priority.hpp"
 #include "tokenring/analysis/latency.hpp"
-#include "tokenring/analysis/pdp.hpp"
-#include "tokenring/analysis/ttp.hpp"
-#include "tokenring/analysis/ttrt.hpp"
 #include "tokenring/common/cli.hpp"
 #include "tokenring/common/table.hpp"
-#include "tokenring/fault/margins.hpp"
 #include "tokenring/msg/generator.hpp"
 #include "tokenring/msg/io.hpp"
-#include "tokenring/net/standards.hpp"
 #include "tokenring/obs/registry.hpp"
 #include "tokenring/obs/report.hpp"
 #include "tokenring/obs/trace_sinks.hpp"
-#include "tokenring/planner/advisor.hpp"
+#include "tokenring/query/query.hpp"
 #include "tokenring/serve/server.hpp"
 #include "tokenring/sim/config.hpp"
 #include "tokenring/sim/workload.hpp"
@@ -52,199 +45,95 @@ using namespace tokenring;
 
 namespace {
 
-// Ranges for integer flags narrowed to int / size_t / uint64 below.
-constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
-constexpr std::int64_t kSeedMax = std::numeric_limits<std::int64_t>::max();
-
-struct ParsedProtocol {
-  bool is_ttp = false;
-  analysis::PdpVariant variant = analysis::PdpVariant::kStandard8025;
-};
-
-bool parse_protocol(const std::string& name, ParsedProtocol& out) {
-  if (name == "fddi") {
-    out.is_ttp = true;
-    return true;
+/// --`name` as a number inside a query range rule (query/query.hpp); a
+/// value outside it is refused naming the flag and the bound.
+double get_ranged(const CliFlags& flags, const std::string& name,
+                  const char* (*violation)(double)) {
+  const double value = flags.get_double(name);
+  if (const char* bound = violation(value)) {
+    throw PreconditionError("flag --" + name + " " + bound + ": " +
+                            flags.get_string(name));
   }
-  if (name == "ieee8025") {
-    out.variant = analysis::PdpVariant::kStandard8025;
-    return true;
-  }
-  if (name == "modified8025") {
-    out.variant = analysis::PdpVariant::kModified8025;
-    return true;
-  }
-  std::fprintf(stderr,
-               "unknown protocol '%s' (ieee8025|modified8025|fddi)\n",
-               name.c_str());
-  return false;
+  return value;
 }
 
-int ring_size_for(const msg::MessageSet& set) {
-  int n = std::max<int>(2, static_cast<int>(set.size()));
-  for (const auto& s : set.streams()) n = std::max(n, s.station + 1);
-  return n;
-}
-
-msg::MessageSet load_or_die(const std::string& path) {
+/// The scenario query of check, faultcheck, plan and simulate: --file,
+/// --bandwidth-mbps, and --protocol / --noise-ms where the command
+/// declares them (plan is FDDI only).
+query::CheckQuery read_scenario(const CliFlags& flags) {
+  query::CheckQuery q;
+  if (flags.has("protocol")) {
+    const std::string name = flags.get_string("protocol");
+    const auto protocol = planner::protocol_from_name(name);
+    if (!protocol) {
+      throw PreconditionError("unknown protocol '" + name + "' (" +
+                              planner::kProtocolNames + ")");
+    }
+    q.protocol = *protocol;
+  }
+  const std::string path = flags.get_string("file");
   if (path.empty()) {
     throw msg::ParseError("--file is required for this command");
   }
-  return msg::load_message_set(path);
+  q.set = msg::load_message_set(path);
+  if (const char* bound = query::scenario_violation(q.set)) {
+    throw msg::ParseError("--file " + path + ": the scenario " + bound);
+  }
+  q.bandwidth_mbps =
+      get_ranged(flags, "bandwidth-mbps", query::bandwidth_violation);
+  if (flags.has("noise-ms")) {
+    q.noise_ms = get_ranged(flags, "noise-ms", query::noise_violation);
+  }
+  return q;
 }
 
-/// Record a table in the manifest and print it the way this tool always
-/// has in table mode (aligned, no trailing CSV block); print only the CSV
-/// form in csv mode.
-void emit_table(obs::RunReport& report, const std::string& name,
-                const Table& table) {
-  report.record_table(name, table);
-  if (report.verbose()) {
-    table.print(std::cout);
-  } else if (report.format() == obs::OutputFormat::kCsv) {
-    table.print_csv(std::cout);
-  }
+/// The flags read_scenario reads; plan, FDDI only, has no --protocol.
+void declare_scenario_flags(CliFlags& flags, bool protocol = true) {
+  flags.declare("file", "", "scenario CSV (station,period_ms,payload_bits)");
+  if (protocol) flags.declare("protocol", "fddi", planner::kProtocolNames);
+  flags.declare("bandwidth-mbps", "100", "link bandwidth [Mbit/s]");
 }
 
 // ---- check -------------------------------------------------------------------
 
-void flags_check(CliFlags& flags) {
-  flags.declare("file", "", "scenario CSV (station,period_ms,payload_bits)");
-  flags.declare("protocol", "fddi", "ieee8025 | modified8025 | fddi");
-  flags.declare("bandwidth-mbps", "100", "link bandwidth [Mbit/s]");
-}
+void flags_check(CliFlags& flags) { declare_scenario_flags(flags); }
 
 int cmd_check(const CliFlags& flags, obs::RunReport& report) {
-  ParsedProtocol proto;
-  if (!parse_protocol(flags.get_string("protocol"), proto)) return 1;
-  const auto set = load_or_die(flags.get_string("file"));
-  const BitsPerSecond bw = mbps(flags.get_double("bandwidth-mbps"));
-  const int n = ring_size_for(set);
-
-  bool ok;
-  Table verdict({"protocol", "schedulable"});
-  if (proto.is_ttp) {
-    analysis::TtpParams p;
-    p.ring = net::fddi_ring(n);
-    p.frame = p.async_frame = net::paper_frame_format();
-    const auto v = analysis::ttp_schedulable(set, p, bw);
-    ok = v.schedulable;
-    report.note("%s: %s (TTRT %.3f ms, allocated %.3f / available %.3f ms)\n",
-                flags.get_string("protocol").c_str(),
-                ok ? "SCHEDULABLE" : "NOT SCHEDULABLE",
-                to_milliseconds(v.ttrt), to_milliseconds(v.allocated),
-                to_milliseconds(v.available));
-  } else {
-    analysis::PdpParams p;
-    p.ring = net::ieee8025_ring(n);
-    p.frame = net::paper_frame_format();
-    p.variant = proto.variant;
-    const auto v = analysis::pdp_schedulable(set, p, bw);
-    ok = v.schedulable;
-    report.note("%s: %s (blocking %.1f us)\n",
-                flags.get_string("protocol").c_str(),
-                ok ? "SCHEDULABLE" : "NOT SCHEDULABLE",
-                to_microseconds(v.blocking));
-    for (const auto& r : v.reports) {
-      if (!r.schedulable) {
-        report.note("  station %d misses: C'=%.3f ms in P=%.1f ms\n",
-                    r.stream.station, to_milliseconds(r.augmented_length),
-                    to_milliseconds(r.stream.period));
-      }
-    }
-  }
-  verdict.add_row({flags.get_string("protocol"), ok ? "yes" : "no"});
-  report.record_table("verdict", verdict);
-  if (report.format() == obs::OutputFormat::kCsv) {
-    verdict.print_csv(std::cout);
-  }
-  return ok ? 0 : 2;
+  const query::CheckResult result = query::check(read_scenario(flags));
+  query::render_table(result, report);
+  return result.schedulable ? 0 : 2;
 }
 
 // ---- faultcheck --------------------------------------------------------------
 
 void flags_faultcheck(CliFlags& flags) {
-  flags.declare("file", "", "scenario CSV (station,period_ms,payload_bits)");
-  flags.declare("protocol", "fddi", "ieee8025 | modified8025 | fddi");
-  flags.declare("bandwidth-mbps", "100", "link bandwidth [Mbit/s]");
+  declare_scenario_flags(flags);
   flags.declare("noise-ms", "1", "noise burst duration [ms]");
 }
 
 int cmd_faultcheck(const CliFlags& flags, obs::RunReport& report) {
-  ParsedProtocol proto;
-  if (!parse_protocol(flags.get_string("protocol"), proto)) return 1;
-  const auto set = load_or_die(flags.get_string("file"));
-  const BitsPerSecond bw = mbps(flags.get_double("bandwidth-mbps"));
-  const int n = ring_size_for(set);
-  const Seconds noise = milliseconds(flags.get_double("noise-ms"));
-
-  // One row per fault kind: how many such faults per period the fault-aware
-  // criterion absorbs before the guarantee breaks.
-  bool fault_free = false;
-  Table table({"fault_kind", "recovery_us", "margin"});
-  const auto add_row = [&](fault::FaultKind kind,
-                           const fault::FaultMarginReport& fmr) {
-    fault_free = fmr.fault_free_schedulable;
-    table.add_row({fault::to_string(kind),
-                   fmt(to_microseconds(fmr.recovery_per_fault), 1),
-                   fmr.margin < 0 ? std::string("-")
-                                  : fmt(static_cast<long long>(fmr.margin))});
-  };
-
-  if (proto.is_ttp) {
-    analysis::TtpParams p;
-    p.ring = net::fddi_ring(n);
-    p.frame = p.async_frame = net::paper_frame_format();
-    for (fault::FaultKind kind : fault::kAllFaultKinds) {
-      if (kind == fault::FaultKind::kStationRejoin) continue;  // = crash cost
-      fault::FaultBudget budget{kind, noise};
-      add_row(kind, fault::ttp_fault_margin(set, p, bw, 0.0, budget));
-    }
-  } else {
-    analysis::PdpParams p;
-    p.ring = net::ieee8025_ring(n);
-    p.frame = net::paper_frame_format();
-    p.variant = proto.variant;
-    for (fault::FaultKind kind : fault::kAllFaultKinds) {
-      if (kind == fault::FaultKind::kStationRejoin) continue;  // = crash cost
-      fault::FaultBudget budget{kind, noise};
-      add_row(kind, fault::pdp_fault_margin(set, p, bw, budget));
-    }
-  }
-
-  report.note("%s at %.0f Mbps: %s fault-free\n",
-              flags.get_string("protocol").c_str(), to_mbps(bw),
-              fault_free ? "SCHEDULABLE" : "NOT SCHEDULABLE");
-  emit_table(report, "fault_margins", table);
-  report.note(
-      "(margin = max faults of that kind per period the fault-aware\n"
-      " criterion still guarantees; '-' = infeasible even fault-free)\n");
-  return fault_free ? 0 : 2;
+  const query::FaultcheckResult result =
+      query::faultcheck(read_scenario(flags));
+  query::render_table(result, report);
+  return result.schedulable ? 0 : 2;
 }
 
 // ---- plan --------------------------------------------------------------------
 
-void flags_plan(CliFlags& flags) {
-  flags.declare("file", "", "scenario CSV");
-  flags.declare("bandwidth-mbps", "100", "link bandwidth [Mbit/s]");
-}
+void flags_plan(CliFlags& flags) { declare_scenario_flags(flags, false); }
 
 int cmd_plan(const CliFlags& flags, obs::RunReport& report) {
-  const auto set = load_or_die(flags.get_string("file"));
-  const BitsPerSecond bw = mbps(flags.get_double("bandwidth-mbps"));
-  const int n = ring_size_for(set);
-
-  analysis::TtpParams ttp;
-  ttp.ring = net::fddi_ring(n);
-  ttp.frame = ttp.async_frame = net::paper_frame_format();
-  const auto v = analysis::ttp_schedulable(set, ttp, bw);
+  const query::CheckQuery q = read_scenario(flags);
+  const analysis::TtpParams ttp = query::config_for(q).ttp_params();
+  const BitsPerSecond bw = mbps(q.bandwidth_mbps);
+  const analysis::TtpVerdict v = query::check(q).ttp;
   report.note("FDDI plan at %.0f Mbps: TTRT %.3f ms (%s)\n", to_mbps(bw),
               to_milliseconds(v.ttrt),
               v.schedulable ? "schedulable" : "NOT schedulable");
 
   Table table({"station", "P_ms", "q", "h_us", "visits", "resp_bound_ms",
                "slack_ms"});
-  const auto latency = analysis::ttp_latency_report(set, ttp, bw);
+  const auto latency = analysis::ttp_latency_report(q.set, ttp, bw);
   for (std::size_t i = 0; i < v.reports.size(); ++i) {
     const auto& r = v.reports[i];
     const auto& b = latency[i];
@@ -256,18 +145,16 @@ int cmd_plan(const CliFlags& flags, obs::RunReport& report) {
                    fmt(to_milliseconds(b.response_bound), 2),
                    fmt(to_milliseconds(b.slack), 2)});
   }
-  emit_table(report, "latency_plan", table);
+  query::print_table(report, "latency_plan", table);
   report.note("async capacity left: %.1f%%\n",
-              100.0 * analysis::ttp_async_capacity(set, ttp, bw));
+              100.0 * analysis::ttp_async_capacity(q.set, ttp, bw));
   return v.schedulable ? 0 : 2;
 }
 
 // ---- simulate ------------------------------------------------------------------
 
 void flags_simulate(CliFlags& flags) {
-  flags.declare("file", "", "scenario CSV");
-  flags.declare("protocol", "fddi", "ieee8025 | modified8025 | fddi");
-  flags.declare("bandwidth-mbps", "100", "link bandwidth [Mbit/s]");
+  declare_scenario_flags(flags);
   flags.declare("horizon-ms", "500", "simulated time [ms]");
   flags.declare("async", "saturating", "none|saturating|poisson");
   flags.declare("async-fps", "1000", "Poisson async frames/s per station");
@@ -277,11 +164,7 @@ void flags_simulate(CliFlags& flags) {
 }
 
 int cmd_simulate(const CliFlags& flags, obs::RunReport& report) {
-  ParsedProtocol proto;
-  if (!parse_protocol(flags.get_string("protocol"), proto)) return 1;
-  const auto set = load_or_die(flags.get_string("file"));
-  const BitsPerSecond bw = mbps(flags.get_double("bandwidth-mbps"));
-  const int n = ring_size_for(set);
+  const query::CheckQuery q = read_scenario(flags);
 
   sim::AsyncModel async_model;
   const std::string async_name = flags.get_string("async");
@@ -306,25 +189,17 @@ int cmd_simulate(const CliFlags& flags, obs::RunReport& report) {
     }
   }
 
-  sim::SimConfig cfg;
-  if (proto.is_ttp) {
-    analysis::TtpParams p;
-    p.ring = net::fddi_ring(n);
-    p.frame = p.async_frame = net::paper_frame_format();
-    cfg = sim::make_sim_config(set, p, bw);
-  } else {
-    analysis::PdpParams p;
-    p.ring = net::ieee8025_ring(n);
-    p.frame = net::paper_frame_format();
-    p.variant = proto.variant;
-    cfg = sim::make_sim_config(set, p, bw);
-  }
+  const planner::PlannerConfig config = query::config_for(q);
+  sim::SimConfig cfg =
+      q.protocol == planner::Protocol::kFddi
+          ? sim::make_sim_config(q.set, config.ttp_params(), config.bandwidth)
+          : sim::make_sim_config(q.set, config.pdp_params(), config.bandwidth);
   cfg.horizon = milliseconds(flags.get_double("horizon-ms"));
   cfg.async_model = async_model;
   cfg.async_frames_per_second = flags.get_double("async-fps");
-  cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 0, kSeedMax));
+  cfg.seed = get_seed(flags);
   cfg.trace = trace.get();
-  const sim::SimMetrics m = sim::run_simulation(set, cfg);
+  const sim::SimMetrics m = sim::run_simulation(q.set, cfg);
   report.note("%s", m.summary().c_str());
 
   Table table({"released", "completed", "misses", "miss_ratio",
@@ -363,31 +238,23 @@ void flags_advise(CliFlags& flags) {
 }
 
 int cmd_advise(const CliFlags& flags, obs::RunReport& report) {
-  planner::TrafficProfile profile;
-  profile.num_stations =
-      static_cast<int>(flags.get_int("stations", 1, kIntMax));
-  profile.mean_period = milliseconds(flags.get_double("mean-period-ms"));
-  profile.period_ratio = flags.get_double("period-ratio");
-
-  const exec::Executor executor(get_jobs(flags));
-  const auto sets =
-      static_cast<std::size_t>(flags.get_int("sets", 1, kIntMax));
-  const auto batch = get_batch(flags, sets);
-  Table table({"BW_Mbps", "ieee8025", "modified8025", "fddi",
-               "resil_8025", "resil_fddi", "recommend"});
-  for (double bw : flags.get_double_list("bandwidths-mbps")) {
-    const auto rec = planner::recommend_protocol(
-        profile, mbps(bw), sets,
-        static_cast<std::uint64_t>(flags.get_int("seed", 0, kSeedMax)),
-        executor, batch);
-    table.add_row({fmt(bw, 0), fmt(rec.ieee8025, 3), fmt(rec.modified8025, 3),
-                   fmt(rec.fddi, 3), fmt(rec.modified8025_resilience, 1),
-                   fmt(rec.fddi_resilience, 1), planner::to_string(rec.best)});
+  query::AdviseQuery q;
+  q.stations = get_count(flags, "stations");
+  q.mean_period_ms =
+      get_ranged(flags, "mean-period-ms", query::mean_period_violation);
+  q.period_ratio =
+      get_ranged(flags, "period-ratio", query::period_ratio_violation);
+  q.bandwidths_mbps = flags.get_double_list("bandwidths-mbps");
+  if (const char* bound = query::bandwidths_violation(q.bandwidths_mbps)) {
+    throw PreconditionError(std::string("flag --bandwidths-mbps ") + bound +
+                            ": " + flags.get_string("bandwidths-mbps"));
   }
-  emit_table(report, "recommendations", table);
-  report.note(
-      "(resil_* = mean token losses per period absorbed at 70%% of each\n"
-      " sampled set's schedulability boundary)\n");
+  q.sets = get_count(flags, "sets");
+  q.seed = get_seed(flags);
+
+  query::render_table(
+      query::advise(q, exec::Executor(get_jobs(flags)), get_batch(flags)),
+      report);
   // The RTA treats an iteration-cap bailout as "unschedulable" to stay
   // conservative; if any probe hit the cap, the estimates above lean
   // pessimistic and the numerics deserve a look.
@@ -422,12 +289,12 @@ void flags_generate(CliFlags& flags) {
 
 int cmd_generate(const CliFlags& flags, obs::RunReport& report) {
   msg::GeneratorConfig g;
-  g.num_streams = static_cast<int>(flags.get_int("stations", 1, kIntMax));
+  g.num_streams = get_count(flags, "stations");
   g.mean_period = milliseconds(flags.get_double("mean-period-ms"));
   g.period_ratio = flags.get_double("period-ratio");
   g.deadline_fraction = flags.get_double("deadline-fraction");
   msg::MessageSetGenerator gen(g);
-  Rng rng(static_cast<std::uint64_t>(flags.get_int("seed", 0, kSeedMax)));
+  Rng rng(get_seed(flags));
   auto set = gen.generate(rng);
 
   const BitsPerSecond bw = mbps(flags.get_double("bandwidth-mbps"));
@@ -491,24 +358,24 @@ int cmd_serve(const CliFlags& flags, obs::RunReport& report) {
   opt.port = static_cast<int>(flags.get_int("port", 0, 65535));
   opt.engine.jobs = get_jobs(flags);
   opt.engine.max_group =
-      static_cast<std::size_t>(flags.get_int("batch-group", 0, kIntMax));
-  opt.engine.max_request_bytes =
-      static_cast<std::size_t>(flags.get_int("max-request-bytes", 1, kIntMax));
+      static_cast<std::size_t>(flags.get_int("batch-group", 0, kIntFlagMax));
+  opt.engine.max_request_bytes = static_cast<std::size_t>(
+      flags.get_int("max-request-bytes", 1, kIntFlagMax));
   opt.engine.cache.shards =
-      static_cast<std::size_t>(flags.get_int("cache-shards", 0, kIntMax));
-  opt.engine.cache.capacity_per_shard =
-      static_cast<std::size_t>(flags.get_int("cache-capacity", 1, kIntMax));
+      static_cast<std::size_t>(flags.get_int("cache-shards", 0, kIntFlagMax));
+  opt.engine.cache.capacity_per_shard = static_cast<std::size_t>(
+      flags.get_int("cache-capacity", 1, kIntFlagMax));
   opt.engine.limit.rate_per_s = flags.get_double("rate");
   opt.engine.limit.burst = flags.get_double("burst");
   opt.engine.high_water =
-      static_cast<std::size_t>(flags.get_int("high-water", 0, kIntMax));
+      static_cast<std::size_t>(flags.get_int("high-water", 0, kIntFlagMax));
   opt.idle_timeout_ms =
-      static_cast<int>(flags.get_int("idle-timeout-ms", 0, kIntMax));
+      static_cast<int>(flags.get_int("idle-timeout-ms", 0, kIntFlagMax));
   opt.write_timeout_ms =
-      static_cast<int>(flags.get_int("write-timeout-ms", 0, kIntMax));
-  opt.backlog = static_cast<int>(flags.get_int("backlog", 0, kIntMax));
+      static_cast<int>(flags.get_int("write-timeout-ms", 0, kIntFlagMax));
+  opt.backlog = static_cast<int>(flags.get_int("backlog", 0, kIntFlagMax));
   opt.reactors =
-      static_cast<std::size_t>(flags.get_int("reactors", 0, kIntMax));
+      static_cast<std::size_t>(flags.get_int("reactors", 0, kIntFlagMax));
 
   serve::Server server(opt);
   std::string error;
