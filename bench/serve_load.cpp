@@ -691,10 +691,9 @@ int main(int argc, char** argv) {
       clients, requests, depth, hot_set, deadline_ms, qps,
       static_cast<double>(p50) * 1e-3, static_cast<double>(p99) * 1e-3,
       static_cast<double>(p999) * 1e-3);
-  report.note("cache hits %llu / misses %llu, batch groups %llu\n",
+  report.note("cache hits %llu / misses %llu\n",
               static_cast<unsigned long long>(counter("serve.cache.hits")),
-              static_cast<unsigned long long>(counter("serve.cache.misses")),
-              static_cast<unsigned long long>(counter("serve.batch.groups")));
+              static_cast<unsigned long long>(counter("serve.cache.misses")));
   report.note(
       "statuses: %llu served, %llu rate-limited (429), %llu shed (503), "
       "%llu past-deadline (504); server counters: shed %llu, "

@@ -102,7 +102,12 @@ void Executor::parallel_for(std::size_t n,
 
   std::unique_lock<std::mutex> lock(state->mutex);
   state->all_done.wait(lock, [&] { return state->completed == state->total; });
-  if (state->error) std::rethrow_exception(state->error);
+  // Take the exception out of the shared state: a worker may still hold
+  // the state's last reference, and must not be the thread that frees an
+  // exception the caller is reading.
+  if (std::exception_ptr error = std::move(state->error)) {
+    std::rethrow_exception(error);
+  }
   if (cancelled()) throw Cancelled();
 }
 

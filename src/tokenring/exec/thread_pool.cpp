@@ -37,6 +37,28 @@ void ThreadPool::submit(std::function<void()> task) {
   not_empty_.notify_one();
 }
 
+bool ThreadPool::try_submit(std::function<void()> task) {
+  TR_EXPECTS(task != nullptr);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    TR_EXPECTS_MSG(!stopping_, "try_submit on a stopping ThreadPool");
+    if (queue_.size() >= capacity_) return false;
+    queue_.push_back(std::move(task));
+  }
+  not_empty_.notify_one();
+  return true;
+}
+
+std::size_t ThreadPool::depth() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return queue_.size() + running_;
+}
+
+void ThreadPool::wait_idle() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  idle_.wait(lock, [this] { return queue_.empty() && running_ == 0; });
+}
+
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
@@ -46,9 +68,15 @@ void ThreadPool::worker_loop() {
       if (queue_.empty()) return;  // stopping_ and fully drained
       task = std::move(queue_.front());
       queue_.pop_front();
+      ++running_;
     }
     not_full_.notify_one();
     task();
+    task = nullptr;  // release its captures before it counts as finished
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (--running_ == 0 && queue_.empty()) idle_.notify_all();
+    }
   }
 }
 

@@ -60,6 +60,11 @@ const char* period_ratio_violation(double ratio);
 const char* bandwidths_violation(const std::vector<double>& mbps);
 /// check / faultcheck scenario: at least one stream.
 const char* scenario_violation(const msg::MessageSet& set);
+/// advise stations: an integer in [1, kMaxStations]. FDDI allows at most
+/// 1000 physical connections on a ring, and 802.5 rings are smaller
+/// still. The bound also caps an advise's memory: each Monte Carlo group
+/// holds min(sets, batch) sets of `stations` streams.
+inline constexpr int kMaxStations = 1000;
 
 // ---- scenario parameters ----------------------------------------------------
 

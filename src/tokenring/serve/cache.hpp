@@ -59,8 +59,8 @@ class ResultCache {
   /// counter and LRU position exactly like a get_or_compute hit), nullopt
   /// when missing or still in flight. The reactor path answers ready hits
   /// inline on the event-loop thread and routes everything else through
-  /// the batcher, so an event-loop thread never blocks on a single-flight
-  /// wait.
+  /// the compute pool, so an event-loop thread never blocks on a
+  /// single-flight wait.
   std::optional<std::string> try_get(const std::string& key);
 
   /// Ready entries across all shards (approximate under concurrency).

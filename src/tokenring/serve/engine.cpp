@@ -10,6 +10,7 @@
 
 #include "tokenring/common/checks.hpp"
 #include "tokenring/common/clock.hpp"
+#include "tokenring/exec/executor.hpp"
 #include "tokenring/obs/json.hpp"
 #include "tokenring/obs/registry.hpp"
 #include "tokenring/query/query.hpp"
@@ -18,8 +19,8 @@ namespace tokenring::serve {
 
 namespace {
 
-/// Thrown by a batched job that found its deadline already expired at
-/// compute start; dispatch turns it into a 504.
+/// Thrown by a pool job that found its deadline already expired at
+/// compute start; the job turns it into a 504.
 struct DeadlineExceeded {
   double elapsed_ms = 0.0;
 };
@@ -39,18 +40,16 @@ const std::vector<double>& latency_bounds_us() {
 Engine::Engine(const Options& options, std::function<std::uint64_t()> clock)
     : options_(options),
       clock_(clock ? std::move(clock) : steady_now_ns),
-      executor_(options.jobs),
       cache_(options.cache),
       limiter_(options.limit),
-      // The queue bound tracks the shed watermark so the blocking-submit
-      // path can never build a backlog the watermark would have refused;
-      // high_water == 0 (cache-only mode) still needs a 1-slot queue for
-      // the batcher's invariants.
-      batcher_(executor_,
-               options.max_group > 0 ? options.max_group : executor_.jobs(),
-               std::max<std::size_t>(1, options.high_water)) {}
+      // The queue bound tracks the shed watermark so the queue can never
+      // hold a backlog the watermark would have refused. high_water == 0
+      // (cache-only mode) passes 1: ThreadPool reads a 0 capacity as its
+      // default of 4 per worker.
+      pool_(options.jobs > 0 ? options.jobs : exec::default_jobs(),
+            std::max<std::size_t>(1, options.high_water)) {}
 
-void Engine::drain() { batcher_.drain(); }
+void Engine::drain() { pool_.wait_idle(); }
 
 std::string Engine::handle_line(std::string_view line,
                                 const std::string& fallback_client) {
@@ -109,14 +108,14 @@ void Engine::handle_line_async(std::string_view line,
 }
 
 std::uint64_t Engine::shed_retry_after_ns() const {
-  // A cold server has no job history; 25 ms is long enough to let one
-  // batch group clear and short enough not to stall an interactive
+  // A cold server has no job history; 25 ms is long enough for a typical
+  // advise job to finish and short enough not to stall an interactive
   // client.
   constexpr std::uint64_t kFloorNs = 25'000'000;
   const std::uint64_t ewma = job_ewma_ns_.load(std::memory_order_relaxed);
-  const std::size_t lanes = std::max<std::size_t>(1, executor_.jobs());
   const std::uint64_t backlog_ns =
-      ewma * static_cast<std::uint64_t>(batcher_.depth() + 1) / lanes;
+      ewma * static_cast<std::uint64_t>(pool_.depth() + 1) /
+      pool_.thread_count();
   return std::max(kFloorNs, backlog_ns);
 }
 
@@ -137,6 +136,7 @@ void Engine::dispatch_async(Request request, const std::string& fallback_client,
 
   static const obs::Counter deadline_expired("serve.deadline_expired");
   static const obs::Counter shed("serve.shed");
+  static const obs::Gauge peak_depth("serve.batch.peak_depth");
 
   // Overload gates, cheapest refusal first (DESIGN.md §4h). The wire caps
   // deadline_ms at kMaxDeadlineMs, so the cast below cannot overflow.
@@ -155,7 +155,7 @@ void Engine::dispatch_async(Request request, const std::string& fallback_client,
   }
 
   std::string key = cache_key(request);
-  if (batcher_.depth() >= options_.high_water && !cache_.likely_present(key)) {
+  if (pool_.depth() >= options_.high_water && !cache_.likely_present(key)) {
     // The watermark only refuses work that would *add* compute: cached
     // (or already-in-flight) answers keep flowing under overload.
     shed.add();
@@ -179,15 +179,17 @@ void Engine::dispatch_async(Request request, const std::string& fallback_client,
     return;
   }
 
-  // Miss or in-flight: the batcher job owns the request and the
+  // Miss or in-flight: the pool job owns the request and the
   // completion. The single-flight join happens inside the job, so a
   // reactor thread never waits on another request's compute; if the
   // computing job fails, a waiting joiner wakes and retries the compute
   // itself under its own deadline (cache.hpp semantics).
   const std::string id_token = request.id_token;
   Completion done_if_refused = done;  // survives the job being rejected
+  // Pool tasks must not throw: the job turns each failure compute raises
+  // (DeadlineExceeded, std::exception) into a response.
   auto job = [this, request = std::move(request), key = std::move(key),
-              start_ns, deadline_ns, done = std::move(done)]() -> std::string {
+              start_ns, deadline_ns, done = std::move(done)] {
     std::string response;
     try {
       const ResultCache::Outcome outcome = cache_.get_or_compute(
@@ -236,16 +238,15 @@ void Engine::dispatch_async(Request request, const std::string& fallback_client,
                                              : std::string(e.what()));
     }
     done(std::move(response));
-    return std::string();  // the future's value is unused; done() is the
-                           // delivery path
   };
   // Admission can race: the watermark passed above, but the queue filled
   // before this submit. Shed instead of blocking.
-  if (!batcher_.try_submit(std::move(job))) {
+  if (!pool_.try_submit(std::move(job))) {
     shed.add();
     done_if_refused(shed_response(id_token, shed_retry_after_ns()));
     return;
   }
+  peak_depth.record(pool_.depth());
 }
 
 std::string Engine::compute_check(const query::CheckQuery& query) {
@@ -257,7 +258,7 @@ std::string Engine::compute_faultcheck(const query::CheckQuery& query) {
 }
 
 std::string Engine::compute_advise(const query::AdviseQuery& query) {
-  // Inline: batch jobs must not re-enter the group executor, and the
+  // Inline: a job must not submit into the pool it runs on, and the
   // recommendation is the same for every (jobs, batch) combination.
   return query::to_json(query::advise(query, exec::Executor(1)));
 }
@@ -269,7 +270,7 @@ std::string Engine::render_stats() {
   w.set_strict(true);
   w.begin_object();
   w.key("cache_entries").value_uint(cache_.size());
-  w.key("batch_depth").value_uint(batcher_.depth());
+  w.key("batch_depth").value_uint(pool_.depth());
   w.key("counters").begin_object();
   for (const auto& [name, value] : snapshot.counters) {
     w.key(name).value_uint(value);

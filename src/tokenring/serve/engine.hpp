@@ -6,12 +6,12 @@
 //   size gate (413) -> parse_json (400 + byte offset) -> parse_request
 //   (400 naming the field) -> ping/stats answered inline -> deadline
 //   pre-check (504) -> load shed (503, cache hits exempt) -> rate limit
-//   (429 + retry hint) -> ready cache hits inline -> batcher job
+//   (429 + retry hint) -> ready cache hits inline -> compute pool job
 //   (single-flight cache, deadline re-check 504) -> compute.
 //
 // Everything up to and including the ready-hit probe runs on the calling
 // thread and never blocks, which is what lets a reactor thread multiplex
-// thousands of connections through here. The batcher job owns a copy of
+// thousands of connections through here. The pool job owns a copy of
 // the request and the completion callback: pool threads call `done`, and
 // the reactor posts the response back to the connection's owning shard.
 // handle_line() is a blocking wrapper over the same pipeline for tests
@@ -21,11 +21,11 @@
 // usefully is refused as early and as cheaply as possible. Expired
 // deadlines are detected before any queueing (the client has already
 // given up; computing would be pure waste), then misses are shed against
-// the batcher's high-water mark (hits and in-flight joins cost no
+// the compute pool's high-water mark (hits and in-flight joins cost no
 // compute, so they keep flowing even under overload), and only then does
-// the rate limiter charge the client. Inside the batcher each job
-// re-checks its deadline at compute start, so work that expired while
-// queued is skipped, not executed.
+// the rate limiter charge the client. On the pool each job re-checks its
+// deadline at compute start, so work that expired while queued is
+// skipped, not executed.
 //
 // Compute is the query layer (query/query.hpp): each handler runs the
 // query function `tokenring_tool` runs for the same subcommand and renders
@@ -33,10 +33,12 @@
 // verdict by construction — the service is a faster path to the same
 // answer, never a different answer.
 //
-// Compute runs on the Batcher's executor group dispatch; handlers
-// themselves are sequential (nested parallel_for on one pool would
-// deadlock) and the advise handler leans on the SoA lockstep batch inside
-// the saturation search for its intra-query parallelism.
+// Compute runs on one exec::ThreadPool: each free worker takes the next
+// job, so a cheap check never waits behind an unrelated advise while a
+// worker is idle. Handlers themselves are sequential (a job must not
+// submit into the pool it runs on) and the advise handler leans on the
+// SoA lockstep batch inside the saturation search for its intra-query
+// parallelism.
 
 #pragma once
 
@@ -47,8 +49,7 @@
 #include <string>
 #include <string_view>
 
-#include "tokenring/exec/executor.hpp"
-#include "tokenring/serve/batcher.hpp"
+#include "tokenring/exec/thread_pool.hpp"
 #include "tokenring/serve/cache.hpp"
 #include "tokenring/serve/rate_limit.hpp"
 #include "tokenring/serve/wire.hpp"
@@ -58,11 +59,8 @@ namespace tokenring::serve {
 class Engine {
  public:
   struct Options {
-    /// Worker threads for batched compute; 0 picks exec::default_jobs().
+    /// Compute pool workers; 0 picks exec::default_jobs().
     std::size_t jobs = 0;
-    /// Max compute jobs fanned out per batch group; 0 matches the pool
-    /// width.
-    std::size_t max_group = 0;
     /// Requests longer than this are rejected with a 413.
     std::size_t max_request_bytes = 1 << 20;
     /// Load-shedding watermark: a compute request that would miss the
@@ -83,8 +81,8 @@ class Engine {
 
   /// Invoked exactly once with the finished response line. May run inline
   /// on the calling thread (refusals, ping/stats, cache hits) or later on
-  /// a batcher pool thread (compute); callers that need thread affinity
-  /// (the reactor) re-route from inside the callback.
+  /// a compute pool thread; callers that need thread affinity (the
+  /// reactor) re-route from inside the callback.
   using Completion = std::function<void(std::string&&)>;
 
   /// Process one request line (no trailing newline) and return the
@@ -100,7 +98,7 @@ class Engine {
   /// runs only the cheap gates (size/parse, ping/stats, deadline
   /// pre-check, load shed, rate limit, ready cache hits) and never blocks;
   /// anything needing compute — including single-flight joins on an
-  /// in-flight key — is handed to the batcher, whose pool thread invokes
+  /// in-flight key — is handed to the compute pool, whose worker invokes
   /// `done`. The request is copied into the job, so the caller's line
   /// buffer may be reused the moment this returns.
   void handle_line_async(std::string_view line,
@@ -113,10 +111,11 @@ class Engine {
   /// Ready entries currently cached.
   std::size_t cache_size() const { return cache_.size(); }
 
-  /// The admission queue, public so overload tests can wedge it with a
-  /// gated job and observe shedding deterministically (same precedent as
-  /// the public compute handlers below).
-  Batcher& batcher() { return batcher_; }
+  /// The compute pool, public so overload tests can wedge it with a gated
+  /// job and observe shedding deterministically (same precedent as the
+  /// public compute handlers below). perfbench/src/serve_mix.cpp calls
+  /// it by this name.
+  exec::ThreadPool& batcher() { return pool_; }
 
   // Compute handlers, public so tests can compare a daemon response's
   // "result" byte-for-byte against a direct library call.
@@ -128,20 +127,21 @@ class Engine {
   void dispatch_async(Request request, const std::string& fallback_client,
                       std::uint64_t start_ns, Completion done);
   std::string render_stats();
-  /// Back-off hint for a shed response: EWMA job cost scaled by the
-  /// backlog ahead of the request, floored so a cold server still hints
-  /// a sane pause.
+  /// Back-off hint for a shed response: EWMA job cost times the backlog
+  /// ahead of the request, spread over the workers, floored so a cold
+  /// server still hints a sane pause.
   std::uint64_t shed_retry_after_ns() const;
 
   Options options_;
   std::function<std::uint64_t()> clock_;
-  exec::Executor executor_;
   ResultCache cache_;
   RateLimiter limiter_;
-  Batcher batcher_;
   /// EWMA of one compute job's wall time [ns], relaxed atomics (an
   /// approximate hint, not a synchronized quantity).
   std::atomic<std::uint64_t> job_ewma_ns_{0};
+  /// Last member: destroyed first, so every accepted job finishes while
+  /// the state it touches is still alive.
+  exec::ThreadPool pool_;
 };
 
 }  // namespace tokenring::serve

@@ -7,7 +7,7 @@
 //
 //   * The accept loop hands new fds over through a mutex-guarded inbox
 //     and rings the eventfd.
-//   * Compute finishes on a batcher pool thread; the engine completion
+//   * Compute finishes on a compute pool thread; the engine completion
 //     posts the response into the same inbox (keyed by (fd, generation)
 //     so a response for a connection that died in the meantime is
 //     dropped, never delivered to an fd the kernel reused), and rings the

@@ -5,7 +5,7 @@
 // nonblocking connections; the accept loop hands new fds out round-robin
 // through eventfd-signalled inboxes. Per-connection framing/overload
 // state machines (ConnFsm) carry idle/write deadlines on a per-reactor
-// timer wheel; compute flows through the Engine's batcher and completes
+// timer wheel; compute flows through the Engine's pool and completes
 // back onto the owning reactor's wakeup queue, so a reactor thread never
 // blocks on a future. Cost per connection is a table entry + epoll
 // registration, so thousands of mostly-idle peers are cheap (DESIGN.md
@@ -17,7 +17,7 @@
 //
 //   request_stop() -> accept loop exits -> every connection gets
 //   shutdown(SHUT_RD) -> buffered lines are answered and flushed ->
-//   Engine::drain() waits out the batcher.
+//   Engine::drain() waits out the compute pool.
 //
 // Bind to port 0 to get an ephemeral port (tests, CI); port() reports the
 // bound port after start().

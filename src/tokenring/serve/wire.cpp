@@ -247,7 +247,8 @@ bool parse_request(const obs::JsonValue& doc, Request& out,
       }
     } else if (is_advise && key == "stations") {
       std::int64_t stations = 0;
-      if (!read_int(value, "stations", 1, kIntMax, stations, error)) {
+      if (!read_int(value, "stations", 1, query::kMaxStations, stations,
+                    error)) {
         return false;
       }
       out.advise.stations = static_cast<int>(stations);

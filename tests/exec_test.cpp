@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -88,10 +89,36 @@ TEST(ThreadPool, ReportsGeometry) {
   EXPECT_EQ(defaulted.queue_capacity(), 8u);  // 4 * threads
 }
 
+TEST(ThreadPool, TrySubmitRefusesAFullQueueAndWaitIdleDrains) {
+  ThreadPool pool(1, /*queue_capacity=*/1);
+  std::promise<void> gate;
+  std::shared_future<void> opened(gate.get_future());
+  std::promise<void> started;
+  std::atomic<int> count{0};
+  pool.submit([&started, opened, &count] {
+    started.set_value();
+    opened.wait();
+    ++count;
+  });
+  started.get_future().wait();  // the worker holds the gated task
+  EXPECT_TRUE(pool.try_submit([&count] { ++count; }));
+
+  // One task running and one queued: the queue is full, and try_submit
+  // says so without blocking.
+  EXPECT_FALSE(pool.try_submit([&count] { ++count; }));
+  EXPECT_EQ(pool.depth(), 2u);
+
+  gate.set_value();
+  pool.wait_idle();
+  EXPECT_EQ(pool.depth(), 0u);
+  EXPECT_EQ(count.load(), 2);  // the refused task never ran
+}
+
 TEST(ThreadPool, Preconditions) {
   EXPECT_THROW(ThreadPool(0), PreconditionError);
   ThreadPool pool(1);
   EXPECT_THROW(pool.submit(nullptr), PreconditionError);
+  EXPECT_THROW(pool.try_submit(nullptr), PreconditionError);
 }
 
 // ---- executor --------------------------------------------------------------

@@ -1,6 +1,6 @@
 // Tests for the admission-control service (serve/): wire parsing, cache,
-// rate limiting, batching, the engine pipeline, and one TCP end-to-end
-// round trip with a graceful drain.
+// rate limiting, the engine pipeline and its compute pool, and one TCP
+// end-to-end round trip with a graceful drain.
 
 #include <gtest/gtest.h>
 
@@ -10,9 +10,11 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,11 +22,9 @@
 #include "tokenring/analysis/ttp.hpp"
 #include "tokenring/common/checks.hpp"
 #include "tokenring/common/rng.hpp"
-#include "tokenring/exec/executor.hpp"
 #include "tokenring/net/standards.hpp"
 #include "tokenring/obs/json.hpp"
 #include "tokenring/serve/backoff.hpp"
-#include "tokenring/serve/batcher.hpp"
 #include "tokenring/serve/cache.hpp"
 #include "tokenring/serve/engine.hpp"
 #include "tokenring/serve/rate_limit.hpp"
@@ -335,26 +335,6 @@ TEST(ServeCache, EvictsLeastRecentlyUsedBeyondCapacity) {
   EXPECT_FALSE(fill("b").hit);  // recomputed
 }
 
-// ---- batcher -----------------------------------------------------------------
-
-TEST(ServeBatcher, RunsEveryJobAndPropagatesExceptions) {
-  const exec::Executor executor(2);
-  serve::Batcher batcher(executor, /*max_group=*/4);
-  std::vector<std::future<std::string>> futures;
-  for (int i = 0; i < 32; ++i) {
-    futures.push_back(
-        batcher.submit([i] { return std::to_string(i * i); }));
-  }
-  auto boom = batcher.submit(
-      []() -> std::string { throw PreconditionError("job failed"); });
-  for (int i = 0; i < 32; ++i) {
-    EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(),
-              std::to_string(i * i));
-  }
-  EXPECT_THROW(boom.get(), PreconditionError);
-  batcher.drain();
-}
-
 // ---- engine ------------------------------------------------------------------
 
 TEST(ServeEngine, CheckResponseEmbedsComputeBytesVerbatim) {
@@ -454,10 +434,16 @@ TEST(ServeEngine, OutOfRangeIntegersGet400NamingTheFieldAndBound) {
     const obs::JsonValue* error = doc.find("error");
     return error == nullptr ? std::string() : error->as_string();
   };
-  // 2^32 + 2 stations used to be truncated to a 2-station answer.
+  // 2^32 + 2 stations used to be truncated to a 2-station answer; 1001
+  // is more than an FDDI ring holds, and each Monte Carlo set would hold
+  // that many streams.
   EXPECT_NE(refusal("{\"type\":\"advise\",\"stations\":4294967298,"
                     "\"sets\":2,\"bandwidths_mbps\":[100]}")
-                .find("\"stations\" must be <= 2147483647"),
+                .find("\"stations\" must be <= 1000"),
+            std::string::npos);
+  EXPECT_NE(refusal("{\"type\":\"advise\",\"stations\":1001,"
+                    "\"sets\":1,\"bandwidths_mbps\":[100]}")
+                .find("\"stations\" must be <= 1000"),
             std::string::npos);
   EXPECT_NE(refusal("{\"type\":\"advise\",\"sets\":4294967298}")
                 .find("\"sets\" must be <= 2147483647"),
@@ -479,9 +465,9 @@ TEST(ServeEngine, OutOfRangeIntegersGet400NamingTheFieldAndBound) {
                 .find("\"deadline_ms\" must be <= 1e+12"),
             std::string::npos);
 
-  // The largest accepted values still get through: station INT_MAX - 1 is
-  // answered, and INT_MAX stations and sets parse (their Monte Carlo
-  // sweep is far too large to run here).
+  // The largest accepted values still get through: station INT_MAX - 1
+  // and a 1000-station advise are answered, and INT_MAX sets parse (that
+  // Monte Carlo sweep is far too large to run here).
   EXPECT_EQ(response_status(parse_ok(engine.handle_line(
                 check_line_with_station("2147483646"), "test"))),
             200);
@@ -489,9 +475,13 @@ TEST(ServeEngine, OutOfRangeIntegersGet400NamingTheFieldAndBound) {
                 "{\"type\":\"check\",\"deadline_ms\":1e12," + streams + "}",
                 "test"))),
             200);
-  const auto advise = parse_request_ok(
-      "{\"type\":\"advise\",\"stations\":2147483647,\"sets\":2147483647}");
-  EXPECT_EQ(advise.advise.stations, 2147483647);
+  EXPECT_EQ(response_status(parse_ok(engine.handle_line(
+                "{\"type\":\"advise\",\"stations\":1000,\"sets\":1,"
+                "\"bandwidths_mbps\":[100]}",
+                "test"))),
+            200);
+  const auto advise =
+      parse_request_ok("{\"type\":\"advise\",\"sets\":2147483647}");
   EXPECT_EQ(advise.advise.sets, 2147483647);
 }
 
@@ -578,7 +568,7 @@ TEST(ServeEngine, RateLimitsPerClientWithRetryHint) {
 //   5. job-cost EWMA sample             -> +1 step
 //   6. handle_line latency sample       -> +1 step
 // So at the pre-check 1 step has elapsed, and at the job re-check 3
-// steps. Atomic because the job reads the clock from a batcher thread.
+// steps. Atomic because the job reads the clock from a pool thread.
 // (Brittle by design: if dispatch gains a clock read, adjust the
 // deadlines below rather than loosening the assertions.)
 struct SteppingClock {
@@ -659,9 +649,11 @@ TEST(ServeOverload, ShedsColdComputeBeyondHighWaterButServesCacheHits) {
   // Wedge the admission queue at the watermark with a gated job.
   std::promise<void> gate;
   std::shared_future<void> opened(gate.get_future());
-  auto wedge = engine.batcher().submit([opened] {
+  std::promise<std::string> finished;
+  std::future<std::string> wedge = finished.get_future();
+  engine.batcher().submit([opened, &finished] {
     opened.wait();
-    return std::string("done");
+    finished.set_value("done");
   });
 
   // Cold compute is refused up front with a structured 503 + back-off...
@@ -686,6 +678,35 @@ TEST(ServeOverload, ShedsColdComputeBeyondHighWaterButServesCacheHits) {
   EXPECT_EQ(wedge.get(), "done");
   engine.drain();
   EXPECT_EQ(response_status(parse_ok(engine.handle_line(cold, "t"))), 200);
+}
+
+TEST(ServeOverload, AFreeWorkerAnswersAMissWhileAnotherJobRuns) {
+  serve::Engine engine(small_engine_options());  // two workers
+
+  // Hold one worker with a gated job, and wait until that job has started.
+  std::promise<void> gate;
+  std::shared_future<void> opened(gate.get_future());
+  std::promise<void> started;
+  engine.batcher().submit([opened, &started] {
+    started.set_value();
+    opened.wait();
+  });
+  started.get_future().wait();
+
+  // A cold check is computed by the free worker; it must not wait for the
+  // unrelated job to end.
+  auto answer = std::make_shared<std::promise<std::string>>();
+  std::future<std::string> response = answer->get_future();
+  engine.handle_line_async(kCheckLine, "t", [answer](std::string&& r) {
+    answer->set_value(std::move(r));
+  });
+  const bool answered = response.wait_for(std::chrono::seconds(5)) ==
+                        std::future_status::ready;
+
+  gate.set_value();
+  engine.drain();
+  ASSERT_TRUE(answered) << "the check waited behind the gated job";
+  EXPECT_EQ(response_status(parse_ok(response.get())), 200);
 }
 
 TEST(ServeOverload, HighWaterZeroShedsEveryMiss) {

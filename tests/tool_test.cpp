@@ -119,6 +119,8 @@ class ToolTest : public ::testing::Test {
          R"({"type":"advise","bandwidths_mbps":[4,0]})"},
         {"advise --stations=0", "--stations",
          R"({"type":"advise","stations":0})"},
+        {"advise --stations=1001", "--stations",
+         R"({"type":"advise","stations":1001})"},
     };
   }
 

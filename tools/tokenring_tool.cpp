@@ -239,7 +239,8 @@ void flags_advise(CliFlags& flags) {
 
 int cmd_advise(const CliFlags& flags, obs::RunReport& report) {
   query::AdviseQuery q;
-  q.stations = get_count(flags, "stations");
+  q.stations = static_cast<int>(
+      flags.get_int("stations", 1, query::kMaxStations));
   q.mean_period_ms =
       get_ranged(flags, "mean-period-ms", query::mean_period_violation);
   q.period_ratio =
@@ -330,8 +331,6 @@ void flags_serve(CliFlags& flags) {
   flags.declare("cache-capacity", "1024", "cached results per shard");
   flags.declare("max-request-bytes", "1048576",
                 "reject longer request lines with a 413");
-  flags.declare("batch-group", "0",
-                "max compute jobs per batch group (0 = pool width)");
   flags.declare("high-water", "512",
                 "shed uncached compute with a 503 beyond this many queued "
                 "jobs (0 = serve from cache only)");
@@ -357,8 +356,6 @@ int cmd_serve(const CliFlags& flags, obs::RunReport& report) {
   opt.host = flags.get_string("host");
   opt.port = static_cast<int>(flags.get_int("port", 0, 65535));
   opt.engine.jobs = get_jobs(flags);
-  opt.engine.max_group =
-      static_cast<std::size_t>(flags.get_int("batch-group", 0, kIntFlagMax));
   opt.engine.max_request_bytes = static_cast<std::size_t>(
       flags.get_int("max-request-bytes", 1, kIntFlagMax));
   opt.engine.cache.shards =
