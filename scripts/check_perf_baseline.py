@@ -62,8 +62,9 @@ PAIRS = [
     ("BM_TtpEvaluateBatch", "BM_TtpEvaluateScalar", 1.5),
     # Frontier vs eager event engine on the same sparse large-ring scenario
     # (bench/sim_scaling.cpp); metrics are pinned bit-identical by
-    # tests/sim_engine_test.cpp. Locally measured 25-50x; 10x is the PR's
-    # headline claim for 1k stations.
+    # tests/sim_engine_test.cpp. Locally measured 14-17x at 1024 stations
+    # and 25-32x at 256 (EXPERIMENTS.md); 10x is the headline claim for 1k
+    # stations.
     ("BM_SimScalingFrontier", "BM_SimScalingEager", 10.0),
 ]
 

@@ -5,10 +5,10 @@
 #include <algorithm>
 #include <vector>
 
-#include "tokenring/analysis/ttrt.hpp"
 #include "tokenring/breakdown/saturation.hpp"
 #include "tokenring/common/checks.hpp"
 #include "tokenring/sim/config.hpp"
+#include "tokenring/sim/workload.hpp"
 
 namespace tokenring::experiments {
 
@@ -48,23 +48,17 @@ SimValidationRow validate_pdp(const SimValidationConfig& config,
     }
     ++row.sets_tested;
 
-    sim::SimConfig cfg;
-    cfg.protocol = sim::Protocol::kPdp;
-    cfg.pdp = params;
-    cfg.bandwidth = bw;
-    cfg.worst_case_phasing = true;
-    cfg.async_model = sim::AsyncModel::kSaturating;
-    cfg.seed = config.seed + i;
-
     const auto inside =
         base.scaled(sat.critical_scale * config.inside_scale_pdp);
-    cfg.horizon = config.horizon_periods * inside.max_period();
+    auto cfg = sim::make_sim_config(inside, params, bw, config.horizon_periods);
+    cfg.seed = config.seed + i;
     if (sim::run_simulation(inside, cfg).deadline_misses > 0) {
       ++row.false_negatives;
     }
 
     const auto outside = base.scaled(sat.critical_scale * config.outside_scale);
-    cfg.horizon = config.horizon_periods * outside.max_period();
+    cfg = sim::make_sim_config(outside, params, bw, config.horizon_periods);
+    cfg.seed = config.seed + i;
     if (sim::run_simulation(outside, cfg).deadline_misses == 0) {
       ++row.outside_clean;
     }
@@ -102,19 +96,8 @@ SimValidationRow validate_ttp(const SimValidationConfig& config,
 
     const auto inside =
         base.scaled(sat.critical_scale * config.inside_scale_ttp);
-    sim::SimConfig cfg;
-    cfg.protocol = sim::Protocol::kTtp;
-    cfg.ttp = params;
-    cfg.bandwidth = bw;
-    cfg.ttrt = analysis::select_ttrt(inside, params.ring, bw);
-    cfg.worst_case_phasing = true;
-    cfg.async_model = sim::AsyncModel::kSaturating;
+    auto cfg = sim::make_sim_config(inside, params, bw, config.horizon_periods);
     cfg.seed = config.seed + i;
-    cfg.horizon = config.horizon_periods * inside.max_period();
-    for (const auto& s : inside.streams()) {
-      cfg.sync_bandwidth_per_stream.push_back(
-          analysis::ttp_local_bandwidth(s, params, bw, cfg.ttrt).value_or(0.0));
-    }
     const auto inside_sim = sim::make_simulator(inside, cfg);
     const auto inside_metrics = inside_sim->run();
     if (inside_metrics.deadline_misses > 0) ++row.false_negatives;
@@ -123,16 +106,9 @@ SimValidationRow validate_ttp(const SimValidationConfig& config,
     if (ratio > 2.0 + 1e-9) ++row.johnson_violations;
 
     const auto outside = base.scaled(sat.critical_scale * config.outside_scale);
-    sim::SimConfig out_cfg = cfg;
-    out_cfg.ttrt = analysis::select_ttrt(outside, params.ring, bw);
-    out_cfg.horizon = config.horizon_periods * outside.max_period();
-    out_cfg.sync_bandwidth_per_stream.clear();
-    for (const auto& s : outside.streams()) {
-      out_cfg.sync_bandwidth_per_stream.push_back(
-          analysis::ttp_local_bandwidth(s, params, bw, out_cfg.ttrt)
-              .value_or(0.0));
-    }
-    if (sim::run_simulation(outside, out_cfg).deadline_misses == 0) {
+    cfg = sim::make_sim_config(outside, params, bw, config.horizon_periods);
+    cfg.seed = config.seed + i;
+    if (sim::run_simulation(outside, cfg).deadline_misses == 0) {
       ++row.outside_clean;
     }
   }

@@ -3,9 +3,9 @@
 // The event engine used to schedule `std::function<void()>` closures: every
 // push heap-allocated a capture block and the scheduler knew nothing about
 // what it was firing. Events are now a flat tagged struct: the scheduler
-// pools them (no per-event allocation), validation errors can name the
-// event kind, and the protocol simulators dispatch on the tag in one
-// switch instead of re-capturing their state per event.
+// stores them by value (no per-event allocation), validation errors can
+// name the event kind, and the protocol simulators dispatch on the tag in
+// one switch instead of re-capturing their state per event.
 
 #pragma once
 
@@ -54,7 +54,7 @@ enum class EventKind : std::uint8_t {
 /// Display name for an event kind (used by SIM_CHECK messages).
 const char* to_string(EventKind kind);
 
-/// One scheduled event. Flat POD: the queue pools these by value, so an
+/// One scheduled event. Flat POD: the queue stores these by value, so an
 /// event costs no allocation and carries no destructor. `at`/`seq` are
 /// assigned by the queue at push; the remaining fields are the payload the
 /// handler switches on (unused fields keep their defaults).

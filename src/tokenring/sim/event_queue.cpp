@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <sstream>
 
 #include "tokenring/common/checks.hpp"
@@ -10,31 +9,17 @@
 namespace tokenring::sim {
 
 namespace {
-// Day indices past this are outside the exactly-representable integer range
-// of a double; such events always live in the far heap.
-constexpr double kMaxDay = 9.0e15;
-constexpr double kMinWidth = 1e-12;
-constexpr double kMaxWidth = 1e9;
-// Rebuild hysteresis: a same-time event burst crowds one bucket no matter
-// the width, so adaptation must not re-trigger on every pop.
-constexpr std::uint64_t kMinPopsBetweenRebuilds = 64;
+// The std heap algorithms keep the greatest element in front, so "greater"
+// means "fires later".
+bool fires_later(const Event& a, const Event& b) {
+  if (a.at != b.at) return a.at > b.at;
+  return a.seq > b.seq;
+}
 }  // namespace
 
-EventQueue::EventQueue() : buckets_(kNumBuckets) {}
-
-std::uint64_t EventQueue::day_of(double at) const {
-  const double q = at / width_;
-  if (q >= kMaxDay) return std::numeric_limits<std::uint64_t>::max();
-  return static_cast<std::uint64_t>(q);
-}
-
-bool EventQueue::is_near(std::uint64_t day) const {
-  return day >= cur_day_ && day - cur_day_ < kNumBuckets;
-}
-
 void EventQueue::push(Seconds at, Event ev) {
-  // SIM_CHECK: a NaN or negative key would silently corrupt the bucket and
-  // heap order; reject it with a message naming the event kind.
+  // SIM_CHECK: a NaN key would silently corrupt the heap order; reject it,
+  // and an infinite or negative one, with a message naming the event kind.
   if (!(std::isfinite(at) && at >= 0.0)) {
     std::ostringstream os;
     os << "event time must be finite and >= 0, got " << at
@@ -44,163 +29,21 @@ void EventQueue::push(Seconds at, Event ev) {
   }
   ev.at = at;
   ev.seq = next_seq_++;
-  std::uint32_t ref;
-  if (free_.empty()) {
-    ref = static_cast<std::uint32_t>(slab_.size());
-    slab_.push_back(ev);
-  } else {
-    ref = free_.back();
-    free_.pop_back();
-    slab_[ref] = ev;
-  }
-  const Entry entry{at, ev.seq, ref};
-  const std::uint64_t day = day_of(at);
-  // Pushing earlier than everything popped so far (legal for a standalone
-  // queue) slides the scan window back; forward filtering still finds any
-  // entry that is now beyond the nominal window.
-  if (day < cur_day_) cur_day_ = day;
-  insert_entry(entry);
-  ++size_;
-  min_.valid = false;
+  heap_.push_back(ev);
+  std::push_heap(heap_.begin(), heap_.end(), fires_later);
 }
 
-void EventQueue::insert_entry(const Entry& entry) {
-  const std::uint64_t day = day_of(entry.at);
-  if (is_near(day)) {
-    buckets_[day & kBucketMask].push_back(entry);
-    ++near_count_;
-  } else {
-    far_.push(entry);
-  }
+Seconds EventQueue::next_time() const {
+  TR_EXPECTS(!heap_.empty());
+  return heap_.front().at;
 }
-
-const EventQueue::MinLoc& EventQueue::find_min() const {
-  TR_EXPECTS(size_ != 0);
-  if (min_.valid) return min_;
-
-  MinLoc best;
-  std::uint64_t best_seq = 0;
-  std::size_t bucket_scan = 0;
-  std::uint64_t empty_days = 0;
-  const auto consider = [&](std::size_t b, std::size_t i) {
-    const Entry& e = buckets_[b][i];
-    if (!best.valid || e.at < best.at ||
-        (e.at == best.at && e.seq < best_seq)) {
-      best.valid = true;
-      best.in_near = true;
-      best.bucket = b;
-      best.pos = i;
-      best.at = e.at;
-      best_seq = e.seq;
-    }
-  };
-
-  if (near_count_ > 0) {
-    for (std::uint64_t d = cur_day_;; ++d) {
-      const std::size_t b = d & kBucketMask;
-      const auto& bucket = buckets_[b];
-      for (std::size_t i = 0; i < bucket.size(); ++i) {
-        // Entries of a later lap (or left beyond the window by a backwards
-        // push) share the bucket; filter by day.
-        if (day_of(bucket[i].at) == d) consider(b, i);
-      }
-      if (best.valid) {
-        bucket_scan = bucket.size();
-        break;
-      }
-      if (++empty_days > kMaxEmptyScan) {
-        // Day walk is going nowhere (width far too narrow for the current
-        // spacing): one linear sweep — the minimum over every near entry
-        // needs no day filter.
-        for (std::size_t b2 = 0; b2 < kNumBuckets; ++b2) {
-          for (std::size_t i = 0; i < buckets_[b2].size(); ++i) consider(b2, i);
-        }
-        break;
-      }
-    }
-  }
-  // The far heap can hold an earlier event than the near ring (its
-  // membership was decided at push time, against an older window).
-  if (!far_.empty()) {
-    const Entry& top = far_.top();
-    if (!best.valid || top.at < best.at ||
-        (top.at == best.at && top.seq < best_seq)) {
-      best.valid = true;
-      best.in_near = false;
-      best.at = top.at;
-    }
-  }
-  last_empty_scan_ = empty_days;
-  last_bucket_scan_ = bucket_scan;
-  min_ = best;
-  return min_;
-}
-
-Seconds EventQueue::next_time() const { return find_min().at; }
 
 Event EventQueue::pop() {
-  const MinLoc loc = find_min();
-  Entry entry;
-  bool crowded_distinct = false;
-  if (loc.in_near) {
-    auto& bucket = buckets_[loc.bucket];
-    entry = bucket[loc.pos];
-    if (last_bucket_scan_ > kMaxBucketScan) {
-      // Only narrow the width when the crowd is spread in time; a
-      // same-instant burst maps to one bucket at any width.
-      for (const auto& e : bucket) {
-        if (e.at != entry.at) {
-          crowded_distinct = true;
-          break;
-        }
-      }
-    }
-    bucket[loc.pos] = bucket.back();
-    bucket.pop_back();
-    --near_count_;
-  } else {
-    entry = far_.top();
-    far_.pop();
-  }
-  --size_;
-  min_.valid = false;
-  cur_day_ = day_of(entry.at);
-  const Event out = slab_[entry.ref];
-  free_.push_back(entry.ref);
-
-  // Self-tuning: widen when pops walk long runs of empty days, narrow when
-  // the winning bucket is crowded with time-spread entries; hysteresis
-  // keeps pathological inputs from rebuilding per pop.
-  ++pops_since_rebuild_;
-  if (pops_since_rebuild_ > kMinPopsBetweenRebuilds) {
-    if (last_empty_scan_ > kMaxEmptyScan / 2 && width_ < kMaxWidth) {
-      rebuild(width_ * 16.0);
-    } else if (crowded_distinct && width_ > kMinWidth) {
-      rebuild(width_ / 16.0);
-    }
-  }
-  last_empty_scan_ = 0;
-  last_bucket_scan_ = 0;
+  TR_EXPECTS(!heap_.empty());
+  std::pop_heap(heap_.begin(), heap_.end(), fires_later);
+  const Event out = heap_.back();
+  heap_.pop_back();
   return out;
-}
-
-void EventQueue::rebuild(double new_width) {
-  std::vector<Entry> pending;
-  pending.reserve(near_count_);
-  for (auto& bucket : buckets_) {
-    pending.insert(pending.end(), bucket.begin(), bucket.end());
-    bucket.clear();
-  }
-  near_count_ = 0;
-  width_ = std::min(std::max(new_width, kMinWidth), kMaxWidth);
-  // Re-anchor the window at the earliest pending entry (far entries stay
-  // in the heap; the pop-time comparison keeps them ordered regardless).
-  std::uint64_t min_day = std::numeric_limits<std::uint64_t>::max();
-  for (const auto& e : pending) min_day = std::min(min_day, day_of(e.at));
-  if (min_day != std::numeric_limits<std::uint64_t>::max()) cur_day_ = min_day;
-  for (const auto& e : pending) insert_entry(e);
-  pops_since_rebuild_ = 0;
-  min_.valid = false;
 }
 
 }  // namespace tokenring::sim

@@ -1,51 +1,36 @@
 // Time-ordered event queue for the discrete-event simulator.
 //
-// Calendar queue (bucketed scheduler) over pooled typed events. Events are
-// keyed by (time, sequence): ties in time fire in insertion order, which
-// keeps simulations deterministic for a fixed seed — the bucket layout is
-// purely an access-path optimization and never changes the pop order.
-//
-// Layout:
-//  * EventPool — a slab of Event values with a free list; push takes a slot,
-//    pop returns it. Steady-state operation allocates nothing.
-//  * Near ring — kNumBuckets "days" of width `width_` seconds. An event
-//    whose day lies within kNumBuckets of the current day goes into
-//    bucket[day % kNumBuckets]; pop scans forward from the current day and
-//    picks the (at, seq)-minimum of the first non-empty day.
-//  * Far heap — events beyond the near window (or beyond the day-index
-//    range of a double) fall back to a plain binary min-heap; pop always
-//    compares the near candidate against the heap top, so the global
-//    (at, seq) order is exact regardless of which side an event sits on.
-//
-// The bucket width self-tunes: a pop that scans too many empty days doubles
-// the width, a pop that scans an overcrowded bucket halves it; either way
-// the near ring is rebuilt in place (rare, amortized O(1) per event).
+// A binary min-heap of typed Event values keyed by (time, sequence): ties in
+// time fire in insertion order, which keeps simulations deterministic for a
+// fixed seed. (time, seq) is a strict total order, so the pop sequence is
+// fixed by the pushes alone. The simulators keep few events pending (about
+// one per stream, fault-plan entry and Poisson async source, plus the
+// medium's next event), so a plain heap is all the structure the queue
+// needs.
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "tokenring/sim/event.hpp"
 
 namespace tokenring::sim {
 
-/// Calendar queue of (time, seq, Event) with exact FIFO tie-breaking.
+/// Binary min-heap of (time, seq, Event) with exact FIFO tie-breaking.
 class EventQueue {
  public:
-  EventQueue();
-
   /// Enqueue `ev` to fire at absolute time `at`. SIM_CHECK: `at` must be
   /// finite and >= 0, else a PreconditionError naming the event kind is
-  /// thrown (a NaN or negative key would silently corrupt the bucket/heap
-  /// order). Fills in ev.at and ev.seq.
+  /// thrown (a NaN key would silently corrupt the heap order; an infinite
+  /// or negative one is a model bug). Fills in ev.at and ev.seq.
   void push(Seconds at, Event ev);
 
   /// True iff no events remain.
-  bool empty() const { return size_ == 0; }
+  bool empty() const { return heap_.empty(); }
   /// Number of pending events.
-  std::size_t size() const { return size_; }
+  std::size_t size() const { return heap_.size(); }
   /// Firing time of the earliest event. Requires non-empty.
   Seconds next_time() const;
 
@@ -53,63 +38,8 @@ class EventQueue {
   Event pop();
 
  private:
-  // Near-ring geometry. 4096 buckets keeps a full empty-lap probe cheap
-  // while covering width_*4096 seconds of lookahead before the far heap
-  // kicks in.
-  static constexpr std::uint64_t kNumBuckets = 4096;
-  static constexpr std::uint64_t kBucketMask = kNumBuckets - 1;
-  // Self-tuning thresholds: > kMaxEmptyScan empty days probed in one pop
-  // => width too narrow (double it); > kMaxBucketScan entries filtered in
-  // the winning bucket => width too wide (halve it).
-  static constexpr std::uint64_t kMaxEmptyScan = 512;
-  static constexpr std::size_t kMaxBucketScan = 128;
-
-  struct Entry {
-    double at = 0.0;
-    std::uint64_t seq = 0;
-    std::uint32_t ref = 0;  // pool slot
-  };
-  struct HeapLater {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-  /// Slot in the near ring the minimum was found at (for pop-after-peek).
-  struct MinLoc {
-    bool valid = false;
-    bool in_near = false;
-    std::size_t bucket = 0;
-    std::size_t pos = 0;
-    double at = 0.0;
-  };
-
-  std::uint64_t day_of(double at) const;
-  bool is_near(std::uint64_t day) const;
-  void insert_entry(const Entry& entry);
-  /// Locate the global (at, seq) minimum; caches the result until the next
-  /// mutation. Requires non-empty.
-  const MinLoc& find_min() const;
-  /// Re-bucket every near entry under the current width_/cur_day_ (far
-  /// entries stay in the heap; membership is re-decided per entry).
-  void rebuild(double new_width);
-
-  // Pooled event payloads.
-  std::vector<Event> slab_;
-  std::vector<std::uint32_t> free_;
-
-  std::vector<std::vector<Entry>> buckets_;
-  std::priority_queue<Entry, std::vector<Entry>, HeapLater> far_;
-  double width_ = 1e-6;
-  std::uint64_t cur_day_ = 0;   // scan never needs to look earlier
-  std::size_t near_count_ = 0;
-  std::size_t size_ = 0;
+  std::vector<Event> heap_;  // heap order: the earliest (at, seq) in front
   std::uint64_t next_seq_ = 0;
-  mutable MinLoc min_;          // cached find_min result
-  // Scan statistics from the last find_min, feeding width adaptation.
-  mutable std::uint64_t last_empty_scan_ = 0;
-  mutable std::size_t last_bucket_scan_ = 0;
-  std::uint64_t pops_since_rebuild_ = 0;
 };
 
 }  // namespace tokenring::sim

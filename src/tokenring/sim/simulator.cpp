@@ -7,13 +7,16 @@
 
 namespace tokenring::sim {
 
+// Both entry points refuse only what is provably in the past; a NaN or
+// infinite time falls through to the queue's key check, which names the
+// event kind.
 void Simulator::schedule_in(Seconds delay, Event ev) {
-  TR_EXPECTS(delay >= 0.0);
+  TR_EXPECTS(!(delay < 0.0));
   queue_.push(now_ + delay, ev);
 }
 
 void Simulator::schedule_at(Seconds at, Event ev) {
-  TR_EXPECTS_MSG(at >= now_, "cannot schedule into the past");
+  TR_EXPECTS_MSG(!(at < now_), "cannot schedule into the past");
   queue_.push(at, ev);
 }
 

@@ -1,8 +1,8 @@
 // Discrete-event simulation engine.
 //
 // A thin deterministic scheduler over two sources of work:
-//  * the calendar queue of typed events (see event_queue.hpp), delivered to
-//    the installed EventHandler in exact (time, seq) order; and
+//  * the heap of typed events (see event_queue.hpp), delivered to the
+//    installed EventHandler in exact (time, seq) order; and
 //  * an optional FrontierSource — a lazily advanced "next predictable
 //    action" time (the TTP token walk). The engine interleaves the frontier
 //    with the queue by time; at equal times queued events fire first, so a
@@ -10,7 +10,7 @@
 //    token before the visit runs.
 //
 // Time never goes backwards; scheduling in the past is a contract
-// violation.
+// violation, and a NaN or infinite time is refused by the queue's key check.
 
 #pragma once
 

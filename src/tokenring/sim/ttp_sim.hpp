@@ -26,7 +26,7 @@
 //    (collect_rotation_stats = false, async kNone, no trace sink) the walk
 //    additionally fast-forwards whole idle laps in O(1) whenever no
 //    message is queued anywhere — the huge-ring/long-horizon mode.
-//  * kEager: every hop is a typed kTtpTokenHop event through the calendar
+//  * kEager: every hop is a typed kTtpTokenHop event through the event
 //    queue — the original engine's shape, kept as the differential-test
 //    and benchmark reference.
 //

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "tokenring/experiments/sim_validation_study.hpp"
 #include "tokenring/experiments/station_count_study.hpp"
 #include "tokenring/experiments/ttrt_study.hpp"
+#include "tokenring/obs/registry.hpp"
 
 namespace tokenring::experiments {
 namespace {
@@ -469,6 +471,60 @@ TEST(SimValidationStudy, SoundOnSmallSample) {
       EXPECT_EQ(a.max_intervisit_ratio, b.max_intervisit_ratio);
     }
   }
+}
+
+TEST(SimValidationStudy, DefaultRowsAndSimulatorWorkAreFrozen) {
+  // The default study (seed 29, 10 sets per cell, 12 stations, 10 and
+  // 100 Mbps), captured from the engine before its event queue was
+  // rewritten: every row field, the FDDI inter-visit maxima bit for bit,
+  // and the simulator work the call does. An engine change that moves any
+  // of these changes what the study validates.
+  struct GoldenRow {
+    const char* protocol;
+    double bandwidth_mbps;
+    std::size_t sets_tested;
+    std::size_t degenerate_skipped;
+    std::size_t false_negatives;
+    std::size_t outside_clean;
+    std::size_t johnson_violations;
+    double max_intervisit_ratio;
+  };
+  const std::vector<GoldenRow> golden = {
+      {"ieee8025", 10, 10, 0, 0, 0, 0, 0.0},
+      {"modified8025", 10, 10, 0, 0, 0, 0, 0.0},
+      {"fddi", 10, 10, 0, 0, 0, 0, 0x1.f06f73b801a09p+0},
+      {"ieee8025", 100, 10, 0, 0, 0, 0, 0.0},
+      {"modified8025", 100, 10, 0, 0, 0, 0, 0.0},
+      {"fddi", 100, 10, 0, 0, 0, 0, 0x1.f496aed43313bp+0},
+  };
+  const auto counter = [](const obs::MetricsSnapshot& snap,
+                          const std::string& name) -> std::uint64_t {
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+  };
+
+  const auto before = obs::Registry::global().snapshot();
+  const auto rows = run_sim_validation(SimValidationConfig{});
+  const auto after = obs::Registry::global().snapshot();
+
+  ASSERT_EQ(rows.size(), golden.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto& got = rows[i];
+    const auto& want = golden[i];
+    SCOPED_TRACE(std::string(want.protocol) + " @ " +
+                 std::to_string(want.bandwidth_mbps) + " Mbps");
+    EXPECT_EQ(got.protocol, want.protocol);
+    EXPECT_EQ(got.bandwidth_mbps, want.bandwidth_mbps);
+    EXPECT_EQ(got.sets_tested, want.sets_tested);
+    EXPECT_EQ(got.degenerate_skipped, want.degenerate_skipped);
+    EXPECT_EQ(got.false_negatives, want.false_negatives);
+    EXPECT_EQ(got.outside_clean, want.outside_clean);
+    EXPECT_EQ(got.johnson_violations, want.johnson_violations);
+    EXPECT_EQ(got.max_intervisit_ratio, want.max_intervisit_ratio);
+  }
+  EXPECT_EQ(counter(after, "sim.events") - counter(before, "sim.events"),
+            5'938'245u);
+  EXPECT_EQ(counter(after, "sim.runs") - counter(before, "sim.runs"), 120u);
 }
 
 TEST(SimValidationStudy, Preconditions) {

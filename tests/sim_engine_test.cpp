@@ -1,15 +1,18 @@
-// Engine-layer tests: the pooled-event calendar queue (exact (time, seq)
-// order, SIM_CHECK key validation, randomized differential check against a
-// reference heap), the simulator loop (clock, horizon, storm guard), the
-// frontier work source, and frontier-vs-eager engine equivalence for the
-// TTP simulator (bit-identical metrics, byte-identical JSONL traces).
+// Engine-layer tests: the event queue (exact (time, seq) order, SIM_CHECK
+// key validation, randomized differential check against a linear-scan
+// reference), the simulator loop (clock, horizon, storm guard, key checks
+// through both scheduling entry points), the frontier work source, and
+// frontier-vs-eager engine equivalence for the TTP simulator (bit-identical
+// metrics, byte-identical JSONL traces).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "tokenring/common/checks.hpp"
@@ -97,8 +100,8 @@ TEST(EventQueue, NonFiniteTimeRejectedNamingTheKind) {
 }
 
 TEST(EventQueue, PushEarlierThanCurrentWindowStillPopsInOrder) {
-  // Pop far enough to move the calendar window forward, then push an
-  // earlier event: it must come out first.
+  // Pop half the queue, then push an event earlier than every remaining
+  // one: it must come out first.
   EventQueue q;
   for (int i = 0; i < 100; ++i) q.push(1e-3 * (i + 1), user_event(i));
   for (int i = 0; i < 50; ++i) q.pop();
@@ -108,8 +111,8 @@ TEST(EventQueue, PushEarlierThanCurrentWindowStillPopsInOrder) {
 }
 
 TEST(EventQueue, FarFutureEventsMergeExactly) {
-  // Events far outside the near window live in the overflow heap; the pop
-  // order must still be globally exact.
+  // Keys nine and more orders of magnitude apart; the pop order must still
+  // be globally exact.
   EventQueue q;
   q.push(1e9, user_event(1));    // far future
   q.push(1e-6, user_event(0));   // near
@@ -154,7 +157,7 @@ TEST(EventQueue, DifferentialAgainstReferenceHeap) {
       } else if (kind < 0.8) {
         at = low_water + rng.uniform(0.0, 1e-3);
       } else {
-        at = low_water + rng.uniform(0.0, 1e6);  // far heap
+        at = low_water + rng.uniform(0.0, 1e6);  // far future
       }
       q.push(at, user_event(pushes));
       ref.push_back(Ref{at, next_seq++, pushes});
@@ -257,6 +260,37 @@ TEST(Simulator, SchedulingIntoPastThrows) {
   sim.schedule_at(1.0, user_event(0));
   sim.run_until(2.0);
   ASSERT_EQ(h.indices.size(), 1u);
+}
+
+TEST(Simulator, NonFiniteTimesGetTheKeyCheckNamingTheKind) {
+  // A NaN or infinite time is not "the past": through either entry point
+  // it must reach the queue's key check, whose message names the kind.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto refusal = [](const std::function<void()>& schedule) {
+    try {
+      schedule();
+    } catch (const PreconditionError& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  Simulator sim;
+  sim.run_until(1.0);  // now() = 1: the past is non-empty
+  Event arrival;
+  arrival.kind = EventKind::kPdpArrival;
+  Event hop;
+  hop.kind = EventKind::kTtpTokenHop;
+  Event fault;
+  fault.kind = EventKind::kFault;
+
+  const std::string at_nan = refusal([&] { sim.schedule_at(nan, arrival); });
+  EXPECT_NE(at_nan.find("pdp-arrival"), std::string::npos) << at_nan;
+  const std::string in_nan = refusal([&] { sim.schedule_in(nan, hop); });
+  EXPECT_NE(in_nan.find("ttp-token-hop"), std::string::npos) << in_nan;
+  const std::string in_inf = refusal([&] { sim.schedule_in(inf, fault); });
+  EXPECT_NE(in_inf.find("'fault'"), std::string::npos) << in_inf;
+  EXPECT_EQ(sim.run_until(10.0), 0u);  // nothing leaked into the queue
 }
 
 TEST(Simulator, CountsExecutedEvents) {
