@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "tokenring/analysis/kernels.hpp"
 #include "tokenring/analysis/ttrt.hpp"
@@ -81,8 +82,8 @@ PdpBatchKernel::PdpBatchKernel(std::span<const msg::MessageSet> bases,
 
   base_payload_.resize(stations_ * lanes_);
   cost_.resize(stations_ * lanes_);
-  tasks_.resize(lanes_);
-  failed_hint_.assign(lanes_, static_cast<std::size_t>(-1));
+  search_.resize(lanes_);
+  probe_.resize(stations_);
   for (std::size_t l = 0; l < lanes_; ++l) {
     TR_EXPECTS_MSG(bases[l].size() == stations_,
                    "batch lanes must share one station count");
@@ -90,12 +91,16 @@ PdpBatchKernel::PdpBatchKernel(std::span<const msg::MessageSet> bases,
     // untouched: the base permutation is the scaled permutation (same
     // hoist as the scalar kernel).
     const msg::MessageSet sorted = bases[l].rm_sorted();
-    tasks_[l].resize(stations_);
+    // Committed costs and responses start at 0: every probe dominates
+    // them, and a zero response makes the first fixpoints cold.
+    auto& search = search_[l];
+    search.committed.resize(stations_);
+    search.response.assign(stations_, 0.0);
     for (std::size_t i = 0; i < stations_; ++i) {
       const auto& s = sorted.streams()[i];
       base_payload_[i * lanes_ + l] = s.payload_bits;
-      tasks_[l][i].period = s.period;
-      tasks_[l][i].deadline = s.relative_deadline;
+      search.committed[i].period = s.period;
+      search.committed[i].deadline = s.relative_deadline;
     }
   }
 }
@@ -118,16 +123,20 @@ void PdpBatchKernel::evaluate(std::span<const double> scales,
       theta_, frame_time_, info_time_, overhead_time_, bw_, cost_.data());
 
   // Screened RTA per live lane: identical verdict to the scalar kernel (the
-  // failed-task hint only reorders which task is tested first).
+  // failed-task hint only reorders which task is tested first, the warm
+  // start only where each fixpoint starts).
+  RtaWork work;
   for (std::size_t l = 0; l < lanes_; ++l) {
     if (!active[l]) continue;
-    auto& tasks = tasks_[l];
+    auto& search = search_[l];
     for (std::size_t i = 0; i < stations_; ++i) {
-      tasks[i].cost = cost_[i * lanes_ + l];
+      probe_[i] = {search.committed[i].period, cost_[i * lanes_ + l],
+                   search.committed[i].deadline};
     }
-    verdicts[l] =
-        rta_feasible_fast(tasks, blocking_, &failed_hint_[l]) ? 1 : 0;
+    verdicts[l] = rta_feasible_fast(probe_, blocking_, &search) ? 1 : 0;
+    work += std::exchange(search.work, {});
   }
+  record_rta_work(work);
 }
 
 void PdpBatchKernel::evaluate(std::span<const double> scales,

@@ -146,12 +146,25 @@ FpSetVerdict lsd_point_test_all(const std::vector<FpTask>& tasks,
   return v;
 }
 
-std::optional<Seconds> response_time(const std::vector<FpTask>& tasks,
-                                     std::size_t i, Seconds blocking,
-                                     RtaStatus* status) {
-  TR_EXPECTS(i < tasks.size());
+namespace {
+
+// The RTA fixpoint r <- B + C'_i + sum_{j<i} C'_j * ceil(r / P_j) for task
+// i, started at `start`; adds the iterations it runs to `iterations`.
+//
+// Every step of the right-hand side f is monotone in r (fl division, ceil,
+// products with non-negative costs and fl sums all preserve order), and
+// f(r) >= B + C'_i. So from the cold start B + C'_i the iterates rise to the
+// least r >= B + C'_i with f(r) <= r, where f(r) = r, and stop there or
+// past the deadline. Any start between B + C'_i and that least fixpoint
+// keeps f(r) >= r, stays at or below the fixpoint, and dominates the cold
+// iterate step for step: it returns the same value in no more iterations,
+// and crosses the deadline iff the cold run does.
+std::optional<Seconds> fixpoint(const std::vector<FpTask>& tasks,
+                                std::size_t i, Seconds blocking,
+                                Seconds start, RtaStatus* status,
+                                std::uint64_t& iterations) {
   const Seconds deadline = tasks[i].effective_deadline();
-  Seconds r = blocking + tasks[i].cost;
+  Seconds r = start;
   if (r > deadline) {
     if (status) *status = RtaStatus::kDeadlineExceeded;
     return std::nullopt;
@@ -162,21 +175,55 @@ std::optional<Seconds> response_time(const std::vector<FpTask>& tasks,
       next += tasks[j].cost * std::ceil(r / tasks[j].period);
     }
     if (next > deadline) {
+      iterations += static_cast<std::uint64_t>(iter) + 1;
       if (status) *status = RtaStatus::kDeadlineExceeded;
       return std::nullopt;
     }
     if (next <= r) {  // fixpoint (next == r up to fp noise)
+      iterations += static_cast<std::uint64_t>(iter) + 1;
       if (status) *status = RtaStatus::kConverged;
       return next;
     }
     r = next;
   }
+  iterations += kMaxRtaIterations;
   // Iteration cap: treat as unschedulable (conservative) but tell the
   // caller — and the run manifest — that this was a bailout, not a proof.
   static const obs::Counter cap_hits("analysis.rta_cap_hits");
   cap_hits.add();
   if (status) *status = RtaStatus::kIterationCapReached;
   return std::nullopt;
+}
+
+// A committed response bounds task i's least fixpoint from below only while
+// the task is the same and its cost has not fallen: the right-hand side of
+// the fixpoint grows with every cost, so the least fixpoint does too. Costs
+// are compared, not scales: an augmented length is not bitwise monotone in
+// the scale across an exact frame multiple.
+bool dominates(const FpTask& now, const FpTask& committed) {
+  return now.cost >= committed.cost && now.period == committed.period &&
+         now.deadline == committed.deadline;
+}
+
+// Responses found by the current call, committed to its search state only
+// after a schedulable verdict. One buffer per thread, so a search state
+// holds one response per task; it allocates only when a thread first meets
+// a larger task set.
+std::vector<Seconds>& pending_responses(std::size_t n) {
+  thread_local std::vector<Seconds> pending;
+  if (pending.size() < n) pending.resize(n);
+  return pending;
+}
+
+}  // namespace
+
+std::optional<Seconds> response_time(const std::vector<FpTask>& tasks,
+                                     std::size_t i, Seconds blocking,
+                                     RtaStatus* status) {
+  TR_EXPECTS(i < tasks.size());
+  std::uint64_t iterations = 0;
+  return fixpoint(tasks, i, blocking, blocking + tasks[i].cost, status,
+                  iterations);
 }
 
 FpSetVerdict response_time_analysis(const std::vector<FpTask>& tasks,
@@ -201,31 +248,67 @@ FpSetVerdict response_time_analysis(const std::vector<FpTask>& tasks,
   return v;
 }
 
+void record_rta_work(const RtaWork& work) {
+  static const obs::Counter runs("analysis.rta.fixpoint_runs");
+  static const obs::Counter iterations("analysis.rta.iterations");
+  runs.add(work.fixpoint_runs);
+  iterations.add(work.iterations);
+}
+
 bool rta_feasible_fast(const std::vector<FpTask>& tasks, Seconds blocking,
-                       std::size_t* failed_hint) {
+                       RtaSearchState* state) {
   if (tasks.empty()) return true;
+  const std::size_t n = tasks.size();
+  if (state && state->committed.size() != n) {
+    state->committed = tasks;
+    state->response.assign(n, 0.0);
+  }
+  Seconds* pending = state ? pending_responses(n).data() : nullptr;
+  const auto passes = [&](std::size_t i, bool warm) {
+    if (!state) return response_time(tasks, i, blocking).has_value();
+    const Seconds cold = blocking + tasks[i].cost;
+    const Seconds start = warm ? std::max(cold, state->response[i]) : cold;
+    ++state->work.fixpoint_runs;
+    const auto r = fixpoint(tasks, i, blocking, start, nullptr,
+                            state->work.iterations);
+    if (r) pending[i] = *r;
+    return r.has_value();
+  };
+
   // Failed-task-first: inside a saturation bisection, the unschedulable
   // side usually fails at the same task as the previous probe; testing it
   // first turns most "false" evaluations into a single fixpoint run.
   const std::size_t hint =
-      failed_hint ? *failed_hint : static_cast<std::size_t>(-1);
-  if (hint < tasks.size()) {
-    if (!response_time(tasks, hint, blocking)) return false;
+      state ? state->failed_hint : RtaSearchState::kNoTask;
+  if (hint < n) {
+    bool warm = true;
+    for (std::size_t j = 0; j <= hint && warm; ++j) {
+      warm = dominates(tasks[j], state->committed[j]);
+    }
+    if (!passes(hint, warm)) return false;
   }
   if (utilization_quick_reject(tasks, blocking)) {
     // The proof names the lowest-priority task as the infeasible one.
-    if (failed_hint) *failed_hint = tasks.size() - 1;
+    if (state) state->failed_hint = n - 1;
     return false;
   }
   HyperbolicScreen screen;
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
+  bool warm = state != nullptr;  // every cost so far dominates its commit
+  for (std::size_t i = 0; i < n; ++i) {
+    warm = warm && dominates(tasks[i], state->committed[i]);
     if (i != hint && !screen.accepts(tasks[i], blocking)) {
-      if (!response_time(tasks, i, blocking)) {
-        if (failed_hint) *failed_hint = i;
+      if (!passes(i, warm)) {
+        if (state) state->failed_hint = i;
         return false;
       }
+    } else if (i != hint && state) {
+      pending[i] = 0.0;  // screened: no response known
     }
     screen.advance(tasks[i]);
+  }
+  if (state) {
+    state->committed = tasks;
+    std::copy(pending, pending + n, state->response.begin());
   }
   return true;
 }

@@ -9,19 +9,26 @@
 //                               printed in the paper (minimize workload
 //                               ratio over R_i = {l*P_k}), and
 //  * `response_time_analysis` — the fixpoint-iteration formulation
-//                               (Joseph/Pandya/Audsley), which gives the
-//                               same verdict but runs orders of magnitude
-//                               faster inside Monte Carlo loops.
+//                               (Joseph/Pandya/Audsley), which runs orders
+//                               of magnitude faster inside Monte Carlo
+//                               loops.
 //
-// A randomized property test asserts the two agree; the Monte Carlo driver
-// uses the fast one.
+// In exact arithmetic the two give the same verdict. In floating point they
+// count arrivals differently (RTA takes ceil(r/P); the point test snaps
+// fl(l*P)/P back to l), so they can split when a response lands within an
+// ulp of a period multiple; the randomized property test pins agreement on
+// its corpus, and ROADMAP.md keeps two reproducers of the split. The Monte
+// Carlo driver uses RTA.
 //
-// Inputs are plain vectors sorted by increasing period (rate-monotonic
-// priority order, index 0 = highest priority). Deadlines equal periods.
+// Inputs are plain vectors sorted by non-decreasing effective deadline,
+// index 0 = highest priority. With implicit deadlines (D = P, the paper's
+// model) that is rate-monotonic order; constrained deadlines (D <= P) are
+// supported in deadline-monotonic order.
 
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -112,17 +119,56 @@ FpSetVerdict lsd_point_test_all(const std::vector<FpTask>& tasks,
 
 /// Response-time analysis for task `i`:
 ///   r^{m+1} = B + C'_i + sum_{j<i} ceil(r^m / P_j) * C'_j
-/// starting from r^0 = B + C'_i, until fixpoint or r > D_i.
-/// Returns the response time if schedulable; `status`, when non-null,
-/// distinguishes deadline misses from iteration-cap bailouts.
+/// starting from the cold value r^0 = B + C'_i, until fixpoint or r > D_i.
+/// Returns the response time if schedulable: the least r >= B + C'_i with
+/// r^{m+1}(r) = r. `status`, when non-null, distinguishes deadline misses
+/// from iteration-cap bailouts.
 std::optional<Seconds> response_time(const std::vector<FpTask>& tasks,
                                      std::size_t i, Seconds blocking,
                                      RtaStatus* status = nullptr);
 
-/// RTA over the whole set. Same verdict as `lsd_point_test_all` (both are
-/// exact for this model); this one is the fast path.
+/// RTA over the whole set; the cold oracle of `rta_feasible_fast`. Its
+/// verdict equals `lsd_point_test_all`'s except when a response lands
+/// within an ulp of a period multiple, where the two arrival counts differ
+/// (either way round; see the file comment).
 FpSetVerdict response_time_analysis(const std::vector<FpTask>& tasks,
                                     Seconds blocking);
+
+/// Fixpoint work counted by `rta_feasible_fast`: fixpoint runs started and
+/// iterations (evaluations of r^{m+1}) done.
+struct RtaWork {
+  std::uint64_t fixpoint_runs = 0;
+  std::uint64_t iterations = 0;
+
+  RtaWork& operator+=(const RtaWork& other) {
+    fixpoint_runs += other.fixpoint_runs;
+    iterations += other.iterations;
+    return *this;
+  }
+};
+
+/// Adds `work` to the obs counters "analysis.rta.fixpoint_runs" and
+/// "analysis.rta.iterations". The kernels call it once per probe, never
+/// inside the fixpoint loop.
+void record_rta_work(const RtaWork& work);
+
+/// What one boundary search carries from probe to probe of
+/// `rta_feasible_fast`: a search probes one task set whose periods and
+/// deadlines stay fixed while its costs move.
+struct RtaSearchState {
+  static constexpr std::size_t kNoTask = static_cast<std::size_t>(-1);
+
+  /// The task that failed last time; it is tested first.
+  std::size_t failed_hint = kNoTask;
+  /// The task array (costs included) of the last schedulable probe. Empty
+  /// or of another size, it is reset to the probe's tasks.
+  std::vector<FpTask> committed;
+  /// response[i] is task i's response time under `committed`, or 0 where
+  /// it is not known (a screen accepted the task).
+  std::vector<Seconds> response;
+  /// Work since the owner last took it (see `record_rta_work`).
+  RtaWork work;
+};
 
 /// Boolean RTA verdict with cheap screens around the exact per-task test:
 ///  * quick-reject: sum(cost/period) + blocking/P_last > 1 means the
@@ -132,15 +178,25 @@ FpSetVerdict response_time_analysis(const std::vector<FpTask>& tasks,
 ///    term folded into the task under test): while every deadline so far
 ///    is implicit, prod_{j<i}(1+U_j) * (1 + (C_i+B)/P_i) <= 2 proves task
 ///    i schedulable without running its fixpoint;
-///  * failed-task-first: `failed_hint` (in/out, optional) names the task
-///    that failed last time; re-testing it first lets the unschedulable
-///    side of a bisection exit after one fixpoint run.
-/// Tasks that no screen decides get the exact `response_time` fixpoint, so
-/// the verdict matches `response_time_analysis` (screens are margin-guarded
-/// sufficient/necessary conditions; the differential property test pins
-/// the agreement).
+///  * failed-task-first: `state->failed_hint` names the task that failed
+///    last time; re-testing it first lets the unschedulable side of a
+///    bisection exit after one fixpoint run;
+///  * warm start: task i's fixpoint starts from max(B + C'_i,
+///    state->response[i]) when every C'_j (j <= i) is at least its
+///    committed value and the task is the committed one, and from
+///    B + C'_i otherwise. Costs only raise r^{m+1}, so the committed
+///    response is then at or below the least fixpoint, and the iteration
+///    reaches the same value in no more steps (so it can hit
+///    kMaxRtaIterations only where a cold run would). A schedulable
+///    verdict commits the tasks and their responses; an unschedulable one
+///    commits nothing and moves only the hint.
+/// Tasks that no screen decides get the exact fixpoint, so the verdict and
+/// every committed response match the cold `response_time_analysis`
+/// (screens are margin-guarded sufficient/necessary conditions; the
+/// differential property tests pin the agreement). `state` is optional:
+/// without it there is no hint, no warm start and no work count.
 bool rta_feasible_fast(const std::vector<FpTask>& tasks, Seconds blocking,
-                       std::size_t* failed_hint = nullptr);
+                       RtaSearchState* state = nullptr);
 
 /// Boolean scheduling-point verdict with the same screens as
 /// `rta_feasible_fast` plus an incremental point walk: per-task point

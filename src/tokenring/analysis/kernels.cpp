@@ -1,6 +1,7 @@
 #include "tokenring/analysis/kernels.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "tokenring/analysis/ttrt.hpp"
 #include "tokenring/common/checks.hpp"
@@ -20,6 +21,10 @@ PdpScaleKernel::PdpScaleKernel(const msg::MessageSet& base,
     tasks_[i].period = sorted_[i].period;
     tasks_[i].deadline = sorted_[i].relative_deadline;
   }
+  // Sized here so no probe allocates; zero costs and responses make the
+  // first fixpoints cold.
+  search_.committed = tasks_;
+  search_.response.assign(tasks_.size(), 0.0);
 }
 
 bool PdpScaleKernel::operator()(double scale) const {
@@ -33,7 +38,9 @@ bool PdpScaleKernel::operator()(double scale) const {
     s.payload_bits *= scale;
     tasks_[i].cost = pdp_augmented_length(s, params_, bw_);
   }
-  return rta_feasible_fast(tasks_, blocking_, &failed_hint_);
+  const bool feasible = rta_feasible_fast(tasks_, blocking_, &search_);
+  record_rta_work(std::exchange(search_.work, {}));
+  return feasible;
 }
 
 TtpScaleKernel::TtpScaleKernel(const msg::MessageSet& base,

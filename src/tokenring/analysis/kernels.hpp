@@ -1,15 +1,16 @@
 // Allocation-free schedulability kernels in scale space.
 //
 // A saturation search (breakdown/saturation.hpp) probes one base message
-// set at ~40-60 scale factors per trial. The plain predicates re-derive
-// everything from the scaled set on every probe: copy the streams, sort
-// them, re-select the TTRT, recompute blocking. All of that is invariant
-// under uniform payload scaling — periods, deadlines, the priority
-// permutation, Theta, frame geometry, TTRT bids, per-station visit counts
-// and the blocking term depend only on quantities scaling leaves
-// untouched. These kernels hoist the invariant work into construction
-// (once per trial) and leave only the genuinely scale-dependent arithmetic
-// in operator() — no allocation, no sort, no sqrt in the probe loop.
+// set at 25.1 scale factors per trial on average (Figure 1 at its
+// defaults). The plain predicates re-derive everything from the scaled set
+// on every probe: copy the streams, sort them, re-select the TTRT,
+// recompute blocking. All of that is invariant under uniform payload
+// scaling — periods, deadlines, the priority permutation, Theta, frame
+// geometry, TTRT bids, per-station visit counts and the blocking term
+// depend only on quantities scaling leaves untouched. These kernels hoist
+// the invariant work into construction (once per trial) and leave only the
+// genuinely scale-dependent arithmetic in operator() — no allocation, no
+// sort, no sqrt in the probe loop.
 //
 // Contract: kernel(a) returns the same verdict as the predicate it
 // replaces evaluated on base.scaled(a), for every a. The scale-dependent
@@ -43,8 +44,9 @@ namespace tokenring::analysis {
 /// Scale-space form of `pdp_feasible`: kernel(a) == pdp_feasible(
 /// base.scaled(a), params, bw). Hoists the rate-monotonic sort and the
 /// blocking bound; per probe it recomputes the augmented lengths (frame
-/// counts depend on the scaled payload) and runs the screened RTA with a
-/// failed-task-first hint carried across probes.
+/// counts depend on the scaled payload) and runs the screened RTA with one
+/// `RtaSearchState` carried across probes (failed-task hint and warm
+/// start). Each probe adds its fixpoint work to the obs counters.
 class PdpScaleKernel {
  public:
   PdpScaleKernel(const msg::MessageSet& base, const PdpParams& params,
@@ -58,7 +60,7 @@ class PdpScaleKernel {
   Seconds blocking_ = 0.0;
   std::vector<msg::SyncStream> sorted_;  // base streams, deadline order
   mutable std::vector<FpTask> tasks_;    // costs rewritten per probe
-  mutable std::size_t failed_hint_ = static_cast<std::size_t>(-1);
+  mutable RtaSearchState search_;
 };
 
 /// Scale-space form of `ttp_feasible` / `ttp_feasible_at`: kernel(a) ==
@@ -101,8 +103,12 @@ class TtpScaleKernel {
 /// The augmented-length stage (the multiply-divide-floor-ceil arithmetic
 /// of `pdp_augmented_length`) runs full-width over a station-major x
 /// lane-minor SoA of base payloads in branch-light loops; the screened RTA
-/// stage then runs per *active* lane with a per-lane failed-task hint (the
-/// hint steers which task is tested first and never changes the verdict).
+/// stage then runs per *active* lane with a per-lane `RtaSearchState`
+/// (failed-task hint and warm start: they steer which task is tested first
+/// and where each fixpoint starts, never the verdict). The lane's committed
+/// task array holds its periods and deadlines, so a lane costs one more
+/// double per station than the plain task array. Each evaluate adds the
+/// lanes' fixpoint work to the obs counters once.
 /// Frame counts are assumed to stay below 2^53, matching the int64 domain
 /// of the scalar path.
 class PdpBatchKernel {
@@ -138,8 +144,8 @@ class PdpBatchKernel {
   bool frame_dominated_ = false;    // frame_time <= theta for this geometry
   std::vector<double> base_payload_;  // station-major x lane-minor, RM order
   mutable std::vector<double> cost_;  // same layout; scratch per evaluate
-  mutable std::vector<std::vector<FpTask>> tasks_;      // per lane, RM order
-  mutable std::vector<std::size_t> failed_hint_;        // per lane
+  mutable std::vector<RtaSearchState> search_;  // per lane, RM order
+  mutable std::vector<FpTask> probe_;           // one lane's tasks; scratch
 };
 
 /// Batched form of `TtpScaleKernel`: lane l replays

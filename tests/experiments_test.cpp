@@ -115,6 +115,70 @@ TEST(Fig1, RowsCarryConfidenceIntervals) {
   EXPECT_GT(rows[0].modified8025_ci, 0.0);
 }
 
+TEST(Fig1, RowsAndSearchWorkAreFrozen) {
+  // The paper's sweep (100 stations, the ten default bandwidths, seed 42)
+  // at 16 sets per point: every row field bit for bit, captured before
+  // the RTA fixpoint gained its warm start, and the work the breakdown
+  // searches do. A change to the search or its RTA that moves a row
+  // changes Figure 1; one that moves the probe or fixpoint-run count
+  // changes the work done. The iteration count is the warm start's budget:
+  // cold starts take 1'167'329.
+  Fig1Config config;
+  config.sets_per_point = 16;
+  const std::vector<Fig1Row> golden = {
+      {1, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0},
+      {2, 0x1.5b9595fbf0979p-2, 0x1.fb679523990bdp-8, 0x1.a8907b2359dbp-2,
+       0x1.b6d3b0302cbep-8, 0x0p+0, 0x0p+0},
+      {5, 0x1.76d1f6b8bfb5ep-2, 0x1.95d07546b0f41p-9, 0x1.071acd98acf53p-1,
+       0x1.e64c8a33cb913p-9, 0x1.f06582982f63ap-3, 0x1.39a978565b043p-7},
+      {10, 0x1.293d69e49fb68p-2, 0x1.8c2440376b9afp-10, 0x1.a95e4e54b858ap-2,
+       0x1.9a925501db8ddp-9, 0x1.c299e2df81e05p-2, 0x1.142c1df7d0134p-7},
+      {20, 0x1.93959348c9a8cp-3, 0x1.4e0c583df8a8fp-10, 0x1.25fbda0482b7fp-2,
+       0x1.784d81f1a18b7p-10, 0x1.2ed916ac04dd9p-1, 0x1.94dd6bb8a270bp-8},
+      {50, 0x1.9769e4c374559p-4, 0x1.690374df73c9p-11, 0x1.2a60aa0fc04dp-3,
+       0x1.bae9c3733c61cp-11, 0x1.77cb513183782p-1, 0x1.074ba3e17419ep-8},
+      {100, 0x1.bce3f63e2c6b8p-5, 0x1.615b4b974acacp-12, 0x1.468c7d24e90a6p-4,
+       0x1.d0c6c66af77f4p-12, 0x1.9c4cce15496a8p-1, 0x1.afddbe9a0276dp-9},
+      {200, 0x1.d3256b7aa8483p-6, 0x1.6a2662f8398d8p-13, 0x1.56e2159d69342p-5,
+       0x1.0658223d006b1p-12, 0x1.b5437f95cdb5ep-1, 0x1.391a904965e89p-9},
+      {500, 0x1.810d238def8cep-7, 0x1.160dca8f30578p-14, 0x1.1ae88aa012d3cp-6,
+       0x1.7869de357cdd4p-14, 0x1.c8c798409e4ffp-1, 0x1.f2ce071fba2a5p-10},
+      {1000, 0x1.84416fd288034p-8, 0x1.1cfc1b0319de8p-15, 0x1.1d98dfa9c0892p-7,
+       0x1.b44ae120d40adp-15, 0x1.d0c3eb58bcc0ep-1, 0x1.f76481599298ep-10},
+  };
+  const auto counter = [](const obs::MetricsSnapshot& snap,
+                          const std::string& name) -> std::uint64_t {
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+  };
+
+  const auto before = obs::Registry::global().snapshot();
+  const auto rows = run_fig1(config);
+  const auto after = obs::Registry::global().snapshot();
+  const auto delta = [&](const std::string& name) {
+    return counter(after, name) - counter(before, name);
+  };
+
+  ASSERT_EQ(config.setup.num_stations, 100);
+  ASSERT_EQ(rows.size(), golden.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto& got = rows[i];
+    const auto& want = golden[i];
+    SCOPED_TRACE(std::to_string(want.bandwidth_mbps) + " Mbps");
+    EXPECT_EQ(got.bandwidth_mbps, want.bandwidth_mbps);
+    EXPECT_EQ(got.ieee8025, want.ieee8025);
+    EXPECT_EQ(got.ieee8025_ci, want.ieee8025_ci);
+    EXPECT_EQ(got.modified8025, want.modified8025);
+    EXPECT_EQ(got.modified8025_ci, want.modified8025_ci);
+    EXPECT_EQ(got.fddi, want.fddi);
+    EXPECT_EQ(got.fddi_ci, want.fddi_ci);
+  }
+  EXPECT_EQ(delta("breakdown.predicate_evals"), 12'040u);
+  EXPECT_EQ(delta("analysis.rta.fixpoint_runs"), 97'612u);
+  EXPECT_EQ(delta("analysis.rta.iterations"), 340'148u);
+  EXPECT_EQ(delta("analysis.rta_cap_hits"), 0u);
+}
+
 TEST(Fig1, Preconditions) {
   Fig1Config config;
   config.bandwidths_mbps = {};

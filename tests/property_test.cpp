@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -354,7 +356,8 @@ TEST(FastKernelDifferential, ScaleKernelsMatchPredicatesScaleForScale) {
     const analysis::TtpScaleKernel ttp_kernel_at(base, ttp, bw, pinned_ttrt);
 
     // Random probe order, including scale 0, exercises the PDP kernel's
-    // carried failed-task hint the way a real bisection would.
+    // carried search state (failed-task hint and warm start) with costs
+    // that rise and fall between probes.
     for (int probe = 0; probe < 5; ++probe) {
       const double scale =
           probe == 0 ? 0.0 : rng.uniform(0.0, 50.0);
@@ -373,6 +376,73 @@ TEST(FastKernelDifferential, ScaleKernelsMatchPredicatesScaleForScale) {
   }
   EXPECT_GT(schedulable, 100);
   EXPECT_GT(infeasible, 100);
+}
+
+// ---- warm-start differential ---------------------------------------------------------
+//
+// With a search state, rta_feasible_fast starts each fixpoint from the
+// task's last committed response while no cost up to it has fallen. One
+// state per task set is driven through cost vectors that rise, fall (some
+// costs only), repeat and lose one ulp on one cost; every verdict must be
+// the cold analysis's, and every response the state holds after a
+// schedulable step must be the cold response time, bit for bit.
+
+TEST(WarmStartDifferential, VerdictsAndHeldResponsesMatchColdRtaOn10kTaskSets) {
+  int schedulable = 0;
+  int infeasible = 0;
+  int held = 0;
+  for (std::uint64_t trial = 0; trial < 10'000; ++trial) {
+    Rng rng = exec::make_trial_rng(0x3A125, trial);
+    const auto base = random_task_set(rng);
+    const Seconds blocking =
+        rng.uniform01() < 0.3 ? 0.0 : rng.uniform(0.0, 0.02);
+
+    auto tasks = base;
+    const auto scale_all = [&](double factor) {
+      for (auto& t : tasks) t.cost *= factor;
+    };
+    const auto scale_some = [&](double lo, double hi) {
+      for (auto& t : tasks) t.cost *= rng.uniform(lo, hi);
+    };
+    analysis::RtaSearchState state;
+    for (int step = 0; step < 8; ++step) {
+      switch (step) {
+        case 0: scale_all(rng.uniform(0.3, 0.8)); break;  // first probe
+        case 1: scale_all(rng.uniform(1.0, 1.3)); break;  // rise
+        case 2: scale_some(0.6, 1.1); break;              // mixed fall
+        case 3: break;                                    // repeat
+        case 4: scale_all(rng.uniform(1.0, 1.5)); break;  // rise
+        case 5: {                                         // one ulp down
+          auto& t = tasks[static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(tasks.size()) -
+                                     1))];
+          t.cost = std::nextafter(t.cost, 0.0);
+          break;
+        }
+        case 6: scale_all(rng.uniform(0.5, 0.9)); break;  // fall
+        default: scale_all(rng.uniform(1.0, 2.0)); break; // rise
+      }
+      const bool cold =
+          analysis::response_time_analysis(tasks, blocking).schedulable;
+      ASSERT_EQ(analysis::rta_feasible_fast(tasks, blocking, &state), cold)
+          << "trial " << trial << " step " << step;
+      (cold ? schedulable : infeasible) += 1;
+      if (!cold) continue;
+      ASSERT_EQ(state.response.size(), tasks.size());
+      for (std::size_t i = 0; i < tasks.size(); ++i) {
+        if (state.response[i] == 0.0) continue;  // screened: none held
+        const auto r = analysis::response_time(tasks, i, blocking);
+        ASSERT_TRUE(r.has_value());
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(state.response[i]),
+                  std::bit_cast<std::uint64_t>(*r))
+            << "trial " << trial << " step " << step << " task " << i;
+        ++held;
+      }
+    }
+  }
+  EXPECT_GT(schedulable, 1000);
+  EXPECT_GT(infeasible, 1000);
+  EXPECT_GT(held, 10'000);
 }
 
 // ---- batched (SoA) kernel differential -----------------------------------------------
