@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <vector>
 
 #include "tokenring/common/cli.hpp"
 #include "tokenring/common/table.hpp"
@@ -16,24 +17,6 @@
 #include "tokenring/obs/report.hpp"
 
 using namespace tokenring;
-
-namespace {
-
-breakdown::BreakdownEstimate estimate_with_samples(
-    const experiments::PaperSetup& setup,
-    const breakdown::BatchScaleKernelFactory& factory, BitsPerSecond bw,
-    std::size_t sets, std::uint64_t seed, std::size_t batch,
-    const exec::Executor& executor) {
-  msg::MessageSetGenerator gen(setup.generator_config());
-  breakdown::MonteCarloOptions options;
-  options.num_sets = sets;
-  options.keep_samples = true;
-  options.batch_size = batch;
-  return breakdown::estimate_breakdown_utilization(gen, factory, bw, seed,
-                                                   executor, options);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   CliFlags flags;
@@ -77,15 +60,29 @@ int main(int argc, char** argv) {
        [&](BitsPerSecond bw) { return setup.ttp_batch_kernel_factory(bw); }},
   };
 
-  for (double bw_mbps : flags.get_double_list("bandwidths-mbps")) {
+  // Every (bandwidth, protocol) cell in one sweep.
+  const auto bandwidths = flags.get_double_list("bandwidths-mbps");
+  std::vector<breakdown::SweepPoint> points;
+  for (double bw_mbps : bandwidths) {
     const BitsPerSecond bw = mbps(bw_mbps);
     for (const auto& proto : protos) {
-      const auto est = estimate_with_samples(setup, proto.factory(bw), bw,
-                                             sets, seed, batch, executor);
-      table.add_row({proto.name, fmt(bw_mbps, 0), fmt(est.quantile(0.05)),
-                     fmt(est.quantile(0.25)), fmt(est.quantile(0.5)),
-                     fmt(est.quantile(0.75)), fmt(est.quantile(0.95)),
-                     fmt(est.mean()), fmt(est.utilization.stddev())});
+      points.push_back(
+          experiments::sweep_point(setup, proto.factory(bw), bw, sets, seed));
+    }
+  }
+  breakdown::MonteCarloOptions options;
+  options.keep_samples = true;
+  options.batch_size = batch;
+  const auto estimates = breakdown::estimate_sweep(points, executor, options);
+
+  auto est = estimates.begin();
+  for (double bw_mbps : bandwidths) {
+    for (const auto& proto : protos) {
+      table.add_row({proto.name, fmt(bw_mbps, 0), fmt(est->quantile(0.05)),
+                     fmt(est->quantile(0.25)), fmt(est->quantile(0.5)),
+                     fmt(est->quantile(0.75)), fmt(est->quantile(0.95)),
+                     fmt(est->mean()), fmt(est->utilization.stddev())});
+      ++est;
     }
   }
   report.add_table("results", table);

@@ -137,63 +137,6 @@ BreakdownEstimate estimate_parallel(const msg::MessageSetGenerator& generator,
       pf);
 }
 
-BreakdownEstimate estimate_batch_parallel(
-    const msg::MessageSetGenerator& generator,
-    const BatchScaleKernelFactory& factory, std::uint64_t master_seed,
-    BitsPerSecond bw, const exec::Executor& executor,
-    const MonteCarloOptions& options) {
-  TR_EXPECTS(options.num_sets >= 1);
-  TR_EXPECTS(options.shard_size >= 1);
-  TR_EXPECTS(options.batch_size >= 1);
-
-  const std::size_t n = options.num_sets;
-  const std::size_t shard = options.shard_size;
-  // The parallel work unit is a *batch group*: batch_size rounded up to a
-  // whole number of shards. Every trial stays pinned to its shard and
-  // shards are folded one by one in trial order, so the merge tree — fixed
-  // by shard_size alone — is the same as the scalar path's for every
-  // (jobs, batch_size) combination.
-  const std::size_t shards_per_group = (options.batch_size + shard - 1) / shard;
-  const std::size_t group = shards_per_group * shard;
-  const std::size_t num_groups = (n + group - 1) / group;
-
-  const auto run_group = [&](std::size_t g) {
-    const std::size_t lo = g * group;
-    const std::size_t count = std::min(n, lo + group) - lo;
-    std::vector<msg::MessageSet> bases;
-    bases.reserve(count);
-    for (std::size_t i = lo; i < lo + count; ++i) {
-      Rng rng = exec::make_trial_rng(master_seed, i);
-      bases.push_back(generator.generate(rng));
-    }
-    const BatchScaleKernel kernel = factory(bases);
-    const std::vector<SaturationResult> sats =
-        find_saturation_batch(bases, kernel, bw, options.saturation);
-    std::vector<BreakdownEstimate> parts((count + shard - 1) / shard);
-    for (std::size_t j = 0; j < count; ++j) {
-      count_trial(sats[j]);
-      accumulate_trial(sats[j], options.keep_samples, parts[j / shard]);
-    }
-    return parts;
-  };
-
-  exec::ParallelForOptions pf;
-  pf.cancel = options.cancel;
-  if (options.progress) {
-    pf.progress = [&options, n, group](std::size_t done_groups, std::size_t) {
-      options.progress(std::min(n, done_groups * group), n);
-    };
-  }
-
-  return exec::map_reduce(
-      executor, num_groups, BreakdownEstimate{}, run_group,
-      [](BreakdownEstimate acc, std::vector<BreakdownEstimate> parts) {
-        for (BreakdownEstimate& part : parts) acc.merge(part);
-        return acc;
-      },
-      pf);
-}
-
 }  // namespace
 
 BreakdownEstimate estimate_breakdown_utilization(
@@ -218,14 +161,92 @@ BreakdownEstimate estimate_breakdown_utilization(
       master_seed, executor, options);
 }
 
+std::vector<BreakdownEstimate> estimate_sweep(
+    std::span<const SweepPoint> points, const exec::Executor& executor,
+    const MonteCarloOptions& options) {
+  TR_EXPECTS(options.shard_size >= 1);
+  TR_EXPECTS(options.batch_size >= 1);
+
+  const std::size_t shard = options.shard_size;
+  // The work item is a *batch group*: batch_size rounded up to a whole
+  // number of shards. Every trial stays pinned to its shard and each
+  // point's shards are folded one by one in trial order, so the merge tree
+  // — fixed by shard_size alone — is the same as the scalar path's for
+  // every (jobs, batch_size) combination.
+  const std::size_t group = (options.batch_size + shard - 1) / shard * shard;
+
+  struct Item {
+    std::size_t point;
+    std::size_t lo;     // first trial of the group
+    std::size_t count;  // trials in the group
+  };
+  std::vector<Item> items;  // point-major, trial order within a point
+  std::size_t total = 0;
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    const std::size_t n = points[p].num_sets;
+    TR_EXPECTS(n >= 1);
+    TR_EXPECTS(points[p].bw > 0.0);
+    for (std::size_t lo = 0; lo < n; lo += group) {
+      items.push_back({p, lo, std::min(group, n - lo)});
+    }
+    total += n;
+  }
+
+  struct ItemPartials {
+    std::size_t point;
+    std::vector<BreakdownEstimate> shards;
+  };
+  const auto run_item = [&](std::size_t k) {
+    const Item& item = items[k];
+    const SweepPoint& point = points[item.point];
+    std::vector<msg::MessageSet> bases;
+    bases.reserve(item.count);
+    for (std::size_t i = item.lo; i < item.lo + item.count; ++i) {
+      Rng rng = exec::make_trial_rng(point.seed, i);
+      bases.push_back(point.generator.generate(rng));
+    }
+    const BatchScaleKernel kernel = point.kernel_factory(bases);
+    const std::vector<SaturationResult> sats =
+        find_saturation_batch(bases, kernel, point.bw, options.saturation);
+    ItemPartials out{item.point,
+                     std::vector<BreakdownEstimate>((item.count + shard - 1) /
+                                                    shard)};
+    for (std::size_t j = 0; j < item.count; ++j) {
+      count_trial(sats[j]);
+      accumulate_trial(sats[j], options.keep_samples, out.shards[j / shard]);
+    }
+    return out;
+  };
+
+  exec::ParallelForOptions pf;
+  pf.cancel = options.cancel;
+  if (options.progress) {
+    pf.progress = [&options, total, group](std::size_t done_items,
+                                           std::size_t) {
+      options.progress(std::min(total, done_items * group), total);
+    };
+  }
+
+  return exec::map_reduce(
+      executor, items.size(), std::vector<BreakdownEstimate>(points.size()),
+      run_item,
+      [](std::vector<BreakdownEstimate> acc, ItemPartials item) {
+        for (const BreakdownEstimate& part : item.shards) {
+          acc[item.point].merge(part);
+        }
+        return acc;
+      },
+      pf);
+}
+
 BreakdownEstimate estimate_breakdown_utilization(
     const msg::MessageSetGenerator& generator,
     const BatchScaleKernelFactory& kernel_factory, BitsPerSecond bw,
     std::uint64_t master_seed, const exec::Executor& executor,
     const MonteCarloOptions& options) {
-  TR_EXPECTS(bw > 0.0);
-  return estimate_batch_parallel(generator, kernel_factory, master_seed, bw,
-                                 executor, options);
+  const SweepPoint point{generator, kernel_factory, bw, master_seed,
+                         options.num_sets};
+  return std::move(estimate_sweep({&point, 1}, executor, options).front());
 }
 
 }  // namespace tokenring::breakdown

@@ -9,14 +9,23 @@
 // zero (fixed overheads alone exceed capacity) count as samples of 0, so
 // low-bandwidth regimes are reported honestly rather than skipped.
 //
-// Every overload is seeded: trial i draws from its own SplitMix64-derived
-// stream (exec/seed_stream.hpp) and trials run on an `exec::Executor` in
-// fixed-size shards merged in trial order, so the result is bit-identical
-// for any jobs count, including the inline jobs == 1 path. The overloads
-// differ only in how one drawn set is saturated:
-//  * `BatchScaleKernelFactory` is the production path: trials saturate in
-//    lockstep SoA batches. Every study driver, the advisor and the
-//    benchmark use it.
+// Every entry point is seeded: trial i draws from its own SplitMix64-derived
+// stream (exec/seed_stream.hpp), and per-shard partials are merged in
+// trial order on a grid fixed by `shard_size` alone, so the result is
+// bit-identical for any jobs count, including the inline jobs == 1 path.
+// The entry points differ only in how drawn sets are saturated:
+//  * `estimate_sweep` is the production path. A study hands it all of its
+//    points at once; it lists every (point, batch group) work item,
+//    saturates each group in one lockstep SoA batch, and runs the whole
+//    grid in one `Executor::parallel_for`, so no point waits on a
+//    per-point barrier. Each point's shard partials are folded in trial
+//    order. The `BatchScaleKernelFactory` overload of
+//    `estimate_breakdown_utilization` and `experiments::estimate_point`
+//    are its one-point case, which dispatches that point's batch groups:
+//    the benchmark replays Figure 1 point by point through
+//    `estimate_point`, one traced factory per point, and counts those
+//    groups. The study drivers and the advisor's protocol estimates
+//    declare their points and make one call.
 //  * `SchedulablePredicate` and `ScaleKernelFactory` are the references:
 //    one scalar search per trial, against a materialized set or in scale
 //    space. Tests and bench/parallel_scaling compare the batched path
@@ -28,6 +37,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "tokenring/breakdown/saturation.hpp"
@@ -39,7 +49,8 @@ namespace tokenring::breakdown {
 
 /// Estimation settings.
 struct MonteCarloOptions {
-  /// Number of random message sets to saturate.
+  /// Number of random message sets to saturate (estimate_sweep reads each
+  /// point's own count instead).
   std::size_t num_sets = 100;
   /// Keep every per-set breakdown sample (for percentile profiles).
   bool keep_samples = false;
@@ -51,16 +62,15 @@ struct MonteCarloOptions {
   /// shard_size. The default balances scheduling overhead against load
   /// balance for typical trial costs.
   std::size_t shard_size = 8;
-  /// Trials saturated per lockstep batch by the BatchScaleKernelFactory
-  /// overload (>= 1; ignored by the scalar overloads). Purely a
-  /// throughput knob: the batched search replays every scalar probe
-  /// sequence lane for lane and dispatches whole shards per batch group,
-  /// so estimates are bit-identical for every batch_size (and every jobs
-  /// count). The effective lane count is rounded up to a whole number of
-  /// shards.
+  /// Trials saturated per lockstep batch by estimate_sweep (>= 1;
+  /// ignored by the scalar overloads). Purely a throughput knob: the
+  /// batched search replays every scalar probe sequence lane for lane and
+  /// dispatches whole shards per batch group, so estimates are
+  /// bit-identical for every batch_size (and every jobs count). The
+  /// effective lane count is rounded up to a whole number of shards.
   std::size_t batch_size = 64;
   /// Optional progress hook, called as (trials_done_upper_bound,
-  /// num_sets) whenever a shard (or batch group) completes.
+  /// trials_total) whenever a shard (or batch group) completes.
   std::function<void(std::size_t, std::size_t)> progress;
   /// Optional cooperative cancellation; when the token fires the
   /// estimator throws `exec::Cancelled`.
@@ -96,15 +106,39 @@ struct BreakdownEstimate {
   void merge(const BreakdownEstimate& other);
 };
 
-/// The production estimator. Draws trial i's set from the seed stream
-/// (master_seed, i), groups trials into lockstep batches of
-/// `options.batch_size` lanes, and saturates each group with one SoA
-/// kernel (find_saturation_batch). Each lane replays the scalar probe
-/// trajectory bit for bit, and whole shards are dispatched per batch
-/// group, their partials folded one by one in trial order. Estimates are
-/// therefore bit-identical to the reference overloads below for every
-/// (jobs, batch_size) combination. The factory is shared across worker
+/// One point of a Monte Carlo sweep: `num_sets` trials, trial i drawing
+/// its set from `generator` on the seed stream (seed, i) and saturating it
+/// with kernels from `kernel_factory` at bandwidth `bw`.
+struct SweepPoint {
+  msg::MessageSetGenerator generator;
+  BatchScaleKernelFactory kernel_factory;
+  BitsPerSecond bw = 0.0;
+  std::uint64_t seed = 0;
+  std::size_t num_sets = 0;
+};
+
+/// The production estimator: result[p] estimates points[p], all of them in
+/// one executor dispatch. The work item is a batch group (`batch_size`
+/// trials rounded up to whole shards). Items are listed point-major, each
+/// point's groups in trial order, so the inline jobs == 1 path does the
+/// work of estimating the points one after another, in that order. An
+/// item draws its own sets (nothing is drawn ahead, so only in-flight
+/// groups hold sets and kernels), saturates them with one kernel from its
+/// point's factory and returns one partial per shard. Each point's
+/// partials are folded in trial order, so result[p] is bit-identical to
+/// the reference overloads' estimate of points[p] for every (jobs,
+/// batch_size) combination.
+///
+/// `options.num_sets` is not read: every point carries its own count.
+/// Progress reports (upper bound on trials done, trials in the sweep). The
+/// exception of the lowest item that threw is rethrown; a cancelled token
+/// throws `exec::Cancelled`. The factories are shared across worker
 /// threads and must be const-callable and thread-safe.
+std::vector<BreakdownEstimate> estimate_sweep(
+    std::span<const SweepPoint> points, const exec::Executor& executor,
+    const MonteCarloOptions& options = {});
+
+/// estimate_sweep of one point, with `options.num_sets` trials.
 BreakdownEstimate estimate_breakdown_utilization(
     const msg::MessageSetGenerator& generator,
     const BatchScaleKernelFactory& kernel_factory, BitsPerSecond bw,

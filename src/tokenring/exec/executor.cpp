@@ -45,8 +45,10 @@ void Executor::parallel_for(std::size_t n,
   if (n == 0) return;
 
   static const obs::SpanHandle span_handle("exec/parallel_for");
+  static const obs::Counter calls("exec.parallel_for_calls");
   static const obs::Counter tasks("exec.parallel_for_tasks");
   const obs::Span span(span_handle);
+  calls.add();
   tasks.add(n);
 
   const bool cancellable = options.cancel.has_value();

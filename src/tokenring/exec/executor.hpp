@@ -73,6 +73,8 @@ class Executor {
   std::size_t jobs() const { return jobs_; }
 
   /// Run body(i) for every i in [0, n). Blocks until all indices finished.
+  /// A call with n > 0 adds 1 to the `exec.parallel_for_calls` counter and
+  /// n to `exec.parallel_for_tasks`, on the inline path too.
   /// The first exception thrown by a body (lowest index wins when several
   /// throw) is rethrown here; remaining indices are skipped once a failure
   /// or cancellation is observed. Throws `Cancelled` if the token fired.
@@ -88,10 +90,14 @@ class Executor {
 /// computed in parallel, then folded left-to-right in index order as
 /// acc = reduce_fn(acc, results[i]). The fold order (and therefore any
 /// floating-point rounding) is independent of the jobs count. The mapped
-/// type may differ from the accumulator type (e.g. a map_fn returning a
-/// *vector* of partials per index, with the reducer folding each element
-/// in order — how the batched Monte Carlo path keeps the per-shard merge
-/// tree while dispatching whole batch groups).
+/// type may differ from the accumulator type. The Monte Carlo sweep
+/// (breakdown::estimate_sweep) is the main example: index i is one
+/// (point, batch group) item of a whole study, listed point-major; map_fn
+/// returns the item's point and its per-shard partials, and the reducer,
+/// whose accumulator holds one estimate per point, folds each partial
+/// into its point in trial order. So one call dispatches every point of
+/// the study, with no barrier between points, yet each point's merge tree
+/// is the one its own scalar estimate would build.
 template <typename T, typename MapFn, typename ReduceFn>
 T map_reduce(const Executor& executor, std::size_t n, T init, MapFn&& map_fn,
              ReduceFn&& reduce_fn, const ParallelForOptions& options = {}) {

@@ -11,22 +11,29 @@ namespace tokenring::experiments {
 
 namespace {
 
-// Does FDDI meaningfully beat modified 802.5 at this bandwidth? A tie at
-// ~zero (the degenerate low-bandwidth regime where neither protocol can
-// schedule anything) does not count as a win.
-bool ttp_wins(const PaperSetup& setup, BitsPerSecond bw, std::size_t sets,
-              std::uint64_t seed, const exec::Executor& executor,
-              std::size_t batch) {
-  const double ttp = estimate_point(setup, setup.ttp_batch_kernel_factory(bw),
-                                    bw, sets, seed, executor, batch)
-                         .mean();
-  const double pdp =
-      estimate_point(setup,
-                     setup.pdp_batch_kernel_factory(
-                         analysis::PdpVariant::kModified8025, bw),
-                     bw, sets, seed, executor, batch)
-          .mean();
-  return ttp >= pdp && ttp > 0.01;
+struct MeanPair {
+  double ttp = 0.0;
+  double pdp = 0.0;  // modified 802.5
+
+  // Does FDDI meaningfully beat modified 802.5? A tie at ~zero (the
+  // degenerate low-bandwidth regime where neither protocol can schedule
+  // anything) does not count as a win.
+  bool ttp_wins() const { return ttp >= pdp && ttp > 0.01; }
+};
+
+// FDDI and modified 802.5 at one bandwidth, in one dispatch.
+MeanPair estimate_pair(const PaperSetup& setup, BitsPerSecond bw,
+                       const CrossoverStudyConfig& config,
+                       const exec::Executor& executor) {
+  const breakdown::SweepPoint points[] = {
+      sweep_point(setup, setup.ttp_batch_kernel_factory(bw), bw,
+                  config.sets_per_point, config.seed),
+      sweep_point(setup,
+                  setup.pdp_batch_kernel_factory(
+                      analysis::PdpVariant::kModified8025, bw),
+                  bw, config.sets_per_point, config.seed)};
+  const auto est = estimate_points(points, executor, config.batch);
+  return {est[0].mean(), est[1].mean()};
 }
 
 }  // namespace
@@ -53,8 +60,8 @@ std::vector<CrossoverStudyRow> run_crossover_study(
       row.mean_period_ms = mean_ms;
 
       const auto wins = [&](double bw_mbps) {
-        return ttp_wins(setup, mbps(bw_mbps), config.sets_per_point,
-                        config.seed, executor, config.batch);
+        return estimate_pair(setup, mbps(bw_mbps), config, executor)
+            .ttp_wins();
       };
 
       if (wins(config.bw_low_mbps)) {
@@ -74,19 +81,10 @@ std::vector<CrossoverStudyRow> run_crossover_study(
       }
 
       if (std::isfinite(row.crossover_mbps) && row.crossover_mbps > 0.0) {
-        const BitsPerSecond bw = mbps(row.crossover_mbps);
-        row.ttp_at_crossover =
-            estimate_point(setup, setup.ttp_batch_kernel_factory(bw), bw,
-                           config.sets_per_point, config.seed, executor,
-                           config.batch)
-                .mean();
-        row.pdp_at_crossover =
-            estimate_point(setup,
-                           setup.pdp_batch_kernel_factory(
-                               analysis::PdpVariant::kModified8025, bw),
-                           bw, config.sets_per_point, config.seed, executor,
-                           config.batch)
-                .mean();
+        const MeanPair at = estimate_pair(setup, mbps(row.crossover_mbps),
+                                          config, executor);
+        row.ttp_at_crossover = at.ttp;
+        row.pdp_at_crossover = at.pdp;
       }
       rows.push_back(row);
     }

@@ -26,7 +26,7 @@ std::vector<DistributionStudyRow> run_distribution_study(
   TR_EXPECTS(!config.distributions.empty());
 
   const BitsPerSecond bw = mbps(config.bandwidth_mbps);
-  const exec::Executor executor(config.jobs);
+  std::vector<breakdown::SweepPoint> points;
   std::vector<DistributionStudyRow> rows;
   for (auto dist : config.distributions) {
     for (double mean_ms : config.mean_periods_ms) {
@@ -35,33 +35,22 @@ std::vector<DistributionStudyRow> run_distribution_study(
         setup.mean_period = milliseconds(mean_ms);
         setup.period_ratio = ratio;
         setup.period_dist = dist;
-
+        add_protocol_points(points, setup, bw, config.sets_per_point,
+                            config.seed);
         DistributionStudyRow row;
         row.mean_period_ms = mean_ms;
         row.period_ratio = ratio;
         row.distribution = to_string(dist);
-        row.ieee8025 =
-            estimate_point(setup,
-                           setup.pdp_batch_kernel_factory(
-                               analysis::PdpVariant::kStandard8025, bw),
-                           bw, config.sets_per_point, config.seed, executor,
-                           config.batch)
-                .mean();
-        row.modified8025 =
-            estimate_point(setup,
-                           setup.pdp_batch_kernel_factory(
-                               analysis::PdpVariant::kModified8025, bw),
-                           bw, config.sets_per_point, config.seed, executor,
-                           config.batch)
-                .mean();
-        row.fddi =
-            estimate_point(setup, setup.ttp_batch_kernel_factory(bw), bw,
-                           config.sets_per_point, config.seed, executor,
-                           config.batch)
-                .mean();
         rows.push_back(row);
       }
     }
+  }
+  const auto est =
+      estimate_points(points, exec::Executor(config.jobs), config.batch);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    rows[i].ieee8025 = est[3 * i].mean();
+    rows[i].modified8025 = est[3 * i + 1].mean();
+    rows[i].fddi = est[3 * i + 2].mean();
   }
   return rows;
 }

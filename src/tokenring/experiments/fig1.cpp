@@ -13,33 +13,26 @@ std::vector<Fig1Row> run_fig1(const Fig1Config& config) {
   TR_EXPECTS(!config.bandwidths_mbps.empty());
   TR_EXPECTS(config.sets_per_point >= 1);
 
-  const exec::Executor executor(config.jobs);
+  std::vector<breakdown::SweepPoint> points;
+  for (double bw_mbps : config.bandwidths_mbps) {
+    add_protocol_points(points, config.setup, mbps(bw_mbps),
+                        config.sets_per_point, config.seed);
+  }
+  const auto est =
+      estimate_points(points, exec::Executor(config.jobs), config.batch);
+
   std::vector<Fig1Row> rows;
   rows.reserve(config.bandwidths_mbps.size());
-  for (double bw_mbps : config.bandwidths_mbps) {
-    const BitsPerSecond bw = mbps(bw_mbps);
-    const auto std8025 = estimate_point(
-        config.setup,
-        config.setup.pdp_batch_kernel_factory(analysis::PdpVariant::kStandard8025,
-                                              bw),
-        bw, config.sets_per_point, config.seed, executor, config.batch);
-    const auto mod8025 = estimate_point(
-        config.setup,
-        config.setup.pdp_batch_kernel_factory(analysis::PdpVariant::kModified8025,
-                                              bw),
-        bw, config.sets_per_point, config.seed, executor, config.batch);
-    const auto fddi = estimate_point(
-        config.setup, config.setup.ttp_batch_kernel_factory(bw), bw,
-        config.sets_per_point, config.seed, executor, config.batch);
-
+  for (std::size_t i = 0; i < config.bandwidths_mbps.size(); ++i) {
+    const auto* point = &est[3 * i];  // standard, modified, FDDI
     Fig1Row row;
-    row.bandwidth_mbps = bw_mbps;
-    row.ieee8025 = std8025.mean();
-    row.ieee8025_ci = std8025.ci95();
-    row.modified8025 = mod8025.mean();
-    row.modified8025_ci = mod8025.ci95();
-    row.fddi = fddi.mean();
-    row.fddi_ci = fddi.ci95();
+    row.bandwidth_mbps = config.bandwidths_mbps[i];
+    row.ieee8025 = point[0].mean();
+    row.ieee8025_ci = point[0].ci95();
+    row.modified8025 = point[1].mean();
+    row.modified8025_ci = point[1].ci95();
+    row.fddi = point[2].mean();
+    row.fddi_ci = point[2].ci95();
     rows.push_back(row);
   }
   return rows;

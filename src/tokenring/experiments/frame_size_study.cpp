@@ -12,33 +12,30 @@ std::vector<FrameSizeStudyRow> run_frame_size_study(
   TR_EXPECTS(!config.payload_bytes.empty());
   TR_EXPECTS(!config.bandwidths_mbps.empty());
 
-  const exec::Executor executor(config.jobs);
+  std::vector<breakdown::SweepPoint> points;
   std::vector<FrameSizeStudyRow> rows;
   for (double bw_mbps : config.bandwidths_mbps) {
     const BitsPerSecond bw = mbps(bw_mbps);
     for (double payload : config.payload_bytes) {
       PaperSetup setup = config.setup;
       setup.frame_payload_bytes = payload;
-
+      for (auto variant : {analysis::PdpVariant::kStandard8025,
+                           analysis::PdpVariant::kModified8025}) {
+        points.push_back(
+            sweep_point(setup, setup.pdp_batch_kernel_factory(variant, bw), bw,
+                        config.sets_per_point, config.seed));
+      }
       FrameSizeStudyRow row;
       row.payload_bytes = payload;
       row.bandwidth_mbps = bw_mbps;
-      row.ieee8025 =
-          estimate_point(setup,
-                         setup.pdp_batch_kernel_factory(
-                             analysis::PdpVariant::kStandard8025, bw),
-                         bw, config.sets_per_point, config.seed, executor,
-                         config.batch)
-              .mean();
-      row.modified8025 =
-          estimate_point(setup,
-                         setup.pdp_batch_kernel_factory(
-                             analysis::PdpVariant::kModified8025, bw),
-                         bw, config.sets_per_point, config.seed, executor,
-                         config.batch)
-              .mean();
       rows.push_back(row);
     }
+  }
+  const auto est =
+      estimate_points(points, exec::Executor(config.jobs), config.batch);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    rows[i].ieee8025 = est[2 * i].mean();
+    rows[i].modified8025 = est[2 * i + 1].mean();
   }
   return rows;
 }

@@ -1,6 +1,7 @@
 #include "tokenring/experiments/setup.hpp"
 
 #include <memory>
+#include <utility>
 
 #include "tokenring/analysis/kernels.hpp"
 
@@ -102,17 +103,41 @@ breakdown::BatchScaleKernelFactory PaperSetup::ttp_batch_kernel_factory_at(
   };
 }
 
+breakdown::SweepPoint sweep_point(
+    const PaperSetup& setup, breakdown::BatchScaleKernelFactory kernel_factory,
+    BitsPerSecond bw, std::size_t num_sets, std::uint64_t seed) {
+  return {msg::MessageSetGenerator(setup.generator_config()),
+          std::move(kernel_factory), bw, seed, num_sets};
+}
+
+void add_protocol_points(std::vector<breakdown::SweepPoint>& points,
+                         const PaperSetup& setup, BitsPerSecond bw,
+                         std::size_t num_sets, std::uint64_t seed) {
+  for (auto factory :
+       {setup.pdp_batch_kernel_factory(analysis::PdpVariant::kStandard8025, bw),
+        setup.pdp_batch_kernel_factory(analysis::PdpVariant::kModified8025, bw),
+        setup.ttp_batch_kernel_factory(bw)}) {
+    points.push_back(
+        sweep_point(setup, std::move(factory), bw, num_sets, seed));
+  }
+}
+
+std::vector<breakdown::BreakdownEstimate> estimate_points(
+    std::span<const breakdown::SweepPoint> points,
+    const exec::Executor& executor, std::size_t batch) {
+  breakdown::MonteCarloOptions options;
+  options.batch_size = batch;
+  return breakdown::estimate_sweep(points, executor, options);
+}
+
 breakdown::BreakdownEstimate estimate_point(
     const PaperSetup& setup,
     const breakdown::BatchScaleKernelFactory& kernel_factory, BitsPerSecond bw,
     std::size_t num_sets, std::uint64_t seed, const exec::Executor& executor,
     std::size_t batch) {
-  msg::MessageSetGenerator generator(setup.generator_config());
-  breakdown::MonteCarloOptions options;
-  options.num_sets = num_sets;
-  options.batch_size = batch;
-  return breakdown::estimate_breakdown_utilization(generator, kernel_factory,
-                                                   bw, seed, executor, options);
+  const breakdown::SweepPoint point =
+      sweep_point(setup, kernel_factory, bw, num_sets, seed);
+  return std::move(estimate_points({&point, 1}, executor, batch).front());
 }
 
 }  // namespace tokenring::experiments

@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "tokenring/analysis/pdp.hpp"
 #include "tokenring/analysis/ttp.hpp"
@@ -69,14 +71,34 @@ struct PaperSetup {
       BitsPerSecond bw, Seconds ttrt) const;
 };
 
-/// Estimate the average breakdown utilization of one protocol at one
-/// bandwidth: `num_sets` sets drawn under `setup`, saturated in lockstep
-/// batches of `batch` lanes on `executor` (breakdown/monte_carlo.hpp).
-/// Trial i draws from the seed stream derived from (seed, i), so curves
-/// estimated for different protocols share the same random message sets
-/// (common random numbers), which sharpens curve-to-curve comparisons —
-/// and the result is bit-identical for every (executor jobs, batch)
-/// combination.
+/// One Monte Carlo point of a study: `num_sets` sets drawn under `setup`,
+/// trial i from the seed stream derived from (seed, i), saturated by
+/// `kernel_factory` at `bw`. Points that share a seed draw the same sets
+/// (common random numbers), which sharpens curve-to-curve comparisons.
+breakdown::SweepPoint sweep_point(
+    const PaperSetup& setup, breakdown::BatchScaleKernelFactory kernel_factory,
+    BitsPerSecond bw, std::size_t num_sets, std::uint64_t seed);
+
+/// Append the points of the three protocols at `bw` under `setup`:
+/// standard 802.5, modified 802.5 and FDDI, in that order.
+void add_protocol_points(std::vector<breakdown::SweepPoint>& points,
+                         const PaperSetup& setup, BitsPerSecond bw,
+                         std::size_t num_sets, std::uint64_t seed);
+
+/// Estimate the average breakdown utilization of every point in one
+/// dispatch on `executor`, saturating in lockstep batches of `batch` lanes
+/// (breakdown::estimate_sweep). result[p] belongs to points[p] and is
+/// bit-identical for every (executor jobs, batch) combination. A study
+/// declares all of its points and makes one call, so no point waits on
+/// another's barrier.
+std::vector<breakdown::BreakdownEstimate> estimate_points(
+    std::span<const breakdown::SweepPoint> points,
+    const exec::Executor& executor, std::size_t batch);
+
+/// estimate_points of the one point sweep_point(setup, kernel_factory, bw,
+/// num_sets, seed). Its dispatch is the point's own batch groups, one
+/// work item per `batch` trials (rounded up to whole shards), which is
+/// what replays of a sweep point by point measure.
 breakdown::BreakdownEstimate estimate_point(
     const PaperSetup& setup,
     const breakdown::BatchScaleKernelFactory& kernel_factory, BitsPerSecond bw,

@@ -12,33 +12,23 @@ std::vector<StationCountStudyRow> run_station_count_study(
   TR_EXPECTS(!config.station_counts.empty());
 
   const BitsPerSecond bw = mbps(config.bandwidth_mbps);
-  const exec::Executor executor(config.jobs);
-  std::vector<StationCountStudyRow> rows;
+  std::vector<breakdown::SweepPoint> points;
   for (int n : config.station_counts) {
     TR_EXPECTS(n >= 2);
     PaperSetup setup = config.setup;
     setup.num_stations = n;
+    add_protocol_points(points, setup, bw, config.sets_per_point, config.seed);
+  }
+  const auto est =
+      estimate_points(points, exec::Executor(config.jobs), config.batch);
 
+  std::vector<StationCountStudyRow> rows;
+  for (std::size_t i = 0; i < config.station_counts.size(); ++i) {
     StationCountStudyRow row;
-    row.stations = n;
-    row.ieee8025 =
-        estimate_point(setup,
-                       setup.pdp_batch_kernel_factory(
-                           analysis::PdpVariant::kStandard8025, bw),
-                       bw, config.sets_per_point, config.seed, executor,
-                       config.batch)
-            .mean();
-    row.modified8025 =
-        estimate_point(setup,
-                       setup.pdp_batch_kernel_factory(
-                           analysis::PdpVariant::kModified8025, bw),
-                       bw, config.sets_per_point, config.seed, executor,
-                       config.batch)
-            .mean();
-    row.fddi = estimate_point(setup, setup.ttp_batch_kernel_factory(bw), bw,
-                              config.sets_per_point, config.seed, executor,
-                              config.batch)
-                   .mean();
+    row.stations = config.station_counts[i];
+    row.ieee8025 = est[3 * i].mean();
+    row.modified8025 = est[3 * i + 1].mean();
+    row.fddi = est[3 * i + 2].mean();
     rows.push_back(row);
   }
   return rows;

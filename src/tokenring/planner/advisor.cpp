@@ -120,25 +120,13 @@ Recommendation recommend_protocol(const TrafficProfile& profile,
   TR_EXPECTS(batch >= 1);
 
   const auto setup = profile.to_setup();
+  std::vector<breakdown::SweepPoint> points;
+  experiments::add_protocol_points(points, setup, bandwidth, num_sets, seed);
+  const auto est = experiments::estimate_points(points, executor, batch);
   Recommendation rec;
-  rec.ieee8025 =
-      experiments::estimate_point(
-          setup,
-          setup.pdp_batch_kernel_factory(analysis::PdpVariant::kStandard8025,
-                                         bandwidth),
-          bandwidth, num_sets, seed, executor, batch)
-          .mean();
-  rec.modified8025 =
-      experiments::estimate_point(
-          setup,
-          setup.pdp_batch_kernel_factory(analysis::PdpVariant::kModified8025,
-                                         bandwidth),
-          bandwidth, num_sets, seed, executor, batch)
-          .mean();
-  rec.fddi = experiments::estimate_point(
-                 setup, setup.ttp_batch_kernel_factory(bandwidth), bandwidth,
-                 num_sets, seed, executor, batch)
-                 .mean();
+  rec.ieee8025 = est[0].mean();
+  rec.modified8025 = est[1].mean();
+  rec.fddi = est[2].mean();
 
   const auto resilience =
       estimate_resilience(setup, bandwidth, num_sets, seed, executor, batch);

@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "tokenring/analysis/kernels.hpp"
+#include "tokenring/analysis/pdp.hpp"
 #include "tokenring/analysis/ttp.hpp"
 #include "tokenring/common/checks.hpp"
 #include "tokenring/exec/seed_stream.hpp"
@@ -269,11 +273,20 @@ TEST(MonteCarloParallel, ProgressAndCancellation) {
 
 // ---- batched (SoA) estimator -----------------------------------------------
 
-analysis::TtpParams paper_ttp_params() {
+analysis::TtpParams paper_ttp_params(int stations = 10) {
   analysis::TtpParams p;
-  p.ring = net::fddi_ring(10);
+  p.ring = net::fddi_ring(stations);
   p.frame = net::paper_frame_format();
   p.async_frame = net::paper_frame_format();
+  return p;
+}
+
+analysis::PdpParams paper_pdp_params(int stations,
+                                     analysis::PdpVariant variant) {
+  analysis::PdpParams p;
+  p.ring = net::ieee8025_ring(stations);
+  p.frame = net::paper_frame_format();
+  p.variant = variant;
   return p;
 }
 
@@ -284,16 +297,29 @@ ScaleKernelFactory scalar_ttp_factory(const analysis::TtpParams& p,
   };
 }
 
-BatchScaleKernelFactory batched_ttp_factory(const analysis::TtpParams& p,
-                                            BitsPerSecond bw) {
+ScaleKernelFactory scalar_pdp_factory(const analysis::PdpParams& p,
+                                      BitsPerSecond bw) {
+  return [p, bw](const msg::MessageSet& base) {
+    auto kernel = std::make_shared<analysis::PdpScaleKernel>(base, p, bw);
+    return ScaleKernel([kernel](double scale) { return (*kernel)(scale); });
+  };
+}
+
+template <typename Kernel, typename Params>
+BatchScaleKernelFactory batched_factory(const Params& p, BitsPerSecond bw) {
   return [p, bw](std::span<const msg::MessageSet> bases) {
-    auto kernel = std::make_shared<analysis::TtpBatchKernel>(bases, p, bw);
+    auto kernel = std::make_shared<Kernel>(bases, p, bw);
     return BatchScaleKernel([kernel](std::span<const double> scales,
                                      std::span<const std::uint8_t> active,
                                      std::span<std::uint8_t> verdicts) {
       kernel->evaluate(scales, active, verdicts);
     });
   };
+}
+
+BatchScaleKernelFactory batched_ttp_factory(const analysis::TtpParams& p,
+                                            BitsPerSecond bw) {
+  return batched_factory<analysis::TtpBatchKernel>(p, bw);
 }
 
 void expect_identical(const BreakdownEstimate& a, const BreakdownEstimate& b) {
@@ -339,6 +365,99 @@ TEST(MonteCarloBatch, EveryJobsBatchGridPointMatchesTheScalarEstimate) {
       SCOPED_TRACE("jobs=" + std::to_string(jobs) +
                    " batch=" + std::to_string(batch));
       expect_identical(reference, batched);
+    }
+  }
+
+  // A sweep of points that differ in bandwidth, protocol, seed, station
+  // count and set count, all in one dispatch: each point matches its own
+  // scalar estimate. Only one set count is a multiple of the shard size.
+  // The 1 Mbps FDDI point has degenerate draws, and an always-schedulable
+  // kernel pair makes every draw of the last point unbounded.
+  const auto generator = [](int stations) {
+    msg::GeneratorConfig g;
+    g.num_streams = stations;
+    g.mean_period = milliseconds(100);
+    g.period_ratio = 10.0;
+    return msg::MessageSetGenerator(g);
+  };
+  const auto modified = analysis::PdpVariant::kModified8025;
+  const auto standard = analysis::PdpVariant::kStandard8025;
+  const ScaleKernelFactory scalar_always = [](const msg::MessageSet&) {
+    return ScaleKernel([](double) { return true; });
+  };
+  const BatchScaleKernelFactory batched_always =
+      [](std::span<const msg::MessageSet>) {
+        return BatchScaleKernel([](std::span<const double>,
+                                   std::span<const std::uint8_t>,
+                                   std::span<std::uint8_t> verdicts) {
+          std::fill(verdicts.begin(), verdicts.end(), std::uint8_t{1});
+        });
+      };
+  std::vector<SweepPoint> points;
+  std::vector<BreakdownEstimate> references;
+  const auto add = [&](SweepPoint point, const ScaleKernelFactory& scalar) {
+    MonteCarloOptions point_opts = opts;
+    point_opts.num_sets = point.num_sets;
+    references.push_back(estimate_breakdown_utilization(
+        point.generator, scalar, point.bw, point.seed, seq, point_opts));
+    points.push_back(std::move(point));
+  };
+  add({generator(10), batched_ttp_factory(p, bw), bw, 42, 37},
+      scalar_ttp_factory(p, bw));
+  add({generator(10),
+       batched_factory<analysis::PdpBatchKernel>(
+           paper_pdp_params(10, modified), mbps(10)),
+       mbps(10), 7, 5},
+      scalar_pdp_factory(paper_pdp_params(10, modified), mbps(10)));
+  add({generator(40),
+       batched_factory<analysis::PdpBatchKernel>(
+           paper_pdp_params(40, standard), mbps(1)),
+       mbps(1), 3, 19},
+      scalar_pdp_factory(paper_pdp_params(40, standard), mbps(1)));
+  add({generator(40), batched_ttp_factory(paper_ttp_params(40), mbps(1)),
+       mbps(1), 11, 16},
+      scalar_ttp_factory(paper_ttp_params(40), mbps(1)));
+  add({generator(6), batched_always, mbps(10), 5, 3}, scalar_always);
+  EXPECT_GT(references[3].degenerate_sets, 0u);
+  EXPECT_EQ(references[4].unbounded_sets, 3u);
+
+  for (std::size_t jobs : {std::size_t{1}, std::size_t{3}}) {
+    const exec::Executor executor(jobs);
+    for (std::size_t batch : {std::size_t{1}, std::size_t{8}, std::size_t{64}}) {
+      MonteCarloOptions sweep_opts = opts;
+      sweep_opts.batch_size = batch;
+      const auto sweep = estimate_sweep(points, executor, sweep_opts);
+      ASSERT_EQ(sweep.size(), points.size());
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        SCOPED_TRACE("sweep point " + std::to_string(i) + " jobs=" +
+                     std::to_string(jobs) + " batch=" + std::to_string(batch));
+        expect_identical(references[i], sweep[i]);
+      }
+
+      // A throwing factory fails the whole sweep with its own exception.
+      std::vector<SweepPoint> failing = points;
+      failing[2].kernel_factory = [](std::span<const msg::MessageSet>)
+          -> BatchScaleKernel { throw std::runtime_error("point 2 factory"); };
+      try {
+        estimate_sweep(failing, executor, sweep_opts);
+        ADD_FAILURE() << "the factory's exception was swallowed";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "point 2 factory");
+      }
+
+      // A token fired from inside the sweep stops it with exec::Cancelled.
+      const exec::CancellationToken token;
+      std::vector<SweepPoint> cancelling = points;
+      cancelling[1].kernel_factory =
+          [&token, inner = points[1].kernel_factory](
+              std::span<const msg::MessageSet> bases) {
+            token.request_cancel();
+            return inner(bases);
+          };
+      MonteCarloOptions cancel_opts = sweep_opts;
+      cancel_opts.cancel = token;
+      EXPECT_THROW(estimate_sweep(cancelling, executor, cancel_opts),
+                   exec::Cancelled);
     }
   }
 }

@@ -179,6 +179,34 @@ TEST(Fig1, RowsAndSearchWorkAreFrozen) {
   EXPECT_EQ(delta("analysis.rta_cap_hits"), 0u);
 }
 
+TEST(Fig1, DispatchIsOneSweep) {
+  // Dispatch budget: the whole sweep (10 bandwidths x 3 protocols, one
+  // batch group of 16 sets per point) is one parallel_for of 30 items at
+  // every jobs count, so no point waits on another point's barrier and a
+  // 4-worker pool has at least 2 x jobs items in its one call. Counting
+  // the dispatch needs no real cores.
+  Fig1Config config;
+  config.sets_per_point = 16;
+  const auto counter = [](const obs::MetricsSnapshot& snap,
+                          const std::string& name) -> std::uint64_t {
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+  };
+  for (std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    config.jobs = jobs;
+    const auto before = obs::Registry::global().snapshot();
+    run_fig1(config);
+    const auto after = obs::Registry::global().snapshot();
+    const auto delta = [&](const std::string& name) {
+      return counter(after, name) - counter(before, name);
+    };
+    EXPECT_EQ(delta("exec.parallel_for_calls"), 1u);
+    EXPECT_EQ(delta("exec.parallel_for_tasks"), 30u);
+    EXPECT_GE(delta("exec.parallel_for_tasks"), 2 * jobs);
+  }
+}
+
 TEST(Fig1, Preconditions) {
   Fig1Config config;
   config.bandwidths_mbps = {};
