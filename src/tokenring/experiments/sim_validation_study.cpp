@@ -56,10 +56,11 @@ SimValidationRow validate_pdp(const SimValidationConfig& config,
       ++row.false_negatives;
     }
 
+    // An outside run counts only if no miss shows: stop at the first one.
     const auto outside = base.scaled(sat.critical_scale * config.outside_scale);
     cfg = sim::make_sim_config(outside, params, bw, config.horizon_periods);
     cfg.seed = config.seed + i;
-    if (sim::run_simulation(outside, cfg).deadline_misses == 0) {
+    if (!sim::make_simulator(outside, cfg)->misses_a_deadline()) {
       ++row.outside_clean;
     }
   }
@@ -105,10 +106,11 @@ SimValidationRow validate_ttp(const SimValidationConfig& config,
     row.max_intervisit_ratio = std::max(row.max_intervisit_ratio, ratio);
     if (ratio > 2.0 + 1e-9) ++row.johnson_violations;
 
+    // An outside run counts only if no miss shows: stop at the first one.
     const auto outside = base.scaled(sat.critical_scale * config.outside_scale);
     cfg = sim::make_sim_config(outside, params, bw, config.horizon_periods);
     cfg.seed = config.seed + i;
-    if (sim::run_simulation(outside, cfg).deadline_misses == 0) {
+    if (!sim::make_simulator(outside, cfg)->misses_a_deadline()) {
       ++row.outside_clean;
     }
   }

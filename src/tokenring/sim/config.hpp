@@ -108,12 +108,17 @@ struct SimConfig {
   bool collect_rotation_stats = true;
 };
 
-/// A runnable protocol simulation built by make_simulator.
+/// A runnable protocol simulation built by make_simulator. Each one runs
+/// once: call run() or misses_a_deadline(), not both.
 class Simulation {
  public:
   virtual ~Simulation() = default;
   /// Execute the run and return aggregate metrics.
   virtual SimMetrics run() = 0;
+  /// Verdict-only run: true iff run() would record a deadline miss. The
+  /// same run, ended at its first late completion or crash-abandoned
+  /// message, so it never executes more events than run().
+  virtual bool misses_a_deadline() = 0;
   /// Largest token inter-visit time observed at any station (TTP; valid
   /// after run(), 0 for PDP). Drives the Johnson-bound validation check.
   virtual Seconds max_intervisit() const { return 0.0; }

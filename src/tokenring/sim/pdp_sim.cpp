@@ -83,12 +83,35 @@ int PdpSimulation::first_alive() const {
 }
 
 Seconds PdpSimulation::hops_time(int from, int to) const {
-  const int n = cfg_.pdp.ring.num_stations;
-  const int hops = ((to - from - 1) % n + n) % n + 1;  // 1..n (self = n)
+  int hops = to - from;  // 1..n downstream (self = a full lap, n)
+  if (hops <= 0) hops += cfg_.pdp.ring.num_stations;
   return static_cast<double>(hops) * hop_ + token_time_;
 }
 
+void PdpSimulation::stage(Seconds delay, const Event& ev) {
+  staged_ = ev;
+  staged_.at = sim_.now() + delay;
+  has_staged_ = true;
+}
+
 void PdpSimulation::on_event(const Event& ev) {
+  dispatch(ev);
+  // Frame train: each dispatch stages at most one medium step, as its last
+  // act. Run it inline while it would be the next event popped anyway.
+  // Otherwise push it now: nothing fired or was pushed since it was
+  // staged, so it sorts after every pending event, as if pushed then.
+  while (has_staged_) {
+    has_staged_ = false;
+    const Event step = staged_;
+    if (!sim_.try_advance(step.at)) {
+      sim_.schedule_at(step.at, step);
+      return;
+    }
+    dispatch(step);
+  }
+}
+
+void PdpSimulation::dispatch(const Event& ev) {
   switch (ev.kind) {
     case EventKind::kPdpArrival:
       on_arrival(ev.station, static_cast<std::size_t>(ev.index));
@@ -146,8 +169,8 @@ void PdpSimulation::on_event(const Event& ev) {
       const int station = ev.station;
       const auto serve_idx = static_cast<std::size_t>(ev.index);
       const Bits chunk = ev.value;
-      auto& stn = stations_[static_cast<std::size_t>(station)];
-      auto& local = stn.streams[serve_idx];
+      auto& local =
+          stations_[static_cast<std::size_t>(station)].streams[serve_idx];
       auto& msg = local.queue.front();
       msg.remaining -= chunk;
       if (msg.remaining <= 1e-9) {
@@ -160,13 +183,15 @@ void PdpSimulation::on_event(const Event& ev) {
         if (response > deadline + kDeadlineSlack) {
           emit(cfg_.trace, sim_.now(), TraceEventKind::kDeadlineMiss, station,
                response);
+          if (stop_at_miss_) sim_.stop();
         }
         local.queue.pop_front();
+        winner_stale_ = true;
       }
 
-      if (cfg_.pdp.variant == analysis::PdpVariant::kModified8025 &&
-          best_local_priority(stn) >= 0) {
-        // Keep the medium while still the highest-priority active station.
+      if (cfg_.pdp.variant == analysis::PdpVariant::kModified8025) {
+        // Keep the medium while still the highest-priority active station
+        // (a station with nothing pending cannot be the sync winner).
         bool is_async2 = false;
         const auto winner = pick_winner(station, is_async2);
         if (winner && *winner == station && !is_async2) {
@@ -224,6 +249,7 @@ void PdpSimulation::on_arrival(int station, std::size_t stream_idx) {
   if (st.alive) {
     local.queue.push_back(
         PendingMessage{sim_.now(), local.spec.payload_bits});
+    winner_stale_ = true;
     metrics_.on_release(station);
     metrics_.on_queue_depth(local.queue.size());
     emit(cfg_.trace, sim_.now(), TraceEventKind::kMessageArrival, station,
@@ -285,6 +311,7 @@ void PdpSimulation::crash_station(int station) {
   }
   st.alive = false;
   st.async_pending = 0;
+  winner_stale_ = true;
   --active_count_;
   update_ring_timing();
   // The break is detected by the downstream neighbour's beacon; the fault
@@ -296,6 +323,7 @@ void PdpSimulation::crash_station(int station) {
     for (const auto& m : local.queue) {
       if (m.arrival + local.spec.deadline() <= cfg_.horizon) {
         metrics_.on_abandoned_miss(station, m.arrival, local.spec.deadline());
+        if (stop_at_miss_) sim_.stop();
       }
     }
     local.queue.clear();
@@ -310,6 +338,7 @@ void PdpSimulation::rejoin_station(int station) {
     return;
   }
   st.alive = true;
+  winner_stale_ = true;
   ++active_count_;
   update_ring_timing();
   // Ring insertion disrupts the ring like a break: beacon + purge again.
@@ -375,22 +404,25 @@ int PdpSimulation::best_local_priority(const Station& st) const {
   return best == std::numeric_limits<int>::max() ? -1 : best;
 }
 
-std::optional<int> PdpSimulation::pick_winner(int after, bool& is_async) const {
+std::optional<int> PdpSimulation::pick_winner(int after, bool& is_async) {
   // Highest-priority pending synchronous frame wins; the tie-break is
   // already encoded in the global priority ranks.
-  std::optional<int> best;
-  int best_priority = std::numeric_limits<int>::max();
-  for (std::size_t i = 0; i < stations_.size(); ++i) {
-    if (!stations_[i].alive) continue;
-    const int p = best_local_priority(stations_[i]);
-    if (p >= 0 && p < best_priority) {
-      best_priority = p;
-      best = static_cast<int>(i);
+  if (winner_stale_) {
+    sync_winner_ = -1;
+    int best_priority = std::numeric_limits<int>::max();
+    for (std::size_t i = 0; i < stations_.size(); ++i) {
+      if (!stations_[i].alive) continue;
+      const int p = best_local_priority(stations_[i]);
+      if (p >= 0 && p < best_priority) {
+        best_priority = p;
+        sync_winner_ = static_cast<int>(i);
+      }
     }
+    winner_stale_ = false;
   }
-  if (best) {
+  if (sync_winner_ >= 0) {
     is_async = false;
-    return best;
+    return sync_winner_;
   }
   const int n = cfg_.pdp.ring.num_stations;
   switch (cfg_.async_model) {
@@ -437,7 +469,7 @@ void PdpSimulation::release_medium(int station) {
   ev.station = *winner;
   ev.index = is_async ? 1 : 0;
   ev.gen = token_generation_;
-  sim_.schedule_in(hops_time(station, *winner), ev);
+  stage(hops_time(station, *winner), ev);
 }
 
 void PdpSimulation::start_frame(int station, bool is_async) {
@@ -453,7 +485,7 @@ void PdpSimulation::start_frame(int station, bool is_async) {
     ev.station = station;
     ev.gen = token_generation_;
     ev.value = effective;
-    sim_.schedule_in(effective, ev);
+    stage(effective, ev);
     return;
   }
 
@@ -485,10 +517,11 @@ void PdpSimulation::start_frame(int station, bool is_async) {
   ev.index = static_cast<std::int32_t>(serve_idx);
   ev.gen = token_generation_;
   ev.value = chunk;
-  sim_.schedule_in(effective, ev);
+  stage(effective, ev);
 }
 
-SimMetrics PdpSimulation::run() {
+const SimMetrics& PdpSimulation::simulate(bool stop_at_miss) {
+  stop_at_miss_ = stop_at_miss;
   sim_.set_max_events(cfg_.max_events != 0 ? cfg_.max_events
                                            : kDefaultMaxSimEvents);
   // Phasing: worst case releases everything at the critical instant t=0;
@@ -531,8 +564,9 @@ SimMetrics PdpSimulation::run() {
 
   sim_.run_until(cfg_.horizon);
 
-  // Messages whose deadline passed while still incomplete count as misses.
-  for (std::size_t i = 0; i < stations_.size(); ++i) {
+  // Messages whose deadline passed while still incomplete count as misses
+  // (a verdict-only run that stopped early already has its verdict).
+  for (std::size_t i = 0; i < stations_.size() && !sim_.stopped(); ++i) {
     for (const auto& local : stations_[i].streams) {
       for (const auto& m : local.queue) {
         if (m.arrival + local.spec.deadline() <= cfg_.horizon) {

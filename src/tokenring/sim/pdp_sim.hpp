@@ -28,11 +28,19 @@
 //    a station always contends with the highest priority among its pending
 //    messages, exactly as the reservation field does.
 //
-// Medium motion is already lazy in this model: an idle ring schedules no
-// events at all (the circulating free token's position is computed
-// arithmetically when traffic appears — see maybe_capture_idle), so the
-// PDP simulator needs no frontier source; both engine modes run the same
-// typed-event path.
+// Medium motion is lazy in this model. An idle ring schedules no events at
+// all: the circulating free token's position is computed arithmetically
+// when traffic appears (see maybe_capture_idle). A busy medium runs as
+// frame trains: its one pending step (walk done, sync frame done or async
+// frame done) is staged, not pushed, and on_event runs staged steps inline
+// while Simulator::try_advance allows, i.e. while each step fires strictly
+// before every queued event. Between queued events the arbitration winner
+// cannot change, so it is cached. A refused step is pushed at the same
+// time value. Nothing fired or was pushed while the train ran, so the
+// event order, every metric and every trace record are those of one queued
+// event per step. This is the only dispatch path (traced runs, faults,
+// Poisson async, jitter and random phasing included), and the engine mode
+// does not apply: the PDP simulator has no frontier source.
 //
 // The simulator is a validation substrate: message sets accepted by
 // Theorem 4.1 must complete every message by its deadline here under
@@ -61,7 +69,11 @@ class PdpSimulation final : public Simulation, private EventHandler {
   PdpSimulation(msg::MessageSet set, SimConfig config);
 
   /// Execute the run and return aggregate metrics.
-  SimMetrics run() override;
+  SimMetrics run() override { return simulate(/*stop_at_miss=*/false); }
+  /// The same run, stopped at the first recorded miss.
+  bool misses_a_deadline() override {
+    return simulate(/*stop_at_miss=*/true).deadline_misses > 0;
+  }
 
  private:
   struct PendingMessage {
@@ -80,8 +92,15 @@ class PdpSimulation final : public Simulation, private EventHandler {
     bool alive = true;               // false while crashed (bypassed)
   };
 
-  /// Typed-event dispatch (the old per-event closures, one switch).
+  /// The one run body behind run() and misses_a_deadline().
+  const SimMetrics& simulate(bool stop_at_miss);
+  /// Dispatch one queued event, then run the frame train it starts.
   void on_event(const Event& ev) override;
+  /// Typed-event dispatch (one switch over the PDP event kinds).
+  void dispatch(const Event& ev);
+  /// Stage the medium's next step `delay` seconds from now (see the file
+  /// comment); on_event runs it inline or queues it.
+  void stage(Seconds delay, const Event& ev);
 
   void schedule_arrival(int station, std::size_t stream_idx, Seconds at);
   void on_arrival(int station, std::size_t stream_idx);
@@ -103,9 +122,9 @@ class PdpSimulation final : public Simulation, private EventHandler {
   /// Best (lowest-rank) pending stream at `station`; -1 if none.
   int best_local_priority(const Station& st) const;
   /// Pick the station whose head frame should transmit next; sync first by
-  /// priority, else (per the async model) an async-ready station after
-  /// `after`.
-  std::optional<int> pick_winner(int after, bool& is_async) const;
+  /// priority (cached, see sync_winner_), else (per the async model) an
+  /// async-ready station after `after`.
+  std::optional<int> pick_winner(int after, bool& is_async);
   /// Medium became free at `station`; arbitrate and launch the next frame.
   void release_medium(int station);
   void start_frame(int station, bool is_async);
@@ -138,6 +157,16 @@ class PdpSimulation final : public Simulation, private EventHandler {
   /// stale medium events (walks, frame completions, idle captures) compare
   /// their generation and abort.
   std::uint64_t token_generation_ = 0;
+  /// The medium's staged next step (valid while has_staged_).
+  Event staged_;
+  bool has_staged_ = false;
+  /// Station holding the highest-priority pending sync frame (-1: none).
+  /// Only a stream queue gaining or losing a message, or a station's alive
+  /// flag flipping, can change it; those set winner_stale_.
+  int sync_winner_ = -1;
+  bool winner_stale_ = true;
+  /// Verdict-only run: stop the simulator at the first recorded miss.
+  bool stop_at_miss_ = false;
 };
 
 }  // namespace tokenring::sim

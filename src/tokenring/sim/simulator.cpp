@@ -22,8 +22,9 @@ void Simulator::schedule_at(Seconds at, Event ev) {
 
 std::size_t Simulator::run_until(Seconds horizon) {
   constexpr Seconds kInf = std::numeric_limits<Seconds>::infinity();
-  std::size_t count = 0;
-  for (;;) {
+  const std::size_t start = executed_;
+  horizon_ = horizon;
+  while (!stopped_) {
     const Seconds qt = queue_.empty() ? kInf : queue_.next_time();
     const Seconds ft = frontier_ ? frontier_->frontier_time() : kInf;
     // Queue events win ties: a fault landing at the same instant as the
@@ -39,7 +40,10 @@ std::size_t Simulator::run_until(Seconds horizon) {
             "scheduling an event storm";
       throw EventStormError(os.str());
     }
+    // Count before dispatch, so a train the handler runs inline sees this
+    // event already counted and the guard admits exactly max_events_.
     now_ = t;
+    ++executed_;
     if (from_queue) {
       const Event ev = queue_.pop();
       TR_EXPECTS_MSG(handler_ != nullptr, "no event handler installed");
@@ -47,11 +51,10 @@ std::size_t Simulator::run_until(Seconds horizon) {
     } else {
       frontier_->advance_frontier();
     }
-    ++count;
-    ++executed_;
   }
-  if (now_ < horizon) now_ = horizon;
-  return count;
+  horizon_ = -kInf;
+  if (!stopped_ && now_ < horizon) now_ = horizon;
+  return executed_ - start;
 }
 
 }  // namespace tokenring::sim

@@ -231,6 +231,7 @@ Seconds TtpSimulation::serve_stream(int station, LocalStream& stream,
       if (response > deadline + kDeadlineSlack) {
         emit(cfg_.trace, completion, TraceEventKind::kDeadlineMiss, station,
              response);
+        if (stop_at_miss_) sim_.stop();
       }
       stream.queue.pop_front();
       --total_queued_;
@@ -276,6 +277,7 @@ void TtpSimulation::crash_station(int station) {
     for (const auto& m : local.queue) {
       if (m.arrival + local.spec.deadline() <= cfg_.horizon) {
         metrics_.on_abandoned_miss(station, m.arrival, local.spec.deadline());
+        if (stop_at_miss_) sim_.stop();
       }
     }
     total_queued_ -= local.queue.size();
@@ -430,7 +432,8 @@ void TtpSimulation::on_token_arrival(int station, std::uint64_t generation) {
   pass_token(next, sync_used + async_used + hop_ + wrap);
 }
 
-SimMetrics TtpSimulation::run() {
+const SimMetrics& TtpSimulation::simulate(bool stop_at_miss) {
+  stop_at_miss_ = stop_at_miss;
   sim_.set_max_events(cfg_.max_events != 0 ? cfg_.max_events
                                            : kDefaultMaxSimEvents);
   // Phasing. Worst case: each message arrives just after the token's first
@@ -472,7 +475,8 @@ SimMetrics TtpSimulation::run() {
 
   // Account deadline misses of incomplete or never-served messages. A
   // station still down at the horizon generates nothing after its crash.
-  for (std::size_t i = 0; i < stations_.size(); ++i) {
+  // (A verdict-only run that stopped early already has its verdict.)
+  for (std::size_t i = 0; i < stations_.size() && !sim_.stopped(); ++i) {
     auto& st = stations_[i];
     materialize_arrivals(static_cast<int>(i), st, cfg_.horizon, st.alive);
     for (const auto& local : st.streams) {

@@ -68,7 +68,11 @@ class TtpSimulation final : public Simulation,
   /// Execute the run and return aggregate metrics. `token_rotation` holds
   /// station-0 inter-visit times; `max_intervisit()` is tracked across all
   /// stations for the Johnson-bound check.
-  SimMetrics run() override;
+  SimMetrics run() override { return simulate(/*stop_at_miss=*/false); }
+  /// The same run, stopped at the first recorded miss.
+  bool misses_a_deadline() override {
+    return simulate(/*stop_at_miss=*/true).deadline_misses > 0;
+  }
 
   /// Largest token inter-visit time observed at any station (valid after
   /// run(); requires collect_rotation_stats, which is the default).
@@ -95,6 +99,8 @@ class TtpSimulation final : public Simulation,
     bool alive = true;                // false while crashed (bypassed)
   };
 
+  /// The one run body behind run() and misses_a_deadline().
+  const SimMetrics& simulate(bool stop_at_miss);
   /// Typed-event dispatch (faults, kickoff, recovery, eager token hops).
   void on_event(const Event& ev) override;
   /// FrontierSource: the token's next arrival, advanced lazily.
@@ -165,6 +171,8 @@ class TtpSimulation final : public Simulation,
   bool hibernate_ok_ = false;
   /// Synchronous messages queued anywhere on the ring (hibernation gate).
   std::size_t total_queued_ = 0;
+  /// Verdict-only run: stop the simulator at the first recorded miss.
+  bool stop_at_miss_ = false;
 };
 
 }  // namespace tokenring::sim

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "tokenring/breakdown/monte_carlo.hpp"
+#include "tokenring/breakdown/saturation.hpp"
 #include "tokenring/common/checks.hpp"
 #include "tokenring/exec/executor.hpp"
 #include "tokenring/experiments/allocation_study.hpp"
@@ -25,6 +26,8 @@
 #include "tokenring/experiments/station_count_study.hpp"
 #include "tokenring/experiments/ttrt_study.hpp"
 #include "tokenring/obs/registry.hpp"
+#include "tokenring/sim/config.hpp"
+#include "tokenring/sim/workload.hpp"
 
 namespace tokenring::experiments {
 namespace {
@@ -570,7 +573,9 @@ TEST(SimValidationStudy, DefaultRowsAndSimulatorWorkAreFrozen) {
   // 100 Mbps), captured from the engine before its event queue was
   // rewritten: every row field, the FDDI inter-visit maxima bit for bit,
   // and the simulator work the call does. An engine change that moves any
-  // of these changes what the study validates.
+  // of these changes what the study validates. Outside runs are
+  // verdict-only (each stops at its first miss); frame trains count every
+  // inline step as one event.
   struct GoldenRow {
     const char* protocol;
     double bandwidth_mbps;
@@ -615,8 +620,81 @@ TEST(SimValidationStudy, DefaultRowsAndSimulatorWorkAreFrozen) {
     EXPECT_EQ(got.max_intervisit_ratio, want.max_intervisit_ratio);
   }
   EXPECT_EQ(counter(after, "sim.events") - counter(before, "sim.events"),
-            5'938'245u);
+            3'811'909u);
   EXPECT_EQ(counter(after, "sim.runs") - counter(before, "sim.runs"), 120u);
+}
+
+TEST(SimValidationStudy, VerdictRunsAgreeWithFullRunsOnTheDefaultStudy) {
+  // Every inside and outside run of the default study, rebuilt from its
+  // public pieces for both protocols: misses_a_deadline() must read
+  // run().deadline_misses > 0. Every outside run misses, and its
+  // verdict-only run must stop early, on fewer events.
+  const SimValidationConfig config;
+  const auto events = [] {
+    const auto snap = obs::Registry::global().snapshot();
+    const auto it = snap.counters.find("sim.events");
+    return it == snap.counters.end() ? std::uint64_t{0} : it->second;
+  };
+  std::size_t runs = 0;
+  const auto check = [&](const msg::MessageSet& set,
+                         const sim::SimConfig& cfg, bool outside) {
+    std::uint64_t before = events();
+    const bool full = sim::make_simulator(set, cfg)->run().deadline_misses > 0;
+    const std::uint64_t full_events = events() - before;
+    before = events();
+    EXPECT_EQ(sim::make_simulator(set, cfg)->misses_a_deadline(), full);
+    const std::uint64_t verdict_events = events() - before;
+    if (outside) {
+      EXPECT_TRUE(full);
+      EXPECT_LT(verdict_events, full_events);
+    } else {
+      EXPECT_EQ(verdict_events, full_events);
+    }
+    ++runs;
+  };
+
+  msg::MessageSetGenerator gen(config.setup.generator_config());
+  Rng rng(config.seed);
+  std::vector<msg::MessageSet> bases;
+  for (std::size_t i = 0; i < config.sets_per_point; ++i) {
+    bases.push_back(gen.generate(rng));
+  }
+  for (const double bw_mbps : config.bandwidths_mbps) {
+    const BitsPerSecond bw = mbps(bw_mbps);
+    for (const auto variant : {analysis::PdpVariant::kStandard8025,
+                               analysis::PdpVariant::kModified8025}) {
+      const auto params = config.setup.pdp_params(variant);
+      const auto sats = breakdown::find_saturation_chunked(
+          bases, config.setup.pdp_batch_kernel_factory(variant, bw), bw,
+          config.batch);
+      for (std::size_t i = 0; i < bases.size(); ++i) {
+        ASSERT_TRUE(sats[i].found);
+        for (const double scale :
+             {config.inside_scale_pdp, config.outside_scale}) {
+          const auto set = bases[i].scaled(sats[i].critical_scale * scale);
+          auto cfg =
+              sim::make_sim_config(set, params, bw, config.horizon_periods);
+          cfg.seed = config.seed + i;
+          check(set, cfg, scale == config.outside_scale);
+        }
+      }
+    }
+    const auto params = config.setup.ttp_params();
+    const auto sats = breakdown::find_saturation_chunked(
+        bases, config.setup.ttp_batch_kernel_factory(bw), bw, config.batch);
+    for (std::size_t i = 0; i < bases.size(); ++i) {
+      ASSERT_TRUE(sats[i].found);
+      for (const double scale :
+           {config.inside_scale_ttp, config.outside_scale}) {
+        const auto set = bases[i].scaled(sats[i].critical_scale * scale);
+        auto cfg =
+            sim::make_sim_config(set, params, bw, config.horizon_periods);
+        cfg.seed = config.seed + i;
+        check(set, cfg, scale == config.outside_scale);
+      }
+    }
+  }
+  EXPECT_EQ(runs, 120u);
 }
 
 TEST(SimValidationStudy, Preconditions) {

@@ -1,9 +1,10 @@
 // Engine-layer tests: the event queue (exact (time, seq) order, SIM_CHECK
 // key validation, randomized differential check against a linear-scan
 // reference), the simulator loop (clock, horizon, storm guard, key checks
-// through both scheduling entry points), the frontier work source, and
-// frontier-vs-eager engine equivalence for the TTP simulator (bit-identical
-// metrics, byte-identical JSONL traces).
+// through both scheduling entry points), train steps (try_advance) and
+// stop(), the frontier work source, and frontier-vs-eager engine
+// equivalence for the TTP simulator (bit-identical metrics, byte-identical
+// JSONL traces).
 
 #include <gtest/gtest.h>
 
@@ -316,6 +317,103 @@ TEST(Simulator, CascadedEventChainsRun) {
   EXPECT_EQ(h.indices.size(), 11u);  // t = 0.0, 0.1, ..., 1.0 inclusive
 }
 
+// ---- train steps -------------------------------------------------------------
+
+TEST(Simulator, TryAdvanceRunsOnlyStrictlyBeforeTheQueueHead) {
+  Simulator sim;
+  RecordingHandler h(sim);
+  sim.set_handler(&h);
+  std::vector<double> steps;
+  h.on_event_hook = [&](const Event& ev) {
+    if (ev.index != 0) return;
+    for (const double at : {0.5, 0.75}) {
+      ASSERT_TRUE(sim.try_advance(at));
+      steps.push_back(sim.now());
+    }
+    EXPECT_FALSE(sim.try_advance(0.5));  // the past
+    // A tie with the queue head is refused: the queued event was pushed
+    // first, so it must fire first; the step queues behind it.
+    EXPECT_FALSE(sim.try_advance(1.0));
+    EXPECT_EQ(sim.now(), 0.75);
+    sim.schedule_at(1.0, user_event(2));
+  };
+  sim.schedule_at(0.25, user_event(0));
+  sim.schedule_at(1.0, user_event(1));
+  EXPECT_EQ(sim.run_until(2.0), 5u);  // three queued events, two steps
+  EXPECT_EQ(sim.events_executed(), 5u);
+  EXPECT_EQ(steps, (std::vector<double>{0.5, 0.75}));
+  EXPECT_EQ(h.indices, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(h.times, (std::vector<double>{0.25, 1.0, 1.0}));
+}
+
+TEST(Simulator, StepRefusedPastTheHorizonSurvivesForNextRun) {
+  Simulator sim;
+  RecordingHandler h(sim);
+  sim.set_handler(&h);
+  EXPECT_FALSE(sim.try_advance(0.5));  // no run in progress
+  h.on_event_hook = [&](const Event& ev) {
+    if (ev.index != 0) return;
+    EXPECT_FALSE(sim.try_advance(1.5));  // past this run's horizon
+    sim.schedule_at(1.5, user_event(1));
+  };
+  sim.schedule_at(0.5, user_event(0));
+  EXPECT_EQ(sim.run_until(1.0), 1u);
+  EXPECT_EQ(sim.now(), 1.0);
+  EXPECT_EQ(sim.run_until(2.0), 1u);
+  EXPECT_EQ(h.indices, (std::vector<int>{0, 1}));
+  EXPECT_EQ(h.times, (std::vector<double>{0.5, 1.5}));
+}
+
+TEST(Simulator, StopEndsTheRunAndKeepsTheStopTime) {
+  Simulator sim;
+  RecordingHandler h(sim);
+  sim.set_handler(&h);
+  h.on_event_hook = [&](const Event& ev) {
+    if (ev.index != 1) return;
+    ASSERT_TRUE(sim.try_advance(1.25));
+    sim.stop();
+    EXPECT_FALSE(sim.try_advance(1.5));
+  };
+  for (int i = 0; i < 4; ++i) {
+    sim.schedule_at(static_cast<double>(i), user_event(i));
+  }
+  EXPECT_EQ(sim.run_until(10.0), 3u);  // events 0 and 1, then the step
+  EXPECT_TRUE(sim.stopped());
+  EXPECT_EQ(sim.now(), 1.25);  // the stop time, not the horizon
+  EXPECT_EQ(h.indices, (std::vector<int>{0, 1}));
+  EXPECT_EQ(sim.run_until(20.0), 0u);  // stays stopped
+  EXPECT_EQ(sim.now(), 1.25);
+}
+
+TEST(Simulator, TrainStepsCountTowardStormGuard) {
+  // A handler that would train forever: the guard admits exactly
+  // max_events events, inline steps included. The refused step is queued
+  // and the next loop turn trips the guard at the last executed time.
+  Simulator sim;
+  RecordingHandler h(sim);
+  sim.set_handler(&h);
+  h.on_event_hook = [&](const Event&) {
+    Seconds at = sim.now();
+    do {
+      at += 0.001;
+    } while (sim.try_advance(at));
+    sim.schedule_at(at, user_event(1));
+  };
+  sim.set_max_events(10);
+  sim.schedule_at(0.0, user_event(0));
+  std::string message;
+  try {
+    sim.run_until(1.0);
+  } catch (const EventStormError& e) {
+    message = e.what();
+  }
+  EXPECT_EQ(sim.events_executed(), 10u);
+  EXPECT_EQ(h.indices, (std::vector<int>{0}));  // nine steps ran inline
+  EXPECT_NE(message.find("(10 events) at t=0.009 s with 1 events still queued"),
+            std::string::npos)
+      << message;
+}
+
 // ---- frontier source --------------------------------------------------------
 
 /// A frontier ticking every `step` seconds that logs its firing times.
@@ -373,6 +471,21 @@ TEST(Simulator, QueueWinsTiesAgainstFrontier) {
   sim.run_until(1.0);
   // t=0 frontier, then at t=1 the queued event (0) before the frontier (1).
   EXPECT_EQ(order, (std::vector<int>{1, 0, 1}));
+}
+
+TEST(Simulator, TryAdvanceRunsOnlyStrictlyBeforeTheFrontier) {
+  Simulator sim;
+  RecordingHandler h(sim);
+  TickingFrontier f(sim, 1.0);
+  sim.set_handler(&h);
+  sim.set_frontier(&f);
+  h.on_event_hook = [&](const Event&) {
+    EXPECT_FALSE(sim.try_advance(1.0));  // ties with the token arrival
+    EXPECT_TRUE(sim.try_advance(0.75));
+  };
+  sim.schedule_at(0.5, user_event(0));
+  EXPECT_EQ(sim.run_until(1.0), 4u);
+  EXPECT_EQ(f.fired, (std::vector<double>{0.0, 1.0}));
 }
 
 TEST(Simulator, FrontierCountsTowardStormGuard) {

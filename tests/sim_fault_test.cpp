@@ -8,6 +8,7 @@
 #include "tokenring/common/checks.hpp"
 #include "tokenring/fault/recovery.hpp"
 #include "tokenring/net/standards.hpp"
+#include "tokenring/obs/registry.hpp"
 #include "tokenring/sim/config.hpp"
 #include "tokenring/sim/simulator.hpp"
 #include "tokenring/sim/workload.hpp"
@@ -341,6 +342,71 @@ TEST(FaultDeterminism, RandomPlanRunsAreBitIdentical) {
                                               cfg.ttp.ring.num_stations);
   EXPECT_NE(other.sorted_events().front().time,
             cfg.faults.sorted_events().front().time);
+}
+
+// ---- verdict-only runs ------------------------------------------------------
+
+std::uint64_t sim_events() {
+  const auto snap = obs::Registry::global().snapshot();
+  const auto it = snap.counters.find("sim.events");
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
+SimConfig verdict_config(bool pdp) {
+  return pdp ? make_sim_config(light_set(), pdp_params(), mbps(16), 10.0)
+             : make_sim_config(light_set(), ttp_params(), mbps(100), 10.0);
+}
+
+TEST(VerdictRun, StopsAtACrashAbandonedMiss) {
+  // Station 0 crashes for good while its first message is queued: that
+  // abandoned message is the run's only miss. No trace record marks it
+  // (kDeadlineMiss traces late completions), and the verdict-only run
+  // must stop right there.
+  for (const bool pdp : {true, false}) {
+    SCOPED_TRACE(pdp ? "pdp" : "ttp");
+    auto cfg = verdict_config(pdp);
+    cfg.faults.add_station_crash(milliseconds(0.1), 0);
+    std::size_t traced_misses = 0;
+    CallbackSink sink([&](const TraceRecord& r) {
+      if (r.kind == TraceEventKind::kDeadlineMiss) ++traced_misses;
+    });
+    auto traced = cfg;
+    traced.trace = &sink;
+    std::uint64_t before = sim_events();
+    const auto m = run_simulation(light_set(), traced);
+    const std::uint64_t full_events = sim_events() - before;
+    EXPECT_EQ(m.deadline_misses, 1u);
+    EXPECT_EQ(traced_misses, 0u);
+
+    before = sim_events();
+    EXPECT_TRUE(make_simulator(light_set(), cfg)->misses_a_deadline());
+    EXPECT_LT(sim_events() - before, full_events / 10);
+  }
+}
+
+TEST(VerdictRun, AgreesWithFullRunsUnderRandomCrashPlans) {
+  fault::FaultRates rates;
+  rates.token_loss = 10.0;
+  rates.frame_corruption = 20.0;
+  rates.noise_burst = 5.0;
+  rates.noise_duration = milliseconds(2);
+  rates.station_crash = 8.0;
+  rates.crash_downtime = milliseconds(30);
+  std::size_t missed = 0;
+  std::size_t clean = 0;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    for (const bool pdp : {true, false}) {
+      auto cfg = verdict_config(pdp);
+      cfg.faults = fault::FaultPlan::random(rates, cfg.horizon, seed, 4);
+      const bool full = run_simulation(light_set(), cfg).deadline_misses > 0;
+      EXPECT_EQ(make_simulator(light_set(), cfg)->misses_a_deadline(), full)
+          << (pdp ? "pdp" : "ttp") << " seed " << seed;
+      ++(full ? missed : clean);
+    }
+  }
+  // The plans land on both sides of the verdict.
+  EXPECT_GT(missed, 0u);
+  EXPECT_GT(clean, 0u);
 }
 
 TEST(EventStormGuard, TinyEventBudgetAborts) {

@@ -88,7 +88,8 @@ class ToolTest : public ::testing::Test {
   }
 
   /// One range refusal as each front end sees it: the CLI must exit 1
-  /// naming `named`, the daemon must answer `request` with a 400.
+  /// naming `named`, the daemon must answer `request` with a 400 (an empty
+  /// `request` marks a CLI-only flag: no daemon query simulates).
   struct RangeRefusal {
     std::string cli_args;
     std::string named;
@@ -121,6 +122,15 @@ class ToolTest : public ::testing::Test {
          R"({"type":"advise","stations":0})"},
         {"advise --stations=1001", "--stations",
          R"({"type":"advise","stations":1001})"},
+        {"simulate --file=" + light_ + " --horizon-ms=0", "--horizon-ms", ""},
+        {"simulate --file=" + light_ + " --horizon-ms=-5", "--horizon-ms",
+         ""},
+        {"simulate --file=" + light_ + " --horizon-ms=nan", "--horizon-ms",
+         ""},
+        {"simulate --file=" + light_ + " --async=poisson --async-fps=0",
+         "--async-fps", ""},
+        {"simulate --file=" + light_ + " --async=poisson --async-fps=-2",
+         "--async-fps", ""},
     };
   }
 
@@ -253,6 +263,22 @@ TEST_F(ToolTest, SimulateOverloadExitsTwo) {
                           " --protocol=fddi --bandwidth-mbps=100 "
                           "--horizon-ms=100");
   EXPECT_EQ(r.exit_code, 2) << r.output;
+}
+
+TEST_F(ToolTest, SimulateEventStormExitsOneWithTheGuardMessage) {
+  // A horizon no run can reach trips the simulator's max-event guard: the
+  // tool reports the guard's message and exits 1 instead of aborting.
+  const std::string path = temp_path("tool_test_storm.csv");
+  ASSERT_EQ(run_tool("generate --stations=8 --utilization=0.3 --file=" + path)
+                .exit_code,
+            0);
+  const auto r = run_tool("simulate --file=" + path +
+                          " --protocol=ieee8025 --horizon-ms=1e300");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("exceeded the max-event guard (50000000 events)"),
+            std::string::npos)
+      << r.output;
+  std::remove(path.c_str());
 }
 
 TEST_F(ToolTest, AdviseShowsRecommendations) {
@@ -883,6 +909,7 @@ TEST_F(ToolTest, DaemonAndCliAgreeOnGeneratedScenarios) {
   // Every range refusal is a 400 from the daemon (and exit 1 from the CLI,
   // BadNumbersExitOneNamingTheFlagOrLine).
   for (const RangeRefusal& refusal : range_refusals()) {
+    if (refusal.request.empty()) continue;  // CLI-only flag
     const auto doc = obs::parse_json(engine.handle_line(refusal.request, "t"));
     EXPECT_EQ(doc.value.find("status")->as_int64(), 400) << refusal.request;
   }

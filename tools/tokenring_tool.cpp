@@ -39,6 +39,7 @@
 #include "tokenring/query/query.hpp"
 #include "tokenring/serve/server.hpp"
 #include "tokenring/sim/config.hpp"
+#include "tokenring/sim/simulator.hpp"
 #include "tokenring/sim/workload.hpp"
 
 using namespace tokenring;
@@ -163,6 +164,11 @@ void flags_simulate(CliFlags& flags) {
                 "write every trace event to this file as JSON Lines");
 }
 
+/// Range rule of simulate's own numbers (no daemon query simulates).
+const char* positive_violation(double v) {
+  return v > 0.0 ? nullptr : "must be > 0";
+}
+
 int cmd_simulate(const CliFlags& flags, obs::RunReport& report) {
   const query::CheckQuery q = read_scenario(flags);
 
@@ -178,6 +184,13 @@ int cmd_simulate(const CliFlags& flags, obs::RunReport& report) {
     std::fprintf(stderr, "unknown async model: %s\n", async_name.c_str());
     return 1;
   }
+  const Seconds horizon =
+      milliseconds(get_ranged(flags, "horizon-ms", positive_violation));
+  // The rate matters to the Poisson model only.
+  const double async_fps =
+      async_model == sim::AsyncModel::kPoisson
+          ? get_ranged(flags, "async-fps", positive_violation)
+          : flags.get_double("async-fps");
 
   const std::string trace_path = flags.get_string("trace-jsonl");
   std::unique_ptr<obs::JsonlTraceSink> trace;
@@ -194,9 +207,9 @@ int cmd_simulate(const CliFlags& flags, obs::RunReport& report) {
       q.protocol == planner::Protocol::kFddi
           ? sim::make_sim_config(q.set, config.ttp_params(), config.bandwidth)
           : sim::make_sim_config(q.set, config.pdp_params(), config.bandwidth);
-  cfg.horizon = milliseconds(flags.get_double("horizon-ms"));
+  cfg.horizon = horizon;
   cfg.async_model = async_model;
-  cfg.async_frames_per_second = flags.get_double("async-fps");
+  cfg.async_frames_per_second = async_fps;
   cfg.seed = get_seed(flags);
   cfg.trace = trace.get();
   const sim::SimMetrics m = sim::run_simulation(q.set, cfg);
@@ -504,6 +517,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", e.what());
     return 1;
   } catch (const PreconditionError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  } catch (const sim::EventStormError& e) {
+    // simulate's horizon outran the simulator's max-event guard.
     std::fprintf(stderr, "%s\n", e.what());
     return 1;
   }
