@@ -1,16 +1,15 @@
 // Simulator scaling (google-benchmark): cost of driving a large, mostly
 // idle ring through the event engine. On a 1024-station ring with a
 // handful of synchronous streams, almost every token rotation is pure
-// token passing; the eager engine pays one event per hop for it while the
-// frontier engine advances station ready-times lazily and fast-forwards
-// whole idle laps in O(1).
+// token passing. The token walk runs each hop inline as a staged step and,
+// with rotation statistics off, fast-forwards whole idle laps in O(1).
 //
-// BM_SimScalingEager / BM_SimScalingFrontier run the identical scenario
-// (same streams, same horizon, same metrics — pinned bit-identical by
-// tests/sim_engine_test.cpp) on the two engines, so their in-run ratio is
-// machine independent; scripts/check_perf_baseline.py gates it at >= 10x.
+// BM_SimScalingFrontier runs 2 s of ring time at 256 and 1024 stations;
 // BM_SimScalingFrontierLong stretches the horizon 16x to show the
-// hibernating engine's cost scales with traffic, not with idle time.
+// hibernating walk's cost scales with traffic, not with idle time.
+// scripts/check_perf_baseline.py compares both with their recorded
+// baseline rows. The idle-lap saving itself is pinned as deterministic
+// event counts in tests/sim_engine_test.cpp (SimScaling.*).
 
 #include <benchmark/benchmark.h>
 
@@ -30,8 +29,8 @@ using namespace tokenring;
 
 // A sparse workload: 4 streams on a ring of `n` stations. Periods are
 // hundreds of milliseconds against a ~2 ms rotation, so the ring idles
-// for dozens of rotations between releases — the regime where per-hop
-// event cost dominates the eager engine.
+// for dozens of rotations between releases: the regime where per-hop
+// cost would dominate without the idle-lap fast-forward.
 msg::MessageSet sparse_set(int n) {
   msg::MessageSet set;
   for (int i = 0; i < 4; ++i) {
@@ -42,37 +41,22 @@ msg::MessageSet sparse_set(int n) {
   return set;
 }
 
-sim::SimConfig scaling_config(int n, sim::EngineMode mode,
-                              double horizon_seconds) {
+sim::SimConfig scaling_config(int n, double horizon_seconds) {
   experiments::PaperSetup setup;
   setup.num_stations = n;
   auto cfg = sim::make_sim_config(sparse_set(n), setup.ttp_params(), mbps(100));
   cfg.horizon = horizon_seconds;
-  cfg.engine = mode;
   // License the idle-lap fast-forward (sim/config.hpp): no async traffic,
-  // no per-rotation statistics, no trace. The eager reference runs under
-  // the same flags so the pair isolates the engine, not the bookkeeping.
+  // no per-rotation statistics, no trace.
   cfg.async_model = sim::AsyncModel::kNone;
   cfg.collect_rotation_stats = false;
   return cfg;
 }
 
-void BM_SimScalingEager(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const auto set = sparse_set(n);
-  const auto cfg = scaling_config(n, sim::EngineMode::kEager, 2.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim::run_simulation(set, cfg));
-  }
-  state.SetLabel("2 s of ring time per iteration");
-}
-BENCHMARK(BM_SimScalingEager)->Arg(256)->Arg(1024)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_SimScalingFrontier(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto set = sparse_set(n);
-  const auto cfg = scaling_config(n, sim::EngineMode::kFrontier, 2.0);
+  const auto cfg = scaling_config(n, 2.0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(sim::run_simulation(set, cfg));
   }
@@ -84,7 +68,7 @@ BENCHMARK(BM_SimScalingFrontier)->Arg(256)->Arg(1024)
 void BM_SimScalingFrontierLong(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto set = sparse_set(n);
-  const auto cfg = scaling_config(n, sim::EngineMode::kFrontier, 32.0);
+  const auto cfg = scaling_config(n, 32.0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(sim::run_simulation(set, cfg));
   }

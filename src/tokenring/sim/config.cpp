@@ -3,10 +3,18 @@
 #include <utility>
 
 #include "tokenring/analysis/ttrt.hpp"
+#include "tokenring/common/checks.hpp"
 #include "tokenring/sim/pdp_sim.hpp"
 #include "tokenring/sim/ttp_sim.hpp"
 
 namespace tokenring::sim {
+
+void Simulation::start_run() {
+  TR_EXPECTS_MSG(!ran_,
+                 "a Simulation runs once; build another with make_simulator "
+                 "for a second run");
+  ran_ = true;
+}
 
 std::unique_ptr<Simulation> make_simulator(msg::MessageSet set,
                                            const SimConfig& config) {

@@ -31,18 +31,6 @@ enum class Protocol {
   kTtp,  ///< timed-token protocol (FDDI), Section 5
 };
 
-/// How the engine materializes predictable token motion (TTP only; the PDP
-/// model computes idle-token positions arithmetically in both modes).
-enum class EngineMode {
-  /// Token hops advance a lazily evaluated frontier time: no event is
-  /// queued for the walk, and fully idle stretches of the ring can be
-  /// skipped wholesale (see SimConfig::collect_rotation_stats). Default.
-  kFrontier,
-  /// Every token hop is a queued event, exactly like the original engine;
-  /// kept as the differential-testing and benchmarking reference.
-  kEager,
-};
-
 /// Default max-event guard installed when the config leaves `max_events`
 /// at 0 — far above any legitimate run, so only genuine event storms trip
 /// it.
@@ -95,21 +83,20 @@ struct SimConfig {
   /// Abort with EventStormError past this many simulation events; 0 picks
   /// the generous default guard (kDefaultMaxSimEvents).
   std::size_t max_events = 0;
-  /// Event-engine mode; kFrontier unless differential-testing the walk.
-  EngineMode engine = EngineMode::kFrontier;
   /// true (default): track token-rotation statistics (station-0 rotation
-  /// times, per-station inter-visit maxima) exactly, which forces the
-  /// frontier engine to step every visit of every rotation. false: skip
-  /// rotation stats, allowing the frontier engine to fast-forward fully
-  /// idle stretches of ring time in O(1) (TTP, async kNone, no trace sink
-  /// only); completion metrics remain exact but are no longer guaranteed
-  /// bit-identical to the eager walk (the skip replaces a chain of
-  /// floating-point adds with one multiply).
+  /// times, per-station inter-visit maxima) exactly, which makes the TTP
+  /// token walk step every visit of every rotation. false: skip rotation
+  /// stats, letting the walk fast-forward fully idle stretches of ring
+  /// time in O(1) (TTP, async kNone, no trace sink only); completion
+  /// metrics remain exact but are no longer guaranteed bit-identical to a
+  /// run that steps every lap (the skip replaces a chain of floating-point
+  /// adds with one multiply).
   bool collect_rotation_stats = true;
 };
 
 /// A runnable protocol simulation built by make_simulator. Each one runs
-/// once: call run() or misses_a_deadline(), not both.
+/// once: call run() or misses_a_deadline() one time; a second run throws
+/// PreconditionError.
 class Simulation {
  public:
   virtual ~Simulation() = default;
@@ -122,6 +109,14 @@ class Simulation {
   /// Largest token inter-visit time observed at any station (TTP; valid
   /// after run(), 0 for PDP). Drives the Johnson-bound validation check.
   virtual Seconds max_intervisit() const { return 0.0; }
+
+ protected:
+  /// Called first by every run: refuses a second one, whose clock, queue
+  /// and metrics would start where the first run left them.
+  void start_run();
+
+ private:
+  bool ran_ = false;
 };
 
 /// Build the simulator `config.protocol` selects. For TTP, fills an unset

@@ -31,8 +31,8 @@ enum class EventKind : std::uint8_t {
   /// Corrupted frame's wasted slot elapsed; retransmit from where the
   /// medium/token stood (generation-guarded, both protocols).
   kCorruptionRetry,
-  /// TTP token arrives at `station` (eager engine only; the frontier
-  /// engine advances the token without materializing hop events).
+  /// TTP token arrives at `station`: the token walk's staged next hop
+  /// (generation-guarded).
   kTtpTokenHop,
   /// PDP synchronous release of stream `index` at `station`.
   kPdpArrival,

@@ -88,30 +88,7 @@ Seconds PdpSimulation::hops_time(int from, int to) const {
   return static_cast<double>(hops) * hop_ + token_time_;
 }
 
-void PdpSimulation::stage(Seconds delay, const Event& ev) {
-  staged_ = ev;
-  staged_.at = sim_.now() + delay;
-  has_staged_ = true;
-}
-
 void PdpSimulation::on_event(const Event& ev) {
-  dispatch(ev);
-  // Frame train: each dispatch stages at most one medium step, as its last
-  // act. Run it inline while it would be the next event popped anyway.
-  // Otherwise push it now: nothing fired or was pushed since it was
-  // staged, so it sorts after every pending event, as if pushed then.
-  while (has_staged_) {
-    has_staged_ = false;
-    const Event step = staged_;
-    if (!sim_.try_advance(step.at)) {
-      sim_.schedule_at(step.at, step);
-      return;
-    }
-    dispatch(step);
-  }
-}
-
-void PdpSimulation::dispatch(const Event& ev) {
   switch (ev.kind) {
     case EventKind::kPdpArrival:
       on_arrival(ev.station, static_cast<std::size_t>(ev.index));
@@ -267,8 +244,8 @@ void PdpSimulation::maybe_capture_idle(int station) {
   // If the medium is idle, the free token is circulating at one hop per
   // hop-latency (idle stations just repeat it): capture it when it next
   // passes here, paying one token transmission for the capture/release.
-  // This is the frontier idiom avant la lettre: no events circulate on an
-  // idle ring, the token position is pure arithmetic.
+  // No events circulate on an idle ring: the token position is pure
+  // arithmetic.
   if (medium_busy_ || capture_pending_) return;
   const int n = cfg_.pdp.ring.num_stations;
   const Seconds lap = static_cast<double>(n) * hop_;
@@ -469,7 +446,7 @@ void PdpSimulation::release_medium(int station) {
   ev.station = *winner;
   ev.index = is_async ? 1 : 0;
   ev.gen = token_generation_;
-  stage(hops_time(station, *winner), ev);
+  sim_.stage_at(sim_.now() + hops_time(station, *winner), ev);
 }
 
 void PdpSimulation::start_frame(int station, bool is_async) {
@@ -485,7 +462,7 @@ void PdpSimulation::start_frame(int station, bool is_async) {
     ev.station = station;
     ev.gen = token_generation_;
     ev.value = effective;
-    stage(effective, ev);
+    sim_.stage_at(sim_.now() + effective, ev);
     return;
   }
 
@@ -517,10 +494,11 @@ void PdpSimulation::start_frame(int station, bool is_async) {
   ev.index = static_cast<std::int32_t>(serve_idx);
   ev.gen = token_generation_;
   ev.value = chunk;
-  stage(effective, ev);
+  sim_.stage_at(sim_.now() + effective, ev);
 }
 
 const SimMetrics& PdpSimulation::simulate(bool stop_at_miss) {
+  start_run();
   stop_at_miss_ = stop_at_miss;
   sim_.set_max_events(cfg_.max_events != 0 ? cfg_.max_events
                                            : kDefaultMaxSimEvents);

@@ -32,15 +32,12 @@
 // all: the circulating free token's position is computed arithmetically
 // when traffic appears (see maybe_capture_idle). A busy medium runs as
 // frame trains: its one pending step (walk done, sync frame done or async
-// frame done) is staged, not pushed, and on_event runs staged steps inline
-// while Simulator::try_advance allows, i.e. while each step fires strictly
-// before every queued event. Between queued events the arbitration winner
-// cannot change, so it is cached. A refused step is pushed at the same
-// time value. Nothing fired or was pushed while the train ran, so the
-// event order, every metric and every trace record are those of one queued
-// event per step. This is the only dispatch path (traced runs, faults,
-// Poisson async, jitter and random phasing included), and the engine mode
-// does not apply: the PDP simulator has no frontier source.
+// frame done) is staged with Simulator::stage_at, which runs it inline
+// while it fires strictly before every queued event. Between queued
+// events the arbitration winner cannot change, so it is cached. The event
+// order, every metric and every trace record are those of one queued
+// event per step (traced runs, faults, Poisson async, jitter and random
+// phasing included).
 //
 // The simulator is a validation substrate: message sets accepted by
 // Theorem 4.1 must complete every message by its deadline here under
@@ -63,7 +60,7 @@ namespace tokenring::sim {
 
 /// One PDP token-ring simulation run over a message set. Built via
 /// make_simulator (config.hpp); uses config.pdp, ignores config.ttp/ttrt/
-/// sync_bandwidth_per_stream/engine.
+/// sync_bandwidth_per_stream/collect_rotation_stats.
 class PdpSimulation final : public Simulation, private EventHandler {
  public:
   PdpSimulation(msg::MessageSet set, SimConfig config);
@@ -94,13 +91,8 @@ class PdpSimulation final : public Simulation, private EventHandler {
 
   /// The one run body behind run() and misses_a_deadline().
   const SimMetrics& simulate(bool stop_at_miss);
-  /// Dispatch one queued event, then run the frame train it starts.
-  void on_event(const Event& ev) override;
   /// Typed-event dispatch (one switch over the PDP event kinds).
-  void dispatch(const Event& ev);
-  /// Stage the medium's next step `delay` seconds from now (see the file
-  /// comment); on_event runs it inline or queues it.
-  void stage(Seconds delay, const Event& ev);
+  void on_event(const Event& ev) override;
 
   void schedule_arrival(int station, std::size_t stream_idx, Seconds at);
   void on_arrival(int station, std::size_t stream_idx);
@@ -157,9 +149,6 @@ class PdpSimulation final : public Simulation, private EventHandler {
   /// stale medium events (walks, frame completions, idle captures) compare
   /// their generation and abort.
   std::uint64_t token_generation_ = 0;
-  /// The medium's staged next step (valid while has_staged_).
-  Event staged_;
-  bool has_staged_ = false;
   /// Station holding the highest-priority pending sync frame (-1: none).
   /// Only a stream queue gaining or losing a message, or a station's alive
   /// flag flipping, can change it; those set winner_stale_.

@@ -1,18 +1,20 @@
 // Discrete-event simulation engine.
 //
-// A thin deterministic scheduler over three sources of work:
-//  * the heap of typed events (see event_queue.hpp), delivered to the
-//    installed EventHandler in exact (time, seq) order;
-//  * an optional FrontierSource — a lazily advanced "next predictable
-//    action" time (the TTP token walk). The engine interleaves the frontier
-//    with the queue by time; at equal times queued events fire first, so a
-//    fault scheduled at the same instant as a token arrival destroys the
-//    token before the visit runs; and
-//  * train steps: a handler that knows its next step (the PDP medium's
-//    next walk or frame) runs it inline through try_advance(at), which
-//    allows it only where a queued event at `at` would have fired next.
+// A thin deterministic scheduler: typed events wait in a heap (see
+// event_queue.hpp) and reach the installed EventHandler in exact
+// (time, seq) order. A handler that knows its own next step (the TTP
+// token's next hop, the PDP medium's next walk or frame) stages it with
+// stage_at() instead of pushing it. When the handler returns, run_until
+// runs the staged step inline if it fires strictly before the queue head,
+// within the horizon, with the run not stopped and the storm guard not
+// full; otherwise it pushes the step. Any schedule_at/schedule_in, or a
+// second stage, made while a step is staged pushes that step first. So a
+// staged step fires exactly where the same event pushed at stage time
+// would have: the event order, the event count and the guard message are
+// those of the plain queue, and a tie goes to the older queued event (a
+// fault landing on a token arrival destroys the token first).
 //
-// Every executed event, train steps included, counts toward the storm
+// Every executed event, inline steps included, counts toward the storm
 // guard, counted before it is dispatched. stop() ends a run early.
 //
 // Time never goes backwards; scheduling in the past is a contract
@@ -21,9 +23,9 @@
 #pragma once
 
 #include <cstddef>
-#include <limits>
 #include <stdexcept>
 
+#include "tokenring/common/checks.hpp"
 #include "tokenring/sim/event_queue.hpp"
 
 namespace tokenring::sim {
@@ -37,24 +39,13 @@ class EventStormError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Receives queued events in (time, seq) order. now() equals the event's
-/// firing time during on_event.
+/// Receives events in (time, seq) order, staged steps included. now()
+/// equals the event's firing time (ev.at) during on_event. A staged step
+/// that runs inline never enters the queue, so it takes no seq.
 class EventHandler {
  public:
   virtual ~EventHandler() = default;
   virtual void on_event(const Event& ev) = 0;
-};
-
-/// A lazily advanced work source the engine merges with the event queue.
-/// frontier_time() is the absolute time of the next predictable action
-/// (+infinity when idle); advance_frontier() performs it. The engine sets
-/// now() to frontier_time() before each advance. One advance counts as one
-/// executed event for the storm guard.
-class FrontierSource {
- public:
-  virtual ~FrontierSource() = default;
-  virtual Seconds frontier_time() const = 0;
-  virtual void advance_frontier() = 0;
 };
 
 /// The simulation clock + event loop.
@@ -69,46 +60,36 @@ class Simulator {
   /// Schedule `ev` at absolute time `at` (at >= now()).
   void schedule_at(Seconds at, Event ev);
 
-  /// Install the handler queued events are delivered to. Must be set
-  /// before run_until executes any event.
-  void set_handler(EventHandler* handler) { handler_ = handler; }
+  /// Stage `ev` as the handler's next step at absolute time `at`
+  /// (at >= now()); see the file comment for when it runs inline.
+  void stage_at(Seconds at, const Event& ev) {
+    TR_EXPECTS_MSG(!(at < now_), "cannot schedule into the past");
+    flush_staged();
+    Event& slot = slots_[slot_];
+    slot = ev;
+    slot.at = at;
+    staged_ = true;
+  }
 
-  /// Install (or clear, with nullptr) the frontier work source.
-  void set_frontier(FrontierSource* frontier) { frontier_ = frontier; }
+  /// Install the handler events are delivered to. Must be set before
+  /// run_until executes any event.
+  void set_handler(EventHandler* handler) { handler_ = handler; }
 
   /// Abort (with EventStormError) any run_until that executes more than
   /// `cap` events in total; 0 (the default) disables the guard.
   void set_max_events(std::size_t cap) { max_events_ = cap; }
 
-  /// Run events (queued, frontier and train steps) until both sources are
-  /// past `horizon` or the run is stopped; work exactly at the horizon
-  /// still fires. Returns the number of events executed. Throws
-  /// EventStormError if the max-event guard is set and trips. now() ends
-  /// at `horizon`, or at the last executed event's time after stop().
+  /// Run events (queued and staged) until the next one is past `horizon`
+  /// or the run is stopped; work exactly at the horizon still fires.
+  /// Returns the number of events executed. Throws EventStormError if the
+  /// max-event guard is set and trips. now() ends at `horizon`, or at the
+  /// last executed event's time after stop(). A staged step past the
+  /// horizon is queued, so it survives to the next run_until.
   std::size_t run_until(Seconds horizon);
 
-  /// Train step: move now() to `at` and count one executed event, with
-  /// nothing queued. Allowed only while run_until runs, and only if `at`
-  /// lies in [now(), horizon] strictly before the queue head and the
-  /// frontier, the run is not stopped and the storm guard has room; then
-  /// the step fires exactly where a queued event at `at` would have.
-  /// Otherwise returns false and changes nothing: the caller schedules the
-  /// step with schedule_at(at).
-  bool try_advance(Seconds at) {
-    if (stopped_ || !(at >= now_ && at <= horizon_)) return false;
-    if (!queue_.empty() && !(at < queue_.next_time())) return false;
-    if (frontier_ != nullptr && !(at < frontier_->frontier_time())) {
-      return false;
-    }
-    if (max_events_ != 0 && executed_ >= max_events_) return false;
-    now_ = at;
-    ++executed_;
-    return true;
-  }
-
-  /// End the run: run_until returns before executing another event and
-  /// try_advance refuses. Pending events stay queued; a stopped simulator
-  /// stays stopped.
+  /// End the run: run_until returns before executing another event, even
+  /// a staged one. Pending events, the staged step included, stay
+  /// pending; a stopped simulator stays stopped.
   void stop() { stopped_ = true; }
   bool stopped() const { return stopped_; }
 
@@ -116,12 +97,22 @@ class Simulator {
   std::size_t events_executed() const { return executed_; }
 
  private:
+  /// Push the staged step, if any, into the queue.
+  void flush_staged() {
+    if (!staged_) return;
+    staged_ = false;
+    queue_.push(slots_[slot_].at, slots_[slot_]);
+  }
+
   EventQueue queue_;
   EventHandler* handler_ = nullptr;
-  FrontierSource* frontier_ = nullptr;
+  /// The staged step lives in slots_[slot_]. An inline step is dispatched
+  /// in place from its slot, so a stage made while it runs writes the
+  /// other slot.
+  Event slots_[2];
+  int slot_ = 0;
+  bool staged_ = false;
   Seconds now_ = 0.0;
-  /// Horizon of the run_until in progress; -inf between runs.
-  Seconds horizon_ = -std::numeric_limits<Seconds>::infinity();
   std::size_t executed_ = 0;
   std::size_t max_events_ = 0;
   bool stopped_ = false;

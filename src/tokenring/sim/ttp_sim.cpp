@@ -53,13 +53,11 @@ TtpSimulation::TtpSimulation(msg::MessageSet set, SimConfig config)
   // Idle-lap fast-forward replaces a chain of per-visit adds with one
   // multiply, so it is reserved for runs that opted out of exact rotation
   // statistics and have nothing observable happening on an idle lap.
-  hibernate_ok_ = cfg_.engine == EngineMode::kFrontier &&
-                  !cfg_.collect_rotation_stats &&
+  hibernate_ok_ = !cfg_.collect_rotation_stats &&
                   cfg_.async_model == AsyncModel::kNone &&
                   cfg_.trace == nullptr;
 
   sim_.set_handler(this);
-  if (cfg_.engine == EngineMode::kFrontier) sim_.set_frontier(this);
 }
 
 void TtpSimulation::update_ring_timing() {
@@ -118,38 +116,14 @@ void TtpSimulation::on_event(const Event& ev) {
   }
 }
 
-Seconds TtpSimulation::frontier_time() const {
-  return token_live_ ? token_at_ : std::numeric_limits<Seconds>::infinity();
-}
-
-void TtpSimulation::advance_frontier() {
-  // Disarm first: if the generation went stale (a fault destroyed the
-  // token) the visit below aborts without re-arming, exactly like a stale
-  // queued hop event popping to a no-op.
-  token_live_ = false;
-  on_token_arrival(token_next_, token_gen_);
-}
-
 void TtpSimulation::pass_token(int next, Seconds delay) {
   next_station_ = next;
-  if (cfg_.engine == EngineMode::kEager) {
-    Event ev;
-    ev.kind = EventKind::kTtpTokenHop;
-    ev.station = next;
-    ev.gen = token_generation_;
-    sim_.schedule_in(delay, ev);
-    return;
-  }
-  token_live_ = true;
-  token_at_ = sim_.now() + delay;
-  token_next_ = next;
-  token_gen_ = token_generation_;
+  Seconds at = sim_.now() + delay;
 
   // Idle-lap fast-forward: once per lap (at the wrap to station 0), if no
   // message is queued anywhere, skip whole laps until just before the next
-  // release (or past the horizon). Pending fault events are unaffected —
-  // the engine still fires them first, and their generation bump discards
-  // this frontier.
+  // release (or past the horizon). Pending fault events are unaffected:
+  // they fire first, and their generation bump makes this hop stale.
   if (hibernate_ok_ && next == 0 && total_queued_ == 0) {
     Seconds next_wake = std::numeric_limits<Seconds>::infinity();
     for (const auto& st : stations_) {
@@ -160,16 +134,23 @@ void TtpSimulation::pass_token(int next, Seconds delay) {
     }
     const Seconds lap =
         static_cast<double>(cfg_.ttp.ring.num_stations) * hop_ + token_time_;
-    if (lap <= 0.0) return;
-    double laps;
-    if (next_wake > cfg_.horizon) {
-      // Nothing left to serve: jump past the horizon and end the run.
-      laps = std::floor((cfg_.horizon - token_at_) / lap) + 1.0;
-    } else {
-      laps = std::floor((next_wake - token_at_) / lap);
+    if (lap > 0.0) {
+      double laps;
+      if (next_wake > cfg_.horizon) {
+        // Nothing left to serve: jump past the horizon and end the run.
+        laps = std::floor((cfg_.horizon - at) / lap) + 1.0;
+      } else {
+        laps = std::floor((next_wake - at) / lap);
+      }
+      if (laps > 0.0) at += laps * lap;
     }
-    if (laps > 0.0) token_at_ += laps * lap;
   }
+
+  Event hop;
+  hop.kind = EventKind::kTtpTokenHop;
+  hop.station = next;
+  hop.gen = token_generation_;
+  sim_.stage_at(at, hop);
 }
 
 void TtpSimulation::materialize_arrivals(int station, Station& st,
@@ -243,8 +224,7 @@ Seconds TtpSimulation::serve_stream(int station, LocalStream& stream,
 }
 
 void TtpSimulation::ring_outage(fault::FaultKind kind, Seconds outage) {
-  // Destroy the circulating token: stale pass events (or a stale frontier)
-  // abort via generation.
+  // Destroy the circulating token: stale token hops abort via generation.
   ++token_generation_;
   const Seconds now = sim_.now();
   recovering_until_ = std::max(recovering_until_, now + outage);
@@ -433,6 +413,7 @@ void TtpSimulation::on_token_arrival(int station, std::uint64_t generation) {
 }
 
 const SimMetrics& TtpSimulation::simulate(bool stop_at_miss) {
+  start_run();
   stop_at_miss_ = stop_at_miss;
   sim_.set_max_events(cfg_.max_events != 0 ? cfg_.max_events
                                            : kDefaultMaxSimEvents);

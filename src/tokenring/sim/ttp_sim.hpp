@@ -17,18 +17,14 @@
 //    one token transmission is charged per lap, so an idle rotation sums
 //    to Theta, matching the analysis.
 //
-// Engine modes (SimConfig::engine):
-//  * kFrontier (default): the token walk is a FrontierSource — the next
-//    arrival is a (time, station) pair advanced in place, so a hop costs
-//    no queue traffic and no allocation. Every visit performs bit-for-bit
-//    the same arithmetic (and RNG draws) as the eager walk, so metrics and
-//    traces are identical. With rotation statistics disabled
-//    (collect_rotation_stats = false, async kNone, no trace sink) the walk
-//    additionally fast-forwards whole idle laps in O(1) whenever no
-//    message is queued anywhere — the huge-ring/long-horizon mode.
-//  * kEager: every hop is a typed kTtpTokenHop event through the event
-//    queue — the original engine's shape, kept as the differential-test
-//    and benchmark reference.
+// The token walk is a staged step: each visit stages the next hop as a
+// kTtpTokenHop with Simulator::stage_at, which runs it inline while it
+// fires strictly before every queued event, so a hop costs no queue
+// traffic unless a fault or recovery is pending. With rotation statistics
+// disabled (collect_rotation_stats = false, async kNone, no trace sink)
+// the walk also fast-forwards whole idle laps in O(1) whenever no message
+// is queued anywhere, by moving that hop's time: the huge-ring /
+// long-horizon mode.
 //
 // The paper's model hosts exactly one stream per station; this simulator
 // generalizes to any number (including zero) of streams per station — the
@@ -57,9 +53,7 @@ namespace tokenring::sim {
 /// One FDDI timed-token simulation run. Built via make_simulator
 /// (config.hpp), which fills unset ttrt/sync_bandwidth_per_stream; uses
 /// config.ttp, ignores config.pdp.
-class TtpSimulation final : public Simulation,
-                            private EventHandler,
-                            private FrontierSource {
+class TtpSimulation final : public Simulation, private EventHandler {
  public:
   /// Requires ttrt > 0 and sync_bandwidth_per_stream aligned with the
   /// set's streams (make_simulator guarantees both).
@@ -101,16 +95,12 @@ class TtpSimulation final : public Simulation,
 
   /// The one run body behind run() and misses_a_deadline().
   const SimMetrics& simulate(bool stop_at_miss);
-  /// Typed-event dispatch (faults, kickoff, recovery, eager token hops).
+  /// Typed-event dispatch (token hops, faults, kickoff, recovery).
   void on_event(const Event& ev) override;
-  /// FrontierSource: the token's next arrival, advanced lazily.
-  Seconds frontier_time() const override;
-  void advance_frontier() override;
 
   void on_token_arrival(int station, std::uint64_t generation);
-  /// Hand the token to `next`, `delay` seconds from now: a queued
-  /// kTtpTokenHop event (eager) or a frontier update (frontier). The
-  /// frontier path may fast-forward whole idle laps (see hibernate_ok_).
+  /// Hand the token to `next`, `delay` seconds from now: stage a
+  /// kTtpTokenHop, possibly whole idle laps later (see hibernate_ok_).
   void pass_token(int next, Seconds delay);
   /// Apply one fault from the plan with the FDDI recovery model.
   void on_fault(const fault::FaultEvent& event);
@@ -158,16 +148,10 @@ class TtpSimulation final : public Simulation,
   /// inside it are absorbed (the ring is already down).
   Seconds recovering_until_ = 0.0;
   /// Incremented whenever a fault destroys the circulating token; stale
-  /// in-flight token-pass events (or a stale frontier) compare their
-  /// captured generation and abort.
+  /// in-flight token hops compare their captured generation and abort.
   std::uint64_t token_generation_ = 0;
-  // Frontier state (engine == kFrontier): the token's next arrival.
-  bool token_live_ = false;
-  Seconds token_at_ = 0.0;
-  int token_next_ = 0;
-  std::uint64_t token_gen_ = 0;
-  /// Idle-lap fast-forward is legal for this run (frontier engine, async
-  /// kNone, no trace sink, rotation stats off).
+  /// Idle-lap fast-forward is legal for this run (async kNone, no trace
+  /// sink, rotation stats off).
   bool hibernate_ok_ = false;
   /// Synchronous messages queued anywhere on the ring (hibernation gate).
   std::size_t total_queued_ = 0;

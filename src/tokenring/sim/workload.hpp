@@ -16,9 +16,8 @@ namespace tokenring::sim {
 
 /// Build a TTP simulation config for `set`: TTRT from the paper's rule,
 /// local-scheme synchronous bandwidths (0 for unguaranteeable streams),
-/// horizon = `horizon_periods` * max period. Phasing/async/trace/engine
-/// fields are left at their adversarial defaults and can be adjusted
-/// afterwards.
+/// horizon = `horizon_periods` * max period. Phasing/async/trace fields
+/// are left at their adversarial defaults and can be adjusted afterwards.
 SimConfig make_sim_config(const msg::MessageSet& set,
                           const analysis::TtpParams& params, BitsPerSecond bw,
                           double horizon_periods = 4.0);

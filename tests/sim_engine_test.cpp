@@ -1,25 +1,29 @@
 // Engine-layer tests: the event queue (exact (time, seq) order, SIM_CHECK
 // key validation, randomized differential check against a linear-scan
 // reference), the simulator loop (clock, horizon, storm guard, key checks
-// through both scheduling entry points), train steps (try_advance) and
-// stop(), the frontier work source, and frontier-vs-eager engine
-// equivalence for the TTP simulator (bit-identical metrics, byte-identical
-// JSONL traces).
+// through every scheduling entry point), staged steps and stop() (with a
+// randomized differential check against a plain queue), the one-run rule
+// of a Simulation, the staged TTP walk against the retired eager walk's
+// frozen output, and the walk's idle-lap fast-forward (completion metrics
+// kept, work pinned on the sim_scaling scenario). The TTP and PDP
+// simulators' own outputs are frozen in sim_{ttp,pdp}_golden_test.cpp.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <limits>
-#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tokenring/common/checks.hpp"
 #include "tokenring/common/rng.hpp"
+#include "tokenring/experiments/setup.hpp"
 #include "tokenring/net/standards.hpp"
-#include "tokenring/obs/trace_sinks.hpp"
+#include "tokenring/obs/registry.hpp"
 #include "tokenring/sim/config.hpp"
 #include "tokenring/sim/event_queue.hpp"
 #include "tokenring/sim/simulator.hpp"
@@ -189,19 +193,22 @@ TEST(EventQueue, DifferentialAgainstReferenceHeap) {
 
 // ---- simulator --------------------------------------------------------------
 
-/// Test handler: records (time, index) of every delivered event and can
-/// schedule follow-ups.
+/// Test handler: records (time, index, seq) of every delivered event and
+/// can schedule follow-ups.
 class RecordingHandler final : public EventHandler {
  public:
   explicit RecordingHandler(Simulator& sim) : sim_(sim) {}
   void on_event(const Event& ev) override {
+    EXPECT_EQ(ev.at, sim_.now());
     times.push_back(sim_.now());
     indices.push_back(ev.index);
+    seqs.push_back(ev.seq);
     if (on_event_hook) on_event_hook(ev);
   }
   Simulator& sim_;
   std::vector<double> times;
   std::vector<int> indices;
+  std::vector<std::uint64_t> seqs;
   std::function<void(const Event&)> on_event_hook;
 };
 
@@ -257,6 +264,7 @@ TEST(Simulator, SchedulingIntoPastThrows) {
   h.on_event_hook = [&](const Event&) {
     EXPECT_THROW(sim.schedule_at(0.5, user_event(9)), PreconditionError);
     EXPECT_THROW(sim.schedule_in(-0.1, user_event(9)), PreconditionError);
+    EXPECT_THROW(sim.stage_at(0.5, user_event(9)), PreconditionError);
   };
   sim.schedule_at(1.0, user_event(0));
   sim.run_until(2.0);
@@ -292,6 +300,11 @@ TEST(Simulator, NonFiniteTimesGetTheKeyCheckNamingTheKind) {
   const std::string in_inf = refusal([&] { sim.schedule_in(inf, fault); });
   EXPECT_NE(in_inf.find("'fault'"), std::string::npos) << in_inf;
   EXPECT_EQ(sim.run_until(10.0), 0u);  // nothing leaked into the queue
+  // A staged step meets the key check when the loop queues it.
+  sim.stage_at(nan, hop);
+  const std::string staged_nan = refusal([&] { sim.run_until(20.0); });
+  EXPECT_NE(staged_nan.find("ttp-token-hop"), std::string::npos)
+      << staged_nan;
 }
 
 TEST(Simulator, CountsExecutedEvents) {
@@ -317,44 +330,134 @@ TEST(Simulator, CascadedEventChainsRun) {
   EXPECT_EQ(h.indices.size(), 11u);  // t = 0.0, 0.1, ..., 1.0 inclusive
 }
 
-// ---- train steps -------------------------------------------------------------
+// ---- staged steps -----------------------------------------------------------
 
-TEST(Simulator, TryAdvanceRunsOnlyStrictlyBeforeTheQueueHead) {
+/// A seq no queue in these tests reaches. A step staged with it and
+/// delivered with it ran inline: a queued step gets its seq from the queue.
+constexpr std::uint64_t kInlineSeq = 1'000'000;
+
+Event staged_event(int index) {
+  Event ev = user_event(index);
+  ev.seq = kInlineSeq;
+  return ev;
+}
+
+TEST(Simulator, StagedStepRunsInlineOnlyStrictlyBeforeTheQueueHead) {
   Simulator sim;
   RecordingHandler h(sim);
   sim.set_handler(&h);
-  std::vector<double> steps;
+  h.on_event_hook = [&](const Event& ev) {
+    // 0 stages 10 at 0.5, 10 stages 11 at 0.75: both fire before the queue
+    // head (1 at 1.0) and run inline. 11 stages 12 at 1.0, a tie with the
+    // head: 1 was queued first, so 12 is queued behind it.
+    if (ev.index == 0) sim.stage_at(0.5, staged_event(10));
+    if (ev.index == 10) sim.stage_at(0.75, staged_event(11));
+    if (ev.index == 11) sim.stage_at(1.0, staged_event(12));
+  };
+  sim.schedule_at(0.25, user_event(0));  // seq 0
+  sim.schedule_at(1.0, user_event(1));   // seq 1
+  EXPECT_EQ(sim.run_until(2.0), 5u);     // two queued events, three steps
+  EXPECT_EQ(sim.events_executed(), 5u);
+  EXPECT_EQ(h.indices, (std::vector<int>{0, 10, 11, 1, 12}));
+  EXPECT_EQ(h.times, (std::vector<double>{0.25, 0.5, 0.75, 1.0, 1.0}));
+  // The inline steps never entered the queue; the tied one took seq 2.
+  EXPECT_EQ(h.seqs, (std::vector<std::uint64_t>{0, kInlineSeq, kInlineSeq, 1,
+                                                2}));
+}
+
+/// A staged chain ticking every `step` seconds from t = 0, like the TTP
+/// token walk; it logs its firing times in `ticks`.
+void tick_every(Simulator& sim, RecordingHandler& h, double step,
+                std::vector<double>& ticks) {
+  h.on_event_hook = [&sim, &ticks, step](const Event& ev) {
+    if (ev.index != 7) return;
+    ticks.push_back(sim.now());
+    sim.stage_at(sim.now() + step, staged_event(7));
+  };
+  sim.stage_at(0.0, staged_event(7));
+}
+
+TEST(Simulator, StagedChainInterleavesWithQueueByTime) {
+  Simulator sim;
+  RecordingHandler h(sim);
+  sim.set_handler(&h);
+  std::vector<double> ticks;
+  tick_every(sim, h, 0.4, ticks);
+  sim.schedule_at(0.5, user_event(0));
+  EXPECT_EQ(sim.run_until(1.0), 4u);  // every tick counts as an event
+  EXPECT_EQ(ticks, (std::vector<double>{0.0, 0.4, 0.8}));
+  EXPECT_EQ(h.indices, (std::vector<int>{7, 7, 0, 7}));
+}
+
+// The "frontier" tests below are named for the token walk's frontier, its
+// next hop, which is now a staged chain like tick_every's.
+
+TEST(Simulator, QueueWinsTiesAgainstFrontier) {
+  // A queued event at exactly the staged step's time fires first: a fault
+  // destroying the token at a visit instant must beat the visit.
+  Simulator sim;
+  RecordingHandler h(sim);
+  sim.set_handler(&h);
+  std::vector<double> ticks;
+  sim.schedule_at(1.0, user_event(0));
+  tick_every(sim, h, 1.0, ticks);
+  sim.run_until(1.0);
+  EXPECT_EQ(h.indices, (std::vector<int>{7, 0, 7}));
+  EXPECT_EQ(h.times, (std::vector<double>{0.0, 1.0, 1.0}));
+}
+
+TEST(Simulator, TryAdvanceRunsOnlyStrictlyBeforeTheFrontier) {
+  // A step another handler stages while the walk's next hop waits in the
+  // queue (a medium step beside the token walk; try_advance was the old
+  // name of this check) runs inline only strictly before that hop. A step
+  // tying with the token arrival queues behind it.
+  Simulator sim;
+  RecordingHandler h(sim);
+  sim.set_handler(&h);
+  std::vector<double> ticks;
+  tick_every(sim, h, 1.0, ticks);
+  const auto tick = h.on_event_hook;
+  h.on_event_hook = [&](const Event& ev) {
+    tick(ev);
+    if (ev.index == 0) sim.stage_at(0.75, staged_event(10));
+    if (ev.index == 10) sim.stage_at(1.0, staged_event(11));
+  };
+  sim.schedule_at(0.5, user_event(0));
+  EXPECT_EQ(sim.run_until(1.0), 5u);
+  EXPECT_EQ(ticks, (std::vector<double>{0.0, 1.0}));
+  EXPECT_EQ(h.indices, (std::vector<int>{7, 0, 10, 7, 11}));
+  EXPECT_EQ(h.times, (std::vector<double>{0.0, 0.5, 0.75, 1.0, 1.0}));
+  EXPECT_EQ(h.seqs[2], kInlineSeq);  // 10 ran inline
+  EXPECT_NE(h.seqs[4], kInlineSeq);  // 11 was queued behind the hop
+}
+
+TEST(Simulator, ScheduleAfterAStageKeepsFifoOrder) {
+  // Stage, then schedule at the same time in the same handler: the staged
+  // step was submitted first, so it fires first. A second stage queues the
+  // first one the same way.
+  Simulator sim;
+  RecordingHandler h(sim);
+  sim.set_handler(&h);
   h.on_event_hook = [&](const Event& ev) {
     if (ev.index != 0) return;
-    for (const double at : {0.5, 0.75}) {
-      ASSERT_TRUE(sim.try_advance(at));
-      steps.push_back(sim.now());
-    }
-    EXPECT_FALSE(sim.try_advance(0.5));  // the past
-    // A tie with the queue head is refused: the queued event was pushed
-    // first, so it must fire first; the step queues behind it.
-    EXPECT_FALSE(sim.try_advance(1.0));
-    EXPECT_EQ(sim.now(), 0.75);
-    sim.schedule_at(1.0, user_event(2));
+    sim.stage_at(0.5, staged_event(1));
+    sim.schedule_at(0.5, user_event(2));
+    sim.stage_at(0.75, staged_event(3));
+    sim.stage_at(0.75, staged_event(4));
+    sim.schedule_in(0.75, user_event(5));
   };
-  sim.schedule_at(0.25, user_event(0));
-  sim.schedule_at(1.0, user_event(1));
-  EXPECT_EQ(sim.run_until(2.0), 5u);  // three queued events, two steps
-  EXPECT_EQ(sim.events_executed(), 5u);
-  EXPECT_EQ(steps, (std::vector<double>{0.5, 0.75}));
-  EXPECT_EQ(h.indices, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(h.times, (std::vector<double>{0.25, 1.0, 1.0}));
+  sim.schedule_at(0.0, user_event(0));
+  EXPECT_EQ(sim.run_until(1.0), 6u);
+  EXPECT_EQ(h.indices, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(h.times, (std::vector<double>{0.0, 0.5, 0.5, 0.75, 0.75, 0.75}));
 }
 
 TEST(Simulator, StepRefusedPastTheHorizonSurvivesForNextRun) {
   Simulator sim;
   RecordingHandler h(sim);
   sim.set_handler(&h);
-  EXPECT_FALSE(sim.try_advance(0.5));  // no run in progress
   h.on_event_hook = [&](const Event& ev) {
-    if (ev.index != 0) return;
-    EXPECT_FALSE(sim.try_advance(1.5));  // past this run's horizon
-    sim.schedule_at(1.5, user_event(1));
+    if (ev.index == 0) sim.stage_at(1.5, staged_event(1));
   };
   sim.schedule_at(0.5, user_event(0));
   EXPECT_EQ(sim.run_until(1.0), 1u);
@@ -362,6 +465,7 @@ TEST(Simulator, StepRefusedPastTheHorizonSurvivesForNextRun) {
   EXPECT_EQ(sim.run_until(2.0), 1u);
   EXPECT_EQ(h.indices, (std::vector<int>{0, 1}));
   EXPECT_EQ(h.times, (std::vector<double>{0.5, 1.5}));
+  EXPECT_NE(h.seqs[1], kInlineSeq);  // it waited in the queue
 }
 
 TEST(Simulator, StopEndsTheRunAndKeepsTheStopTime) {
@@ -369,10 +473,10 @@ TEST(Simulator, StopEndsTheRunAndKeepsTheStopTime) {
   RecordingHandler h(sim);
   sim.set_handler(&h);
   h.on_event_hook = [&](const Event& ev) {
-    if (ev.index != 1) return;
-    ASSERT_TRUE(sim.try_advance(1.25));
+    if (ev.index == 1) sim.stage_at(1.25, staged_event(10));
+    if (ev.index != 10) return;
     sim.stop();
-    EXPECT_FALSE(sim.try_advance(1.5));
+    sim.stage_at(1.5, staged_event(11));  // stays pending, never runs
   };
   for (int i = 0; i < 4; ++i) {
     sim.schedule_at(static_cast<double>(i), user_event(i));
@@ -380,24 +484,21 @@ TEST(Simulator, StopEndsTheRunAndKeepsTheStopTime) {
   EXPECT_EQ(sim.run_until(10.0), 3u);  // events 0 and 1, then the step
   EXPECT_TRUE(sim.stopped());
   EXPECT_EQ(sim.now(), 1.25);  // the stop time, not the horizon
-  EXPECT_EQ(h.indices, (std::vector<int>{0, 1}));
+  EXPECT_EQ(h.indices, (std::vector<int>{0, 1, 10}));
   EXPECT_EQ(sim.run_until(20.0), 0u);  // stays stopped
   EXPECT_EQ(sim.now(), 1.25);
 }
 
 TEST(Simulator, TrainStepsCountTowardStormGuard) {
   // A handler that would train forever: the guard admits exactly
-  // max_events events, inline steps included. The refused step is queued
-  // and the next loop turn trips the guard at the last executed time.
+  // max_events events, inline steps included. The refused step is queued,
+  // so the guard's message counts it, and it trips at the last executed
+  // time.
   Simulator sim;
   RecordingHandler h(sim);
   sim.set_handler(&h);
   h.on_event_hook = [&](const Event&) {
-    Seconds at = sim.now();
-    do {
-      at += 0.001;
-    } while (sim.try_advance(at));
-    sim.schedule_at(at, user_event(1));
+    sim.stage_at(sim.now() + 0.001, staged_event(1));
   };
   sim.set_max_events(10);
   sim.schedule_at(0.0, user_event(0));
@@ -408,97 +509,158 @@ TEST(Simulator, TrainStepsCountTowardStormGuard) {
     message = e.what();
   }
   EXPECT_EQ(sim.events_executed(), 10u);
-  EXPECT_EQ(h.indices, (std::vector<int>{0}));  // nine steps ran inline
+  EXPECT_EQ(h.indices, (std::vector<int>{0, 1, 1, 1, 1, 1, 1, 1, 1, 1}));
+  EXPECT_EQ(h.seqs.back(), kInlineSeq);  // nine steps ran inline
   EXPECT_NE(message.find("(10 events) at t=0.009 s with 1 events still queued"),
             std::string::npos)
       << message;
 }
 
-// ---- frontier source --------------------------------------------------------
-
-/// A frontier ticking every `step` seconds that logs its firing times.
-class TickingFrontier final : public FrontierSource {
- public:
-  TickingFrontier(Simulator& sim, double step) : sim_(sim), step_(step) {}
-  Seconds frontier_time() const override { return next_; }
-  void advance_frontier() override {
-    fired.push_back(sim_.now());
-    next_ += step_;
-  }
-  Simulator& sim_;
-  double step_;
-  Seconds next_ = 0.0;
-  std::vector<double> fired;
-};
-
-TEST(Simulator, FrontierInterleavesWithQueueByTime) {
-  Simulator sim;
-  RecordingHandler h(sim);
-  TickingFrontier f(sim, 0.4);
-  sim.set_handler(&h);
-  sim.set_frontier(&f);
-  sim.schedule_at(0.5, user_event(0));
-  sim.run_until(1.0);
-  // Frontier at 0.0, 0.4, 0.8; queue at 0.5.
-  EXPECT_EQ(f.fired, (std::vector<double>{0.0, 0.4, 0.8}));
-  EXPECT_EQ(h.times, (std::vector<double>{0.5}));
-  EXPECT_EQ(sim.events_executed(), 4u);  // frontier advances count
-}
-
-TEST(Simulator, QueueWinsTiesAgainstFrontier) {
-  // A queued event at exactly the frontier time fires first — a fault
-  // destroying the token at a visit instant must beat the visit.
-  Simulator sim;
-  std::vector<int> order;
-  RecordingHandler h(sim);
-  TickingFrontier f(sim, 1.0);
-  h.on_event_hook = [&](const Event&) { order.push_back(0); };
-  class Spy final : public FrontierSource {
-   public:
-    Spy(TickingFrontier& inner, std::vector<int>& order)
-        : inner_(inner), order_(order) {}
-    Seconds frontier_time() const override { return inner_.frontier_time(); }
-    void advance_frontier() override {
-      order_.push_back(1);
-      inner_.advance_frontier();
-    }
-    TickingFrontier& inner_;
-    std::vector<int>& order_;
-  } spy(f, order);
-  sim.set_handler(&h);
-  sim.set_frontier(&spy);
-  sim.schedule_at(1.0, user_event(0));
-  sim.run_until(1.0);
-  // t=0 frontier, then at t=1 the queued event (0) before the frontier (1).
-  EXPECT_EQ(order, (std::vector<int>{1, 0, 1}));
-}
-
-TEST(Simulator, TryAdvanceRunsOnlyStrictlyBeforeTheFrontier) {
-  Simulator sim;
-  RecordingHandler h(sim);
-  TickingFrontier f(sim, 1.0);
-  sim.set_handler(&h);
-  sim.set_frontier(&f);
-  h.on_event_hook = [&](const Event&) {
-    EXPECT_FALSE(sim.try_advance(1.0));  // ties with the token arrival
-    EXPECT_TRUE(sim.try_advance(0.75));
-  };
-  sim.schedule_at(0.5, user_event(0));
-  EXPECT_EQ(sim.run_until(1.0), 4u);
-  EXPECT_EQ(f.fired, (std::vector<double>{0.0, 1.0}));
-}
-
 TEST(Simulator, FrontierCountsTowardStormGuard) {
+  // A walk hopping every microsecond with nothing queued: every hop runs
+  // inline, and the guard still admits exactly max_events of them.
   Simulator sim;
   RecordingHandler h(sim);
-  TickingFrontier f(sim, 1e-6);
   sim.set_handler(&h);
-  sim.set_frontier(&f);
+  std::vector<double> ticks;
+  tick_every(sim, h, 1e-6, ticks);
   sim.set_max_events(100);
   EXPECT_THROW(sim.run_until(1.0), EventStormError);
+  EXPECT_EQ(sim.events_executed(), 100u);
+  EXPECT_EQ(ticks.size(), 100u);
+  EXPECT_EQ(h.seqs.back(), kInlineSeq);
 }
 
-// ---- engine equivalence -----------------------------------------------------
+/// Random work for the differential test below. Each delivered event makes
+/// up to four submissions, each a schedule or a stage at random, on a 1 ms
+/// grid (so exact ties are common: zero delays, equal times from
+/// different handlers) with the odd far-future event. Decisions come from
+/// one RNG in delivery order, so equal delivery streams make equal work.
+/// The delivered event is logged after its submissions, so a stage that
+/// overwrote the event being dispatched would show.
+class RandomWork {
+ public:
+  explicit RandomWork(std::uint64_t seed) : rng_(seed) {}
+
+  template <typename Submit>
+  void react(Seconds now, const Event& ev, Submit&& submit) {
+    const auto tick = static_cast<std::int64_t>(std::llround(now / kTick));
+    const auto actions = rng_.uniform_int(0, 4);
+    for (std::int64_t a = 0; a < actions && submitted_ < kBudget; ++a) {
+      std::int64_t delay = rng_.uniform_int(0, 6);
+      if (rng_.uniform(0.0, 1.0) < 0.05) delay += 1000;
+      submit(static_cast<double>(tick + delay) * kTick,
+             user_event(submitted_++),
+             /*stage=*/rng_.uniform(0.0, 1.0) < 0.5);
+    }
+    delivered.emplace_back(now, ev.index);
+  }
+
+  std::vector<std::pair<double, int>> delivered;
+
+ private:
+  static constexpr double kTick = 1e-3;
+  static constexpr int kBudget = 10'000;
+  Rng rng_;
+  int submitted_ = 0;
+};
+
+TEST(Simulator, StagedStepsMatchAPlainQueueOnRandomWork) {
+  // The reference pushes every event, staged or not, into a plain queue
+  // and pops in (time, seq) order; the simulator must deliver the same
+  // stream, across several run_until calls.
+  constexpr double kHorizons[] = {0.05, 0.2, 0.9, 4.0, 100.0};
+  RandomWork sim_work(77);
+  Simulator sim;
+  class Handler final : public EventHandler {
+   public:
+    Handler(Simulator& sim, RandomWork& work) : sim_(sim), work_(work) {}
+    void on_event(const Event& ev) override {
+      work_.react(sim_.now(), ev, [this](Seconds at, const Event& e, bool stage) {
+        if (stage) {
+          sim_.stage_at(at, e);
+        } else {
+          sim_.schedule_at(at, e);
+        }
+      });
+    }
+    Simulator& sim_;
+    RandomWork& work_;
+  } handler(sim, sim_work);
+  sim.set_handler(&handler);
+
+  RandomWork ref_work(77);
+  EventQueue ref;
+  std::size_t ref_events = 0;
+  for (int i = 0; i < 4; ++i) {
+    sim.schedule_at(0.0, user_event(-1 - i));
+    ref.push(0.0, user_event(-1 - i));
+  }
+  for (const double horizon : kHorizons) {
+    sim.run_until(horizon);
+    while (!ref.empty() && ref.next_time() <= horizon) {
+      const Event ev = ref.pop();
+      ++ref_events;
+      ref_work.react(ev.at, ev, [&ref](Seconds at, const Event& e, bool) {
+        ref.push(at, e);
+      });
+    }
+    EXPECT_EQ(sim.events_executed(), ref_events) << "horizon " << horizon;
+  }
+  EXPECT_TRUE(ref.empty());
+  ASSERT_GT(ref_work.delivered.size(), 9'000u);  // the budget was spent
+  EXPECT_TRUE(sim_work.delivered == ref_work.delivered);
+}
+
+// ---- one run per Simulation -------------------------------------------------
+
+TEST(Simulation, ASecondRunIsRefusedByName) {
+  msg::MessageSet set;
+  set.add({.period = milliseconds(10), .payload_bits = 20'000.0, .station = 1});
+  for (const Protocol protocol : {Protocol::kPdp, Protocol::kTtp}) {
+    for (const bool worst_case : {true, false}) {
+      SimConfig cfg;
+      cfg.protocol = protocol;
+      cfg.pdp.ring = net::ieee8025_ring(4);
+      cfg.pdp.frame = net::paper_frame_format();
+      cfg.ttp.ring = net::fddi_ring(4);
+      cfg.ttp.frame = net::paper_frame_format();
+      cfg.ttp.async_frame = net::paper_frame_format();
+      cfg.horizon = milliseconds(30);
+      cfg.worst_case_phasing = worst_case;
+      SCOPED_TRACE(std::string(protocol == Protocol::kPdp ? "pdp" : "ttp") +
+                   (worst_case ? " worst-case" : " random"));
+      const auto once = [&](bool verdict_first) {
+        const auto sim = make_simulator(set, cfg);
+        if (verdict_first) {
+          sim->misses_a_deadline();
+        } else {
+          sim->run();
+        }
+        try {
+          sim->run();
+        } catch (const PreconditionError& e) {
+          return std::string(e.what());
+        }
+        return std::string("second run accepted");
+      };
+      for (const bool verdict_first : {false, true}) {
+        const std::string refusal = once(verdict_first);
+        EXPECT_NE(refusal.find("a Simulation runs once"), std::string::npos)
+            << refusal;
+      }
+    }
+  }
+}
+
+// ---- engine equivalence (TTP) -----------------------------------------------
+//
+// The token walk used to run on two engines compared by these tests: an
+// eager one that queued every hop and a frontier one that advanced the
+// token outside the queue. The staged walk replaced both. It is held here
+// to the eager walk's output on the same configurations, frozen bit for
+// bit (hex floats) from the last build that had it; each hop the staged
+// walk runs inline was one queued event there, so event counts agree too.
 
 msg::MessageSet engine_set() {
   msg::MessageSet set;
@@ -508,81 +670,102 @@ msg::MessageSet engine_set() {
   return set;
 }
 
-SimConfig engine_config(EngineMode mode) {
+SimConfig engine_config() {
   analysis::TtpParams p;
   p.ring = net::fddi_ring(8);
   p.frame = net::paper_frame_format();
   p.async_frame = net::paper_frame_format();
-  auto cfg = make_sim_config(engine_set(), p, mbps(100), 8.0);
-  cfg.engine = mode;
+  return make_sim_config(engine_set(), p, mbps(100), 8.0);
+}
+
+SimConfig poisson_jitter_config() {
+  auto cfg = engine_config();
+  cfg.async_model = AsyncModel::kPoisson;
+  cfg.async_frames_per_second = 300.0;
+  cfg.arrival_jitter = 0.3;
+  cfg.worst_case_phasing = false;
+  cfg.seed = 77;
   return cfg;
 }
 
-void expect_bit_identical(const SimMetrics& a, const SimMetrics& b) {
-  EXPECT_EQ(a.messages_released, b.messages_released);
-  EXPECT_EQ(a.messages_completed, b.messages_completed);
-  EXPECT_EQ(a.deadline_misses, b.deadline_misses);
-  EXPECT_EQ(a.async_frames_sent, b.async_frames_sent);
-  // Bit-identical, not approximately equal: the frontier walk performs the
+std::uint64_t sim_events() {
+  const auto snap = obs::Registry::global().snapshot();
+  const auto it = snap.counters.find("sim.events");
+  return it == snap.counters.end() ? std::uint64_t{0} : it->second;
+}
+
+/// The fields the engines were compared on, and the executed-event count.
+struct WalkRun {
+  std::size_t released = 0;
+  std::size_t completed = 0;
+  std::size_t misses = 0;
+  std::size_t async_sent = 0;
+  double response_mean = 0.0;
+  double response_max = 0.0;
+  double rotation_mean = 0.0;
+  double rotation_max = 0.0;
+  std::uint64_t events = 0;
+};
+
+WalkRun run_walk(const SimConfig& cfg) {
+  const std::uint64_t before = sim_events();
+  const SimMetrics m = run_simulation(engine_set(), cfg);
+  return {m.messages_released,     m.messages_completed,
+          m.deadline_misses,       m.async_frames_sent,
+          m.response_time.mean(),  m.response_time.max(),
+          m.token_rotation.mean(), m.token_rotation.max(),
+          sim_events() - before};
+}
+
+// The eager walk's output on engine_config() and poisson_jitter_config().
+constexpr WalkRun kFrozenDefault{42, 41, 0, 13311,
+                                 0x1.ad3e161ae4a1ap-8, 0x1.7e6c8bac3948p-7,
+                                 0x1.bce6ce76dde75p-13, 0x1.23867efee5a5cp-12,
+                                 3921};
+constexpr WalkRun kFrozenPoissonJitter{36, 36, 0, 251,
+                                       0x1.8ebbb0fcce2a5p-11, 0x1.43f99ad5d18p-10,
+                                       0x1.99d275b63087p-17, 0x1.97e3075f265p-15,
+                                       68121};
+
+void expect_bit_identical(const WalkRun& a, const WalkRun& b) {
+  EXPECT_EQ(a.released, b.released);
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.async_sent, b.async_sent);
+  // Bit-identical, not approximately equal: the staged walk performs the
   // same arithmetic as the eager walk.
-  EXPECT_EQ(a.response_time.mean(), b.response_time.mean());
-  EXPECT_EQ(a.response_time.max(), b.response_time.max());
-  EXPECT_EQ(a.token_rotation.mean(), b.token_rotation.mean());
-  EXPECT_EQ(a.token_rotation.max(), b.token_rotation.max());
+  EXPECT_EQ(a.response_mean, b.response_mean);
+  EXPECT_EQ(a.response_max, b.response_max);
+  EXPECT_EQ(a.rotation_mean, b.rotation_mean);
+  EXPECT_EQ(a.rotation_max, b.rotation_max);
 }
 
 TEST(EngineEquivalence, FrontierMatchesEagerBitForBit) {
-  const auto eager = run_simulation(engine_set(), engine_config(EngineMode::kEager));
-  const auto front =
-      run_simulation(engine_set(), engine_config(EngineMode::kFrontier));
-  expect_bit_identical(front, eager);
+  expect_bit_identical(run_walk(engine_config()), kFrozenDefault);
 }
 
 TEST(EngineEquivalence, HoldsUnderPoissonAsyncAndJitter) {
-  auto eager_cfg = engine_config(EngineMode::kEager);
-  eager_cfg.async_model = AsyncModel::kPoisson;
-  eager_cfg.async_frames_per_second = 300.0;
-  eager_cfg.arrival_jitter = 0.3;
-  eager_cfg.worst_case_phasing = false;
-  eager_cfg.seed = 77;
-  auto front_cfg = eager_cfg;
-  front_cfg.engine = EngineMode::kFrontier;
-  expect_bit_identical(run_simulation(engine_set(), front_cfg),
-                       run_simulation(engine_set(), eager_cfg));
-}
-
-TEST(EngineEquivalence, GoldenJsonlTracesAreByteIdentical) {
-  // The full JSONL trace stream — every record, every field, formatted —
-  // must not differ by a single byte between engines.
-  const auto trace_of = [&](EngineMode mode) {
-    std::ostringstream os;
-    obs::JsonlTraceSink sink(os);
-    auto cfg = engine_config(mode);
-    cfg.trace = &sink;
-    run_simulation(engine_set(), cfg);
-    sink.flush();
-    return os.str();
-  };
-  const std::string eager = trace_of(EngineMode::kEager);
-  const std::string front = trace_of(EngineMode::kFrontier);
-  ASSERT_GT(eager.size(), 10'000u);  // a real trace, not an empty file
-  EXPECT_TRUE(front == eager) << "traces diverge";
+  expect_bit_identical(run_walk(poisson_jitter_config()), kFrozenPoissonJitter);
 }
 
 TEST(EngineEquivalence, EventCountsMatchWithoutFaults) {
-  const auto e = make_simulator(engine_set(), engine_config(EngineMode::kEager));
-  const auto f =
-      make_simulator(engine_set(), engine_config(EngineMode::kFrontier));
-  const auto em = e->run();
-  const auto fm = f->run();
-  EXPECT_EQ(em.messages_completed, fm.messages_completed);
+  const WalkRun runs[] = {run_walk(engine_config()),
+                          run_walk(poisson_jitter_config())};
+  const WalkRun* eager[] = {&kFrozenDefault, &kFrozenPoissonJitter};
+  for (int i = 0; i < 2; ++i) {
+    SCOPED_TRACE(i == 0 ? "saturating" : "poisson + jitter");
+    EXPECT_EQ(runs[i].events, eager[i]->events);
+    EXPECT_EQ(runs[i].completed, eager[i]->completed);
+  }
 }
+
+// ---- idle-lap fast-forward (TTP) --------------------------------------------
 
 TEST(EngineEquivalence, HibernationPreservesCompletionMetrics) {
   // collect_rotation_stats = false + async kNone + no trace licenses the
   // idle-lap fast-forward; completion counts and deadline verdicts must
   // survive it (response times may differ only by float re-association).
-  auto slow = engine_config(EngineMode::kFrontier);
+  auto slow = engine_config();
   slow.async_model = AsyncModel::kNone;
   auto fast = slow;
   fast.collect_rotation_stats = false;
@@ -592,6 +775,38 @@ TEST(EngineEquivalence, HibernationPreservesCompletionMetrics) {
   EXPECT_EQ(fm.messages_completed, sm.messages_completed);
   EXPECT_EQ(fm.deadline_misses, sm.deadline_misses);
   EXPECT_NEAR(fm.response_time.mean(), sm.response_time.mean(), 1e-9);
+}
+
+/// Events a run of bench/sim_scaling.cpp's scenario executes: 4 streams
+/// with periods of hundreds of milliseconds on an `n`-station ring at
+/// 100 Mbps, no async traffic.
+std::uint64_t scaling_events(int n, Seconds horizon, bool rotation_stats) {
+  msg::MessageSet set;
+  for (int i = 0; i < 4; ++i) {
+    set.add({.period = milliseconds(200.0 + 20.0 * i),
+             .payload_bits = 4'000.0,
+             .station = (i * n) / 4});
+  }
+  experiments::PaperSetup setup;
+  setup.num_stations = n;
+  auto cfg = make_sim_config(set, setup.ttp_params(), mbps(100));
+  cfg.horizon = horizon;
+  cfg.async_model = AsyncModel::kNone;
+  cfg.collect_rotation_stats = rotation_stats;
+  const std::uint64_t before = sim_events();
+  run_simulation(set, cfg);
+  return sim_events() - before;
+}
+
+TEST(SimScaling, IdleLapSavingIsPinned) {
+  // The work behind bench/sim_scaling.cpp's rows. With rotation stats off
+  // the walk skips idle laps; with them on it steps every hop.
+  EXPECT_EQ(scaling_events(256, 2.0, false), 241'664u);
+  EXPECT_EQ(scaling_events(1024, 2.0, false), 470'016u);
+  EXPECT_EQ(scaling_events(1024, 32.0, false), 6'913'024u);
+  EXPECT_EQ(scaling_events(256, 2.0, true), 1'666'991u);
+  EXPECT_EQ(scaling_events(1024, 2.0, true), 1'671'092u);
+  EXPECT_EQ(scaling_events(1024, 32.0, true), 26'738'752u);
 }
 
 }  // namespace
