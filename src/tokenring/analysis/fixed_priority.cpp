@@ -196,10 +196,11 @@ std::optional<Seconds> fixpoint(const std::vector<FpTask>& tasks,
 }
 
 // A committed response bounds task i's least fixpoint from below only while
-// the task is the same and its cost has not fallen: the right-hand side of
-// the fixpoint grows with every cost, so the least fixpoint does too. Costs
-// are compared, not scales: an augmented length is not bitwise monotone in
-// the scale across an exact frame multiple.
+// the task is the same and its cost has not fallen (nor the blocking, which
+// the caller checks once per probe): the right-hand side of the fixpoint
+// grows with every cost and with the blocking, so the least fixpoint does
+// too. Costs are compared, not scales: an augmented length is not bitwise
+// monotone in the scale across an exact frame multiple.
 bool dominates(const FpTask& now, const FpTask& committed) {
   return now.cost >= committed.cost && now.period == committed.period &&
          now.deadline == committed.deadline;
@@ -275,13 +276,17 @@ bool rta_feasible_fast(const std::vector<FpTask>& tasks, Seconds blocking,
     return r.has_value();
   };
 
+  // Committed responses can start this probe's fixpoints only while the
+  // blocking has not fallen below the committed one (see `dominates`).
+  const bool warm_blocking = state && blocking >= state->blocking;
+
   // Failed-task-first: inside a saturation bisection, the unschedulable
   // side usually fails at the same task as the previous probe; testing it
   // first turns most "false" evaluations into a single fixpoint run.
   const std::size_t hint =
       state ? state->failed_hint : RtaSearchState::kNoTask;
   if (hint < n) {
-    bool warm = true;
+    bool warm = warm_blocking;
     for (std::size_t j = 0; j <= hint && warm; ++j) {
       warm = dominates(tasks[j], state->committed[j]);
     }
@@ -293,7 +298,7 @@ bool rta_feasible_fast(const std::vector<FpTask>& tasks, Seconds blocking,
     return false;
   }
   HyperbolicScreen screen;
-  bool warm = state != nullptr;  // every cost so far dominates its commit
+  bool warm = warm_blocking;  // ... and every cost so far dominates
   for (std::size_t i = 0; i < n; ++i) {
     warm = warm && dominates(tasks[i], state->committed[i]);
     if (i != hint && !screen.accepts(tasks[i], blocking)) {
@@ -308,6 +313,7 @@ bool rta_feasible_fast(const std::vector<FpTask>& tasks, Seconds blocking,
   }
   if (state) {
     state->committed = tasks;
+    state->blocking = blocking;
     std::copy(pending, pending + n, state->response.begin());
   }
   return true;

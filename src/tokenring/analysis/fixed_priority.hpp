@@ -152,9 +152,10 @@ struct RtaWork {
 /// inside the fixpoint loop.
 void record_rta_work(const RtaWork& work);
 
-/// What one boundary search carries from probe to probe of
-/// `rta_feasible_fast`: a search probes one task set whose periods and
-/// deadlines stay fixed while its costs move.
+/// What one search carries from probe to probe of `rta_feasible_fast`: a
+/// search probes one task set whose periods and deadlines stay fixed while
+/// its costs and blocking move (a saturation search moves the costs, a
+/// fault-margin search the blocking).
 struct RtaSearchState {
   static constexpr std::size_t kNoTask = static_cast<std::size_t>(-1);
 
@@ -163,6 +164,8 @@ struct RtaSearchState {
   /// The task array (costs included) of the last schedulable probe. Empty
   /// or of another size, it is reset to the probe's tasks.
   std::vector<FpTask> committed;
+  /// The blocking term of the last schedulable probe.
+  Seconds blocking = 0.0;
   /// response[i] is task i's response time under `committed`, or 0 where
   /// it is not known (a screen accepted the task).
   std::vector<Seconds> response;
@@ -182,14 +185,15 @@ struct RtaSearchState {
 ///    last time; re-testing it first lets the unschedulable side of a
 ///    bisection exit after one fixpoint run;
 ///  * warm start: task i's fixpoint starts from max(B + C'_i,
-///    state->response[i]) when every C'_j (j <= i) is at least its
-///    committed value and the task is the committed one, and from
-///    B + C'_i otherwise. Costs only raise r^{m+1}, so the committed
-///    response is then at or below the least fixpoint, and the iteration
-///    reaches the same value in no more steps (so it can hit
-///    kMaxRtaIterations only where a cold run would). A schedulable
-///    verdict commits the tasks and their responses; an unschedulable one
-///    commits nothing and moves only the hint.
+///    state->response[i]) when B is at least the committed blocking, every
+///    C'_j (j <= i) is at least its committed value and the task is the
+///    committed one, and from B + C'_i otherwise. Blocking and costs only
+///    raise r^{m+1}, so the committed response is then at or below the
+///    least fixpoint, and the iteration reaches the same value in no more
+///    steps (so it can hit kMaxRtaIterations only where a cold run would).
+///    A schedulable verdict commits the tasks, the blocking and the
+///    responses; an unschedulable one commits nothing and moves only the
+///    hint.
 /// Tasks that no screen decides get the exact fixpoint, so the verdict and
 /// every committed response match the cold `response_time_analysis`
 /// (screens are margin-guarded sufficient/necessary conditions; the

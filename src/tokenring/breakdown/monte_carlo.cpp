@@ -44,6 +44,7 @@ void BreakdownEstimate::merge(const BreakdownEstimate& other) {
   utilization.merge(other.utilization);
   degenerate_sets += other.degenerate_sets;
   unbounded_sets += other.unbounded_sets;
+  follow_up_sum += other.follow_up_sum;
   samples.insert(samples.end(), other.samples.begin(), other.samples.end());
 }
 
@@ -212,8 +213,12 @@ std::vector<BreakdownEstimate> estimate_sweep(
                      std::vector<BreakdownEstimate>((item.count + shard - 1) /
                                                     shard)};
     for (std::size_t j = 0; j < item.count; ++j) {
+      BreakdownEstimate& part = out.shards[j / shard];
       count_trial(sats[j]);
-      accumulate_trial(sats[j], options.keep_samples, out.shards[j / shard]);
+      accumulate_trial(sats[j], options.keep_samples, part);
+      if (point.follow_up) {
+        part.follow_up_sum += point.follow_up(bases[j], sats[j]);
+      }
     }
     return out;
   };

@@ -24,8 +24,9 @@
 //    are its one-point case, which dispatches that point's batch groups:
 //    the benchmark replays Figure 1 point by point through
 //    `estimate_point`, one traced factory per point, and counts those
-//    groups. The study drivers and the advisor's protocol estimates
-//    declare their points and make one call.
+//    groups. The study drivers and the advisor declare their points and
+//    make one call; the advisor's fault margins ride on its points as
+//    per-trial follow-ups, so no set is drawn or saturated twice.
 //  * `SchedulablePredicate` and `ScaleKernelFactory` are the references:
 //    one scalar search per trial, against a materialized set or in scale
 //    space. Tests and bench/parallel_scaling compare the batched path
@@ -92,6 +93,11 @@ struct BreakdownEstimate {
   /// order. Unbounded draws contribute no sample, so samples.size() ==
   /// utilization.count() always holds.
   std::vector<double> samples;
+  /// Sum of the point's per-trial follow-up values (SweepPoint::follow_up)
+  /// over every trial, degenerate and unbounded ones included; 0 without a
+  /// follow-up. Summed in trial order within a shard and folded shard by
+  /// shard, so its bits depend on shard_size alone.
+  double follow_up_sum = 0.0;
 
   double mean() const { return utilization.mean(); }
   double ci95() const { return utilization.ci95_half_width(); }
@@ -101,20 +107,30 @@ struct BreakdownEstimate {
 
   /// Fold `other` (the trials immediately following this shard's) into
   /// this estimate: merges the running stats, adds the degenerate /
-  /// unbounded counts, and appends the kept samples, preserving trial
-  /// order. The parallel estimator's reducer.
+  /// unbounded counts and the follow-up sums, and appends the kept
+  /// samples, preserving trial order. The parallel estimator's reducer.
   void merge(const BreakdownEstimate& other);
 };
 
+/// Per-trial follow-up of a sweep point: a value computed from a trial's
+/// drawn base set and its saturation result.
+using TrialFollowUp = std::function<double(const msg::MessageSet& base,
+                                           const SaturationResult& sat)>;
+
 /// One point of a Monte Carlo sweep: `num_sets` trials, trial i drawing
 /// its set from `generator` on the seed stream (seed, i) and saturating it
-/// with kernels from `kernel_factory` at bandwidth `bw`.
+/// with kernels from `kernel_factory` at bandwidth `bw`. A set `follow_up`
+/// runs once per trial inside the trial's work item, after the search, and
+/// its values are summed into BreakdownEstimate::follow_up_sum; like the
+/// factory it is shared across worker threads, so it must be const-callable
+/// and thread-safe.
 struct SweepPoint {
   msg::MessageSetGenerator generator;
   BatchScaleKernelFactory kernel_factory;
   BitsPerSecond bw = 0.0;
   std::uint64_t seed = 0;
   std::size_t num_sets = 0;
+  TrialFollowUp follow_up = nullptr;
 };
 
 /// The production estimator: result[p] estimates points[p], all of them in
@@ -124,16 +140,16 @@ struct SweepPoint {
 /// work of estimating the points one after another, in that order. An
 /// item draws its own sets (nothing is drawn ahead, so only in-flight
 /// groups hold sets and kernels), saturates them with one kernel from its
-/// point's factory and returns one partial per shard. Each point's
-/// partials are folded in trial order, so result[p] is bit-identical to
-/// the reference overloads' estimate of points[p] for every (jobs,
-/// batch_size) combination.
+/// point's factory, runs the point's follow-up on each trial and returns
+/// one partial per shard. Each point's partials are folded in trial order,
+/// so result[p] is bit-identical to the reference overloads' estimate of
+/// points[p] (whose follow_up_sum stays 0) for every (jobs, batch_size)
+/// combination, follow_up_sum included.
 ///
 /// `options.num_sets` is not read: every point carries its own count.
 /// Progress reports (upper bound on trials done, trials in the sweep). The
-/// exception of the lowest item that threw is rethrown; a cancelled token
-/// throws `exec::Cancelled`. The factories are shared across worker
-/// threads and must be const-callable and thread-safe.
+/// exception of the lowest item that threw (in a factory or a follow-up)
+/// is rethrown; a cancelled token throws `exec::Cancelled`.
 std::vector<BreakdownEstimate> estimate_sweep(
     std::span<const SweepPoint> points, const exec::Executor& executor,
     const MonteCarloOptions& options = {});

@@ -49,28 +49,6 @@ int hopeless_faults(const msg::MessageSet& set, Seconds outage) {
   return static_cast<int>(std::ceil(longest / outage)) + 2;
 }
 
-/// Exact RTA verdict over the whole set without building a per-probe
-/// FpSetVerdict: same per-task optionals as response_time_analysis, early
-/// exit on the first failure.
-bool all_tasks_feasible(const std::vector<analysis::FpTask>& tasks,
-                        Seconds blocking) {
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    if (!analysis::response_time(tasks, i, blocking)) return false;
-  }
-  return true;
-}
-
-/// PDP probe with the augmented task list and per-fault recovery hoisted
-/// out of the margin binary search: only the blocking term depends on k.
-bool pdp_probe(const std::vector<analysis::FpTask>& tasks,
-               Seconds base_blocking, Seconds recovery_with_repeat,
-               int faults_per_period) {
-  const Seconds blocking =
-      base_blocking +
-      static_cast<double>(faults_per_period) * recovery_with_repeat;
-  return all_tasks_feasible(tasks, blocking);
-}
-
 /// Scale-invariant per-stream TTP state for the margin search: payload
 /// times and deadlines don't change with k, only the debit does.
 struct TtpProbeState {
@@ -129,14 +107,15 @@ bool pdp_schedulable_with_faults(const msg::MessageSet& set,
                                  int faults_per_period) {
   TR_EXPECTS(faults_per_period >= 0);
   TR_EXPECTS(bw > 0.0);
-  const auto tasks = analysis::pdp_tasks(set, params, bw);
   // Beyond the recovery outage itself, a fault destroys the frame in
   // flight, whose partial transmission (up to one max frame) is repeated.
   const Seconds recovery =
       pdp_fault_outage(budget.kind, params, bw, budget.noise_duration) +
       params.frame.frame_time(bw);
-  return pdp_probe(tasks, analysis::pdp_blocking(params, bw), recovery,
-                   faults_per_period);
+  return analysis::rta_feasible_fast(
+      analysis::pdp_tasks(set, params, bw),
+      analysis::pdp_blocking(params, bw) +
+          static_cast<double>(faults_per_period) * recovery);
 }
 
 bool ttp_schedulable_with_faults(const msg::MessageSet& set,
@@ -160,18 +139,25 @@ FaultMarginReport pdp_fault_margin(const msg::MessageSet& set,
   report.recovery_per_fault =
       pdp_fault_outage(budget.kind, params, bw, budget.noise_duration);
   // Everything except the blocking term is independent of the fault count,
-  // so the augmented task list is built once for the whole binary search
-  // instead of once per probe.
+  // so the augmented task list is built once for the whole binary search.
+  // The bisection probes k above the last feasible k only, so the blocking
+  // never falls below the committed one and each probe's fixpoints start
+  // from that k's responses.
   const auto tasks = analysis::pdp_tasks(set, params, bw);
   const Seconds base_blocking = analysis::pdp_blocking(params, bw);
   const Seconds recovery =
       report.recovery_per_fault + params.frame.frame_time(bw);
-  report.fault_free_schedulable = pdp_probe(tasks, base_blocking, recovery, 0);
+  analysis::RtaSearchState search;
+  const auto feasible = [&](int k) {
+    return analysis::rta_feasible_fast(
+        tasks, base_blocking + static_cast<double>(k) * recovery, &search);
+  };
+  report.fault_free_schedulable = feasible(0);
   if (report.fault_free_schedulable) {
     report.margin = largest_feasible(
-        [&](int k) { return pdp_probe(tasks, base_blocking, recovery, k); },
-        hopeless_faults(set, report.recovery_per_fault));
+        feasible, hopeless_faults(set, report.recovery_per_fault));
   }
+  analysis::record_rta_work(search.work);
   count_margin_query(report);
   return report;
 }

@@ -74,7 +74,9 @@ bool ttp_schedulable_with_faults(const msg::MessageSet& set,
                                  int faults_per_period);
 
 /// Max faults per period tolerated by the PDP criterion (binary search on
-/// the monotone fault-aware test).
+/// the monotone fault-aware test, each probe's RTA warm-started from the
+/// last feasible fault count's responses). Its fixpoint work is added to
+/// "analysis.rta.{fixpoint_runs,iterations}" once per query.
 FaultMarginReport pdp_fault_margin(const msg::MessageSet& set,
                                    const analysis::PdpParams& params,
                                    BitsPerSecond bw,

@@ -1,12 +1,9 @@
 #include "tokenring/planner/advisor.hpp"
 
 #include <algorithm>
-#include <utility>
 #include <vector>
 
-#include "tokenring/breakdown/saturation.hpp"
 #include "tokenring/common/checks.hpp"
-#include "tokenring/exec/seed_stream.hpp"
 #include "tokenring/fault/margins.hpp"
 
 namespace tokenring::planner {
@@ -18,73 +15,17 @@ namespace {
 /// 70% is the load the fault-tolerance experiments use.
 constexpr double kResilienceLoad = 0.7;
 
-struct ResilienceSample {
-  double pdp = 0.0;
-  double fddi = 0.0;
-};
-
-/// Mean token-loss resilience margins over `num_sets` sets drawn from
-/// per-trial seed streams (deterministic for any executor jobs count). The
-/// boundary searches run in lockstep SoA batches of `batch` lanes; groups
-/// map to the executor and their per-trial samples fold in trial order, so
-/// the means are bit-identical for every (jobs, batch) combination.
-ResilienceSample estimate_resilience(const experiments::PaperSetup& setup,
-                                     BitsPerSecond bw, std::size_t num_sets,
-                                     std::uint64_t seed,
-                                     const exec::Executor& executor,
-                                     std::size_t batch) {
-  TR_EXPECTS(batch >= 1);
-  const auto pdp_params =
-      setup.pdp_params(analysis::PdpVariant::kModified8025);
-  const auto ttp_params = setup.ttp_params();
-  const auto pdp_factory =
-      setup.pdp_batch_kernel_factory(analysis::PdpVariant::kModified8025, bw);
-  const auto ttp_factory = setup.ttp_batch_kernel_factory(bw);
-  const std::size_t groups = (num_sets + batch - 1) / batch;
-  const auto sample_group = [&](std::size_t g) {
-    const std::size_t lo = g * batch;
-    const std::size_t count = std::min(batch, num_sets - lo);
-    msg::MessageSetGenerator generator(setup.generator_config());
-    std::vector<msg::MessageSet> bases;
-    bases.reserve(count);
-    for (std::size_t j = 0; j < count; ++j) {
-      Rng rng = exec::make_trial_rng(seed, lo + j);
-      bases.push_back(generator.generate(rng));
-    }
-    const auto pdp_sats =
-        breakdown::find_saturation_batch(bases, pdp_factory(bases), bw);
-    const auto ttp_sats =
-        breakdown::find_saturation_batch(bases, ttp_factory(bases), bw);
-    std::vector<ResilienceSample> samples(count);
-    for (std::size_t j = 0; j < count; ++j) {
-      ResilienceSample s{-1.0, -1.0};
-      if (pdp_sats[j].found) {
-        const auto set =
-            bases[j].scaled(pdp_sats[j].critical_scale * kResilienceLoad);
-        s.pdp = fault::pdp_fault_margin(set, pdp_params, bw).margin;
-      }
-      if (ttp_sats[j].found) {
-        const auto set =
-            bases[j].scaled(ttp_sats[j].critical_scale * kResilienceLoad);
-        s.fddi = fault::ttp_fault_margin(set, ttp_params, bw).margin;
-      }
-      samples[j] = s;
-    }
-    return samples;
+/// Sweep follow-up giving a trial's token-loss resilience margin at
+/// kResilienceLoad times its own critical scale, or -1 when the search
+/// found no boundary.
+template <typename MarginAt>
+breakdown::TrialFollowUp resilience_margin(MarginAt margin_at) {
+  return [margin_at](const msg::MessageSet& base,
+                     const breakdown::SaturationResult& sat) {
+    if (!sat.found) return -1.0;
+    return static_cast<double>(
+        margin_at(base.scaled(sat.critical_scale * kResilienceLoad)).margin);
   };
-  const auto total = exec::map_reduce(
-      executor, groups, ResilienceSample{}, sample_group,
-      [](ResilienceSample acc, std::vector<ResilienceSample> samples) {
-        // Per-trial fold in trial order: the same += sequence as a scalar
-        // per-set sweep, whatever the group size.
-        for (const ResilienceSample& s : samples) {
-          acc.pdp += s.pdp;
-          acc.fddi += s.fddi;
-        }
-        return acc;
-      });
-  const double n = static_cast<double>(num_sets);
-  return {total.pdp / n, total.fddi / n};
 }
 
 }  // namespace
@@ -122,16 +63,24 @@ Recommendation recommend_protocol(const TrafficProfile& profile,
   const auto setup = profile.to_setup();
   std::vector<breakdown::SweepPoint> points;
   experiments::add_protocol_points(points, setup, bandwidth, num_sets, seed);
+  // The resilience margins reuse each trial's drawn set and boundary.
+  points[1].follow_up = resilience_margin(
+      [params = setup.pdp_params(analysis::PdpVariant::kModified8025),
+       bandwidth](const msg::MessageSet& set) {
+        return fault::pdp_fault_margin(set, params, bandwidth);
+      });
+  points[2].follow_up = resilience_margin(
+      [params = setup.ttp_params(), bandwidth](const msg::MessageSet& set) {
+        return fault::ttp_fault_margin(set, params, bandwidth);
+      });
   const auto est = experiments::estimate_points(points, executor, batch);
   Recommendation rec;
   rec.ieee8025 = est[0].mean();
   rec.modified8025 = est[1].mean();
   rec.fddi = est[2].mean();
-
-  const auto resilience =
-      estimate_resilience(setup, bandwidth, num_sets, seed, executor, batch);
-  rec.modified8025_resilience = resilience.pdp;
-  rec.fddi_resilience = resilience.fddi;
+  const double n = static_cast<double>(num_sets);
+  rec.modified8025_resilience = est[1].follow_up_sum / n;
+  rec.fddi_resilience = est[2].follow_up_sum / n;
 
   struct Entry {
     Protocol protocol;

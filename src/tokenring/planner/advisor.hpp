@@ -38,8 +38,9 @@ struct Recommendation {
   double margin = 1.0;
   /// Mean fault resilience margin (fault/margins.hpp: max token losses per
   /// period the fault-aware criterion still absorbs) with each sampled set
-  /// scaled to 70% of its own schedulability boundary. Sets infeasible
-  /// even at that load contribute -1, matching FaultMarginReport.
+  /// scaled to 70% of its own schedulability boundary. Sets with no
+  /// boundary (degenerate or unbounded draws) or infeasible even at that
+  /// load contribute -1, matching FaultMarginReport.
   double modified8025_resilience = 0.0;
   double fddi_resilience = 0.0;
 
@@ -50,9 +51,11 @@ struct Recommendation {
 /// Estimate breakdown utilization for each protocol at `bandwidth` via
 /// Monte Carlo (`num_sets` random sets, deterministic in `seed`) and pick
 /// the winner, running the trials on `executor` (an `exec::Executor(1)`
-/// runs them inline). Saturation searches run in lockstep SoA batches of
-/// `batch` trials (breakdown/monte_carlo.hpp); the recommendation is the
-/// same for every (jobs, batch) combination.
+/// runs them inline). The three protocols' points run in one sweep
+/// (breakdown::estimate_sweep), saturating in lockstep SoA batches of
+/// `batch` trials; each trial's resilience margins are follow-ups on its
+/// modified 802.5 and FDDI searches. The recommendation is the same for
+/// every (jobs, batch) combination.
 Recommendation recommend_protocol(const TrafficProfile& profile,
                                   BitsPerSecond bandwidth,
                                   std::size_t num_sets,

@@ -25,6 +25,8 @@ std::unique_ptr<Simulation> make_simulator(msg::MessageSet set,
   // Fill the TTP parameters the paper derives from the message set when
   // the caller leaves them unset.
   if (cfg.ttrt <= 0.0) {
+    TR_EXPECTS_MSG(!set.empty(),
+                   "an FDDI ring without streams needs an explicit ttrt");
     cfg.ttrt = analysis::select_ttrt(set, cfg.ttp.ring, cfg.bandwidth);
   }
   if (cfg.sync_bandwidth_per_stream.empty() && !set.empty()) {

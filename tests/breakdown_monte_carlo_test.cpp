@@ -188,6 +188,7 @@ TEST(MonteCarloParallel, JobsCountDoesNotChangeTheEstimate) {
   EXPECT_EQ(a.utilization.max(), b.utilization.max());
   EXPECT_EQ(a.degenerate_sets, b.degenerate_sets);
   EXPECT_EQ(a.unbounded_sets, b.unbounded_sets);
+  EXPECT_EQ(a.follow_up_sum, b.follow_up_sum);
   ASSERT_EQ(a.samples.size(), b.samples.size());
   for (std::size_t i = 0; i < a.samples.size(); ++i) {
     EXPECT_EQ(a.samples[i], b.samples[i]) << "sample " << i;
@@ -331,6 +332,7 @@ void expect_identical(const BreakdownEstimate& a, const BreakdownEstimate& b) {
   EXPECT_EQ(a.utilization.max(), b.utilization.max());
   EXPECT_EQ(a.degenerate_sets, b.degenerate_sets);
   EXPECT_EQ(a.unbounded_sets, b.unbounded_sets);
+  EXPECT_EQ(a.follow_up_sum, b.follow_up_sum);
   ASSERT_EQ(a.samples.size(), b.samples.size());
   for (std::size_t i = 0; i < a.samples.size(); ++i) {
     EXPECT_EQ(a.samples[i], b.samples[i]) << "sample " << i;
@@ -393,6 +395,16 @@ TEST(MonteCarloBatch, EveryJobsBatchGridPointMatchesTheScalarEstimate) {
           std::fill(verdicts.begin(), verdicts.end(), std::uint8_t{1});
         });
       };
+  // Two points carry a per-trial follow-up (the second has degenerate
+  // draws). Its sum is folded like every other field: in trial order within
+  // a shard, then shard by shard. So the reference sums scalar searches
+  // shard by shard; the values are not integers, so the order shows.
+  const TrialFollowUp follow_up = [](const msg::MessageSet& base,
+                                     const SaturationResult& sat) {
+    return sat.found
+               ? sat.critical_scale * base.streams()[0].period
+               : -1.0 - 0.1 * static_cast<double>(sat.predicate_evals);
+  };
   std::vector<SweepPoint> points;
   std::vector<BreakdownEstimate> references;
   const auto add = [&](SweepPoint point, const ScaleKernelFactory& scalar) {
@@ -400,6 +412,19 @@ TEST(MonteCarloBatch, EveryJobsBatchGridPointMatchesTheScalarEstimate) {
     point_opts.num_sets = point.num_sets;
     references.push_back(estimate_breakdown_utilization(
         point.generator, scalar, point.bw, point.seed, seq, point_opts));
+    if (point.follow_up) {
+      double shard_sum = 0.0;
+      for (std::size_t i = 0; i < point.num_sets; ++i) {
+        Rng rng = exec::make_trial_rng(point.seed, i);
+        const msg::MessageSet base = point.generator.generate(rng);
+        shard_sum += point.follow_up(
+            base, find_saturation_scaled(base, scalar(base), point.bw));
+        if ((i + 1) % opts.shard_size == 0 || i + 1 == point.num_sets) {
+          references.back().follow_up_sum += shard_sum;
+          shard_sum = 0.0;
+        }
+      }
+    }
     points.push_back(std::move(point));
   };
   add({generator(10), batched_ttp_factory(p, bw), bw, 42, 37},
@@ -407,7 +432,7 @@ TEST(MonteCarloBatch, EveryJobsBatchGridPointMatchesTheScalarEstimate) {
   add({generator(10),
        batched_factory<analysis::PdpBatchKernel>(
            paper_pdp_params(10, modified), mbps(10)),
-       mbps(10), 7, 5},
+       mbps(10), 7, 5, follow_up},
       scalar_pdp_factory(paper_pdp_params(10, modified), mbps(10)));
   add({generator(40),
        batched_factory<analysis::PdpBatchKernel>(
@@ -415,11 +440,14 @@ TEST(MonteCarloBatch, EveryJobsBatchGridPointMatchesTheScalarEstimate) {
        mbps(1), 3, 19},
       scalar_pdp_factory(paper_pdp_params(40, standard), mbps(1)));
   add({generator(40), batched_ttp_factory(paper_ttp_params(40), mbps(1)),
-       mbps(1), 11, 16},
+       mbps(1), 11, 16, follow_up},
       scalar_ttp_factory(paper_ttp_params(40), mbps(1)));
   add({generator(6), batched_always, mbps(10), 5, 3}, scalar_always);
   EXPECT_GT(references[3].degenerate_sets, 0u);
+  EXPECT_LT(references[3].degenerate_sets, 16u);
   EXPECT_EQ(references[4].unbounded_sets, 3u);
+  EXPECT_GT(references[1].follow_up_sum, 0.0);
+  EXPECT_NE(references[3].follow_up_sum, 0.0);
 
   for (std::size_t jobs : {std::size_t{1}, std::size_t{3}}) {
     const exec::Executor executor(jobs);
@@ -443,6 +471,19 @@ TEST(MonteCarloBatch, EveryJobsBatchGridPointMatchesTheScalarEstimate) {
         ADD_FAILURE() << "the factory's exception was swallowed";
       } catch (const std::runtime_error& e) {
         EXPECT_STREQ(e.what(), "point 2 factory");
+      }
+
+      // So does a throwing follow-up.
+      std::vector<SweepPoint> failing_follow_up = points;
+      failing_follow_up[3].follow_up =
+          [](const msg::MessageSet&, const SaturationResult&) -> double {
+        throw std::runtime_error("point 3 follow-up");
+      };
+      try {
+        estimate_sweep(failing_follow_up, executor, sweep_opts);
+        ADD_FAILURE() << "the follow-up's exception was swallowed";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "point 3 follow-up");
       }
 
       // A token fired from inside the sweep stops it with exec::Cancelled.

@@ -6,15 +6,24 @@
 
 #include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <string>
 #include <vector>
 
+#include "tokenring/analysis/fixed_priority.hpp"
+#include "tokenring/analysis/kernels.hpp"
 #include "tokenring/analysis/pdp.hpp"
 #include "tokenring/analysis/ttp.hpp"
+#include "tokenring/breakdown/saturation.hpp"
 #include "tokenring/common/checks.hpp"
+#include "tokenring/common/rng.hpp"
+#include "tokenring/exec/seed_stream.hpp"
 #include "tokenring/fault/margins.hpp"
 #include "tokenring/fault/plan.hpp"
 #include "tokenring/fault/recovery.hpp"
+#include "tokenring/msg/generator.hpp"
 #include "tokenring/net/standards.hpp"
+#include "tokenring/obs/registry.hpp"
 #include "tokenring/sim/config.hpp"
 #include "tokenring/sim/workload.hpp"
 
@@ -256,6 +265,88 @@ TEST(Margins, CostlierFaultKindsShrinkTheMargin) {
                        FaultBudget{FaultKind::kFrameCorruption, 0.0});
   const auto ttp_loss = ttp_fault_margin(set, ttp_params(), mbps(100), ttrt);
   EXPECT_GT(ttp_corruption.margin, ttp_loss.margin);
+}
+
+TEST(Margins, WarmStartedPdpMarginMatchesColdRtaOnRandomSets) {
+  // pdp_fault_margin bisects k with one RTA search state, so each probe's
+  // fixpoints start from the last feasible k's responses. Against the cold
+  // analysis at blocking B + k*(r + F), over random sets (2-100 stations,
+  // 1-1000 Mbps, both variants, every fault kind, some deadlines below the
+  // period, loads from 5% to 115% of the set's fault-free boundary, many
+  // just under it): the margin passes, the next k fails, and the margin is
+  // -1 exactly when k = 0 fails. Warm and cold agree only while no
+  // fixpoint hits the iteration cap, so the corpus must hit none.
+  const auto cap_hits = [] {
+    const auto snap = obs::Registry::global().snapshot();
+    const auto it = snap.counters.find("analysis.rta_cap_hits");
+    return it == snap.counters.end() ? std::uint64_t{0} : it->second;
+  };
+  const std::uint64_t cap_hits_before = cap_hits();
+  int infeasible = 0;
+  int zero = 0;
+  int positive = 0;
+  for (std::uint64_t trial = 0; trial < 2'000; ++trial) {
+    Rng rng = exec::make_trial_rng(0xFA17, trial);
+    const int n = static_cast<int>(rng.uniform_int(2, 100));
+    msg::GeneratorConfig g;
+    g.num_streams = n;
+    g.mean_period = milliseconds(rng.uniform(5.0, 200.0));
+    g.period_ratio = rng.uniform(1.0, 10.0);
+    if (rng.uniform01() < 0.3) g.deadline_fraction = rng.uniform(0.3, 1.0);
+    const msg::MessageSet base = msg::MessageSetGenerator(g).generate(rng);
+    const BitsPerSecond bw =
+        mbps(std::exp(rng.uniform(0.0, std::log(1000.0))));  // 1-1000
+    analysis::PdpParams params;
+    params.ring = net::ieee8025_ring(n);
+    params.frame = net::paper_frame_format();
+    params.variant = trial % 2 == 0 ? analysis::PdpVariant::kModified8025
+                                    : analysis::PdpVariant::kStandard8025;
+    FaultBudget budget;
+    budget.kind = kAllFaultKinds[trial % std::size(kAllFaultKinds)];
+    if (budget.kind == FaultKind::kNoiseBurst) {
+      budget.noise_duration = milliseconds(rng.uniform(0.01, 5.0));
+    }
+    const analysis::PdpScaleKernel kernel(base, params, bw);
+    const auto boundary = breakdown::find_saturation_scaled(
+        base, [&kernel](double scale) { return kernel(scale); }, bw);
+    const double load = rng.uniform01() < 0.3 ? rng.uniform(0.995, 1.0)
+                                              : rng.uniform(0.05, 1.15);
+    const msg::MessageSet set =
+        base.scaled(boundary.found ? load * boundary.critical_scale : load);
+
+    const auto tasks = analysis::pdp_tasks(set, params, bw);
+    const Seconds recovery =
+        pdp_fault_outage(budget.kind, params, bw, budget.noise_duration) +
+        params.frame.frame_time(bw);
+    const auto cold = [&](int k) {
+      return analysis::response_time_analysis(
+                 tasks, analysis::pdp_blocking(params, bw) +
+                            static_cast<double>(k) * recovery)
+          .schedulable;
+    };
+    const auto fast = [&](int k) {
+      return pdp_schedulable_with_faults(set, params, bw, budget, k);
+    };
+    const auto report = pdp_fault_margin(set, params, bw, budget);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    ASSERT_EQ(report.fault_free_schedulable, cold(0));
+    ASSERT_EQ(fast(0), cold(0));
+    if (!cold(0)) {
+      ASSERT_EQ(report.margin, -1);
+      ++infeasible;
+      continue;
+    }
+    ASSERT_GE(report.margin, 0);
+    ASSERT_TRUE(cold(report.margin));
+    ASSERT_FALSE(cold(report.margin + 1));
+    ASSERT_TRUE(fast(report.margin));
+    ASSERT_FALSE(fast(report.margin + 1));
+    (report.margin == 0 ? zero : positive) += 1;
+  }
+  EXPECT_EQ(cap_hits() - cap_hits_before, 0u);
+  EXPECT_GT(infeasible, 100);
+  EXPECT_GT(zero, 100);
+  EXPECT_GT(positive, 100);
 }
 
 // ---- margin vs simulation (the conservativeness bracket) --------------------

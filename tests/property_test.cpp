@@ -381,21 +381,23 @@ TEST(FastKernelDifferential, ScaleKernelsMatchPredicatesScaleForScale) {
 // ---- warm-start differential ---------------------------------------------------------
 //
 // With a search state, rta_feasible_fast starts each fixpoint from the
-// task's last committed response while no cost up to it has fallen. One
-// state per task set is driven through cost vectors that rise, fall (some
-// costs only), repeat and lose one ulp on one cost; every verdict must be
-// the cold analysis's, and every response the state holds after a
+// task's last committed response while neither the blocking nor any cost up
+// to it has fallen. One state per task set is driven first through cost
+// vectors that rise, fall (some costs only), repeat and lose one ulp on one
+// cost under a fixed blocking, then through blocking terms that rise, fall,
+// move against the costs, lose one ulp and rise with them; every verdict
+// must be the cold analysis's, and every response the state holds after a
 // schedulable step must be the cold response time, bit for bit.
 
 TEST(WarmStartDifferential, VerdictsAndHeldResponsesMatchColdRtaOn10kTaskSets) {
   int schedulable = 0;
   int infeasible = 0;
   int held = 0;
+  int below_commit = 0;  // probes whose blocking is under the committed one
   for (std::uint64_t trial = 0; trial < 10'000; ++trial) {
     Rng rng = exec::make_trial_rng(0x3A125, trial);
     const auto base = random_task_set(rng);
-    const Seconds blocking =
-        rng.uniform01() < 0.3 ? 0.0 : rng.uniform(0.0, 0.02);
+    Seconds blocking = rng.uniform01() < 0.3 ? 0.0 : rng.uniform(0.0, 0.02);
 
     auto tasks = base;
     const auto scale_all = [&](double factor) {
@@ -404,8 +406,12 @@ TEST(WarmStartDifferential, VerdictsAndHeldResponsesMatchColdRtaOn10kTaskSets) {
     const auto scale_some = [&](double lo, double hi) {
       for (auto& t : tasks) t.cost *= rng.uniform(lo, hi);
     };
+    const auto raise_blocking = [&] {
+      blocking = blocking * rng.uniform(1.0, 1.5) + rng.uniform(0.0, 0.004);
+    };
+    const auto lower_blocking = [&] { blocking *= rng.uniform(0.2, 0.95); };
     analysis::RtaSearchState state;
-    for (int step = 0; step < 8; ++step) {
+    for (int step = 0; step < 14; ++step) {
       switch (step) {
         case 0: scale_all(rng.uniform(0.3, 0.8)); break;  // first probe
         case 1: scale_all(rng.uniform(1.0, 1.3)); break;  // rise
@@ -420,10 +426,29 @@ TEST(WarmStartDifferential, VerdictsAndHeldResponsesMatchColdRtaOn10kTaskSets) {
           break;
         }
         case 6: scale_all(rng.uniform(0.5, 0.9)); break;  // fall
-        default: scale_all(rng.uniform(1.0, 2.0)); break; // rise
+        case 7: scale_all(rng.uniform(1.0, 2.0)); break;  // rise
+        // From here on the blocking moves too.
+        case 8: raise_blocking(); break;                  // blocking rises
+        case 9: lower_blocking(); break;                  // blocking falls
+        case 10:                                          // cost rise,
+          scale_all(rng.uniform(1.0, 1.5));               // blocking fall
+          lower_blocking();
+          break;
+        case 11:                                          // cost fall,
+          scale_all(rng.uniform(0.5, 0.9));               // blocking rise
+          raise_blocking();
+          break;
+        case 12:                                          // blocking one
+          blocking = std::nextafter(blocking, 0.0);       // ulp down
+          break;
+        default:                                          // both rise
+          scale_all(rng.uniform(1.0, 1.3));
+          raise_blocking();
+          break;
       }
       const bool cold =
           analysis::response_time_analysis(tasks, blocking).schedulable;
+      if (blocking < state.blocking) ++below_commit;
       ASSERT_EQ(analysis::rta_feasible_fast(tasks, blocking, &state), cold)
           << "trial " << trial << " step " << step;
       (cold ? schedulable : infeasible) += 1;
@@ -443,6 +468,7 @@ TEST(WarmStartDifferential, VerdictsAndHeldResponsesMatchColdRtaOn10kTaskSets) {
   EXPECT_GT(schedulable, 1000);
   EXPECT_GT(infeasible, 1000);
   EXPECT_GT(held, 10'000);
+  EXPECT_GT(below_commit, 1000);
 }
 
 // ---- batched (SoA) kernel differential -----------------------------------------------

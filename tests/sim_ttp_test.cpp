@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "tokenring/analysis/ttrt.hpp"
 #include "tokenring/common/checks.hpp"
@@ -252,6 +253,24 @@ TEST(TtpSim, ConfigValidation) {
   msg::MessageSet bad;
   bad.add(stream(milliseconds(10), 1'000.0, 5));
   EXPECT_THROW(make_simulator(bad, cfg), PreconditionError);
+}
+
+TEST(TtpSim, StreamlessRingWithoutTtrtIsRefusedByName) {
+  // The paper's TTRT rule reads the streams' deadlines, so a ring with no
+  // streams must bring its own TTRT; with one it simulates (idle laps).
+  auto cfg = base_config(4, mbps(100), 0.0);
+  cfg.horizon = milliseconds(5);
+  try {
+    make_simulator(msg::MessageSet{}, cfg);
+    ADD_FAILURE() << "a streamless ring without a ttrt was accepted";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(e.reason().find("ring without streams needs an explicit ttrt"),
+              std::string::npos)
+        << e.reason();
+  }
+  cfg.ttrt = milliseconds(1);
+  EXPECT_EQ(make_simulator(msg::MessageSet{}, cfg)->run().messages_released,
+            0u);
 }
 
 TEST(TtpSim, RotationUnderLoadStaysAboveTheta) {
