@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <vector>
 
 #include "tokenring/common/cli.hpp"
 #include "tokenring/common/table.hpp"
@@ -39,11 +40,15 @@ int main(int argc, char** argv) {
 
   Table table({"BW_Mbps", "ieee8025", "modified8025", "fddi", "recommend",
                "margin"});
-  for (double bw_mbps : flags.get_double_list("bandwidths-mbps")) {
-    const auto rec = planner::recommend_protocol(
-        profile, mbps(bw_mbps),
-        get_count(flags, "sets"), get_seed(flags), exec::Executor(1));
-    table.add_row({fmt(bw_mbps, 0), fmt(rec.ieee8025, 3),
+  const auto bandwidths_mbps = flags.get_double_list("bandwidths-mbps");
+  std::vector<BitsPerSecond> bandwidths;
+  for (double bw_mbps : bandwidths_mbps) bandwidths.push_back(mbps(bw_mbps));
+  const auto recs =
+      planner::recommend_protocol(profile, bandwidths, get_count(flags, "sets"),
+                                  get_seed(flags), exec::Executor(1));
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    const auto& rec = recs[i];
+    table.add_row({fmt(bandwidths_mbps[i], 0), fmt(rec.ieee8025, 3),
                    fmt(rec.modified8025, 3), fmt(rec.fddi, 3),
                    planner::to_string(rec.best), fmt(rec.margin, 2)});
   }

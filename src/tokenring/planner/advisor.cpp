@@ -51,50 +51,61 @@ double Recommendation::estimate(Protocol protocol) const {
   return 0.0;
 }
 
-Recommendation recommend_protocol(const TrafficProfile& profile,
-                                  BitsPerSecond bandwidth,
-                                  std::size_t num_sets, std::uint64_t seed,
-                                  const exec::Executor& executor,
-                                  std::size_t batch) {
-  TR_EXPECTS(bandwidth > 0.0);
+std::vector<Recommendation> recommend_protocol(
+    const TrafficProfile& profile, const std::vector<BitsPerSecond>& bandwidths,
+    std::size_t num_sets, std::uint64_t seed, const exec::Executor& executor,
+    std::size_t batch) {
+  TR_EXPECTS(!bandwidths.empty());
   TR_EXPECTS(num_sets >= 1);
   TR_EXPECTS(batch >= 1);
 
   const auto setup = profile.to_setup();
   std::vector<breakdown::SweepPoint> points;
-  experiments::add_protocol_points(points, setup, bandwidth, num_sets, seed);
-  // The resilience margins reuse each trial's drawn set and boundary.
-  points[1].follow_up = resilience_margin(
-      [params = setup.pdp_params(analysis::PdpVariant::kModified8025),
-       bandwidth](const msg::MessageSet& set) {
-        return fault::pdp_fault_margin(set, params, bandwidth);
-      });
-  points[2].follow_up = resilience_margin(
-      [params = setup.ttp_params(), bandwidth](const msg::MessageSet& set) {
-        return fault::ttp_fault_margin(set, params, bandwidth);
-      });
+  for (const BitsPerSecond bandwidth : bandwidths) {
+    TR_EXPECTS(bandwidth > 0.0);
+    const std::size_t first = points.size();
+    experiments::add_protocol_points(points, setup, bandwidth, num_sets,
+                                     seed);
+    // The resilience margins reuse each trial's drawn set and boundary.
+    points[first + 1].follow_up = resilience_margin(
+        [params = setup.pdp_params(analysis::PdpVariant::kModified8025),
+         bandwidth](const msg::MessageSet& set) {
+          return fault::pdp_fault_margin(set, params, bandwidth);
+        });
+    points[first + 2].follow_up = resilience_margin(
+        [params = setup.ttp_params(), bandwidth](const msg::MessageSet& set) {
+          return fault::ttp_fault_margin(set, params, bandwidth);
+        });
+  }
   const auto est = experiments::estimate_points(points, executor, batch);
-  Recommendation rec;
-  rec.ieee8025 = est[0].mean();
-  rec.modified8025 = est[1].mean();
-  rec.fddi = est[2].mean();
-  const double n = static_cast<double>(num_sets);
-  rec.modified8025_resilience = est[1].follow_up_sum / n;
-  rec.fddi_resilience = est[2].follow_up_sum / n;
 
-  struct Entry {
-    Protocol protocol;
-    double value;
-  };
-  Entry entries[] = {{Protocol::kIeee8025, rec.ieee8025},
-                     {Protocol::kModified8025, rec.modified8025},
-                     {Protocol::kFddi, rec.fddi}};
-  std::sort(std::begin(entries), std::end(entries),
-            [](const Entry& a, const Entry& b) { return a.value > b.value; });
-  rec.best = entries[0].protocol;
-  rec.margin = entries[1].value > 0.0 ? entries[0].value / entries[1].value
-                                      : (entries[0].value > 0.0 ? 1e9 : 1.0);
-  return rec;
+  std::vector<Recommendation> recs;
+  recs.reserve(bandwidths.size());
+  const double n = static_cast<double>(num_sets);
+  for (std::size_t first = 0; first < est.size(); first += 3) {
+    Recommendation rec;
+    rec.ieee8025 = est[first].mean();
+    rec.modified8025 = est[first + 1].mean();
+    rec.fddi = est[first + 2].mean();
+    rec.modified8025_resilience = est[first + 1].follow_up_sum / n;
+    rec.fddi_resilience = est[first + 2].follow_up_sum / n;
+
+    struct Entry {
+      Protocol protocol;
+      double value;
+    };
+    Entry entries[] = {{Protocol::kIeee8025, rec.ieee8025},
+                       {Protocol::kModified8025, rec.modified8025},
+                       {Protocol::kFddi, rec.fddi}};
+    std::sort(std::begin(entries), std::end(entries),
+              [](const Entry& a, const Entry& b) { return a.value > b.value; });
+    rec.best = entries[0].protocol;
+    rec.margin = entries[1].value > 0.0
+                     ? entries[0].value / entries[1].value
+                     : (entries[0].value > 0.0 ? 1e9 : 1.0);
+    recs.push_back(rec);
+  }
+  return recs;
 }
 
 }  // namespace tokenring::planner

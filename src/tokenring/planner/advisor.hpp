@@ -4,13 +4,14 @@
 // protocols, and in the absence of a detailed knowledge of the message
 // sets, it is more appropriate to base the selection on the average case
 // performance" (Section 2). Given a traffic profile (station count, period
-// statistics) and a bandwidth, the advisor estimates the average breakdown
-// utilization of all three implementations and recommends the winner with
-// its margin.
+// statistics) and candidate bandwidths, the advisor estimates the average
+// breakdown utilization of all three implementations at each bandwidth
+// and recommends the winner with its margin.
 
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "tokenring/experiments/setup.hpp"
 #include "tokenring/planner/planner.hpp"
@@ -48,19 +49,20 @@ struct Recommendation {
   double estimate(Protocol protocol) const;
 };
 
-/// Estimate breakdown utilization for each protocol at `bandwidth` via
-/// Monte Carlo (`num_sets` random sets, deterministic in `seed`) and pick
-/// the winner, running the trials on `executor` (an `exec::Executor(1)`
-/// runs them inline). The three protocols' points run in one sweep
-/// (breakdown::estimate_sweep), saturating in lockstep SoA batches of
-/// `batch` trials; each trial's resilience margins are follow-ups on its
-/// modified 802.5 and FDDI searches. The recommendation is the same for
-/// every (jobs, batch) combination.
-Recommendation recommend_protocol(const TrafficProfile& profile,
-                                  BitsPerSecond bandwidth,
-                                  std::size_t num_sets,
-                                  std::uint64_t seed,
-                                  const exec::Executor& executor,
-                                  std::size_t batch = 64);
+/// Estimate breakdown utilization for each protocol at each of
+/// `bandwidths` via Monte Carlo (`num_sets` random sets per estimate, the
+/// same sets at every bandwidth, deterministic in `seed`) and pick the
+/// winner per bandwidth, running the trials on `executor` (an
+/// `exec::Executor(1)` runs them inline). Every bandwidth's three
+/// protocol points run in one sweep (breakdown::estimate_sweep), one
+/// dispatch, saturating in lockstep SoA batches of `batch` trials; each
+/// trial's resilience margins are follow-ups on its modified 802.5 and
+/// FDDI searches. Returns one Recommendation per bandwidth, in order,
+/// each the same for every (jobs, batch) combination and whatever the
+/// other bandwidths are.
+std::vector<Recommendation> recommend_protocol(
+    const TrafficProfile& profile, const std::vector<BitsPerSecond>& bandwidths,
+    std::size_t num_sets, std::uint64_t seed, const exec::Executor& executor,
+    std::size_t batch = 64);
 
 }  // namespace tokenring::planner

@@ -102,12 +102,14 @@ AdviseResult advise(const AdviseQuery& query, const exec::Executor& executor,
   profile.num_stations = query.stations;
   profile.mean_period = milliseconds(query.mean_period_ms);
   profile.period_ratio = query.period_ratio;
+  std::vector<BitsPerSecond> bandwidths;
+  for (double bw : query.bandwidths_mbps) bandwidths.push_back(mbps(bw));
+  const auto recs = planner::recommend_protocol(
+      profile, bandwidths, static_cast<std::size_t>(query.sets), query.seed,
+      executor, batch);
   AdviseResult r;
-  for (double bw : query.bandwidths_mbps) {
-    r.rows.emplace_back(
-        bw, planner::recommend_protocol(profile, mbps(bw),
-                                        static_cast<std::size_t>(query.sets),
-                                        query.seed, executor, batch));
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    r.rows.emplace_back(query.bandwidths_mbps[i], recs[i]);
   }
   return r;
 }

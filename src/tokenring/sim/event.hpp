@@ -56,10 +56,11 @@ const char* to_string(EventKind kind);
 
 /// One scheduled event. Flat POD: the queue stores these by value, so an
 /// event costs no allocation and carries no destructor. `at`/`seq` are
-/// assigned by the queue at push; the remaining fields are the payload the
-/// handler switches on (unused fields keep their defaults).
+/// assigned by the queue at push (`at` also by stage_at); the remaining
+/// fields are the payload the handler switches on (unused fields keep
+/// their defaults).
 struct Event {
-  Seconds at = 0.0;       ///< absolute firing time, set by the queue
+  Seconds at = 0.0;       ///< absolute firing time, set at submission
   std::uint64_t seq = 0;  ///< FIFO tie-break within equal `at`, set by the queue
   EventKind kind = EventKind::kUser;
   std::int32_t station = -1;  ///< primary station operand

@@ -33,11 +33,6 @@ void EventQueue::push(Seconds at, Event ev) {
   std::push_heap(heap_.begin(), heap_.end(), fires_later);
 }
 
-Seconds EventQueue::next_time() const {
-  TR_EXPECTS(!heap_.empty());
-  return heap_.front().at;
-}
-
 Event EventQueue::pop() {
   TR_EXPECTS(!heap_.empty());
   std::pop_heap(heap_.begin(), heap_.end(), fires_later);

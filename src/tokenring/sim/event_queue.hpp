@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "tokenring/common/checks.hpp"
 #include "tokenring/sim/event.hpp"
 
 namespace tokenring::sim {
@@ -32,7 +33,10 @@ class EventQueue {
   /// Number of pending events.
   std::size_t size() const { return heap_.size(); }
   /// Firing time of the earliest event. Requires non-empty.
-  Seconds next_time() const;
+  Seconds next_time() const {
+    TR_EXPECTS(!heap_.empty());
+    return heap_.front().at;
+  }
 
   /// Remove and return the earliest event. Requires non-empty.
   Event pop();

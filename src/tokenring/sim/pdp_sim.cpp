@@ -13,6 +13,14 @@ namespace {
 // Completion within this slack of the deadline still counts as met; guards
 // against accumulated floating-point noise in long runs.
 constexpr Seconds kDeadlineSlack = 1e-12;
+
+// Whether a frame of `chunk` bits is the last of a message with
+// `remaining` bits left. The slack absorbs the floating-point residue of
+// the per-frame subtraction. The one last-frame test of the sync run and
+// the frame-done step.
+bool completes(Bits remaining, Bits chunk) {
+  return remaining - chunk <= 1e-9;
+}
 }  // namespace
 
 PdpSimulation::PdpSimulation(msg::MessageSet set, SimConfig config)
@@ -130,33 +138,24 @@ void PdpSimulation::on_event(const Event& ev) {
       if (ev.gen != token_generation_) return;
       start_frame(ev.station, ev.index != 0);
       return;
-    case EventKind::kPdpAsyncFrameDone: {
+    case EventKind::kPdpAsyncFrameDone:
       if (ev.gen != token_generation_) return;  // frame destroyed in flight
-      ++metrics_.async_frames_sent;
-      if (cfg_.async_model == AsyncModel::kPoisson) {
-        --stations_[static_cast<std::size_t>(ev.station)].async_pending;
-      }
-      emit(cfg_.trace, sim_.now(), TraceEventKind::kAsyncFrame, ev.station,
-           ev.value);
+      async_frame_sent(ev.station, ev.value);
       release_medium(ev.station);
       return;
-    }
     case EventKind::kPdpSyncFrameDone: {
       if (ev.gen != token_generation_) return;  // frame destroyed in flight
       const int station = ev.station;
-      const auto serve_idx = static_cast<std::size_t>(ev.index);
-      const Bits chunk = ev.value;
-      auto& local =
-          stations_[static_cast<std::size_t>(station)].streams[serve_idx];
+      auto& local = stations_[static_cast<std::size_t>(station)]
+                        .streams[static_cast<std::size_t>(ev.index)];
       auto& msg = local.queue.front();
-      msg.remaining -= chunk;
-      if (msg.remaining <= 1e-9) {
+      if (completes(msg.remaining, ev.value)) {
         const Seconds response = sim_.now() - msg.arrival;
         const Seconds deadline = local.spec.deadline();
         metrics_.on_completion(station, msg.arrival, response,
                                local.spec.period, deadline, kDeadlineSlack);
-        emit(cfg_.trace, sim_.now(), TraceEventKind::kMessageComplete, station,
-             response);
+        emit(cfg_.trace, sim_.now(), TraceEventKind::kMessageComplete,
+             station, response);
         if (response > deadline + kDeadlineSlack) {
           emit(cfg_.trace, sim_.now(), TraceEventKind::kDeadlineMiss, station,
                response);
@@ -164,19 +163,10 @@ void PdpSimulation::on_event(const Event& ev) {
         }
         local.queue.pop_front();
         winner_stale_ = true;
+      } else {
+        msg.remaining -= ev.value;  // the frame's chunk [bits]
       }
-
-      if (cfg_.pdp.variant == analysis::PdpVariant::kModified8025) {
-        // Keep the medium while still the highest-priority active station
-        // (a station with nothing pending cannot be the sync winner).
-        bool is_async2 = false;
-        const auto winner = pick_winner(station, is_async2);
-        if (winner && *winner == station && !is_async2) {
-          start_frame(station, false);
-          return;
-        }
-      }
-      release_medium(station);
+      send_message(station);
       return;
     }
     case EventKind::kFault:
@@ -373,128 +363,193 @@ void PdpSimulation::on_fault(const fault::FaultEvent& event) {
   }
 }
 
-int PdpSimulation::best_local_priority(const Station& st) const {
-  int best = std::numeric_limits<int>::max();
-  for (const auto& local : st.streams) {
-    if (!local.queue.empty()) best = std::min(best, local.priority);
+std::size_t PdpSimulation::serving_stream(const Station& st) const {
+  std::size_t best = st.streams.size();
+  for (std::size_t i = 0; i < st.streams.size(); ++i) {
+    if (!st.streams[i].queue.empty() &&
+        (best == st.streams.size() ||
+         st.streams[i].priority < st.streams[best].priority)) {
+      best = i;
+    }
   }
-  return best == std::numeric_limits<int>::max() ? -1 : best;
+  return best;
+}
+
+void PdpSimulation::refresh_sync_winner() {
+  sync_winner_ = -1;
+  int best_priority = std::numeric_limits<int>::max();
+  for (std::size_t i = 0; i < stations_.size(); ++i) {
+    const Station& st = stations_[i];
+    if (!st.alive) continue;
+    const std::size_t serve = serving_stream(st);
+    if (serve < st.streams.size() &&
+        st.streams[serve].priority < best_priority) {
+      best_priority = st.streams[serve].priority;
+      sync_winner_ = static_cast<int>(i);
+    }
+  }
+  winner_stale_ = false;
 }
 
 std::optional<int> PdpSimulation::pick_winner(int after, bool& is_async) {
   // Highest-priority pending synchronous frame wins; the tie-break is
   // already encoded in the global priority ranks.
-  if (winner_stale_) {
-    sync_winner_ = -1;
-    int best_priority = std::numeric_limits<int>::max();
-    for (std::size_t i = 0; i < stations_.size(); ++i) {
-      if (!stations_[i].alive) continue;
-      const int p = best_local_priority(stations_[i]);
-      if (p >= 0 && p < best_priority) {
-        best_priority = p;
-        sync_winner_ = static_cast<int>(i);
-      }
-    }
-    winner_stale_ = false;
-  }
+  if (winner_stale_) refresh_sync_winner();
   if (sync_winner_ >= 0) {
     is_async = false;
     return sync_winner_;
   }
+  if (cfg_.async_model == AsyncModel::kNone) return std::nullopt;
+  // First alive station downstream of `after` (itself last) with an async
+  // frame ready: every one under the saturating model, one with a queued
+  // frame under the Poisson model.
   const int n = cfg_.pdp.ring.num_stations;
-  switch (cfg_.async_model) {
-    case AsyncModel::kNone:
-      return std::nullopt;
-    case AsyncModel::kSaturating:
-      // Every alive station always has async frames: first alive station
-      // downstream.
-      for (int d = 1; d <= n; ++d) {
-        const int candidate = (after + d) % n;
-        if (stations_[static_cast<std::size_t>(candidate)].alive) {
-          is_async = true;
-          return candidate;
-        }
-      }
-      return std::nullopt;
-    case AsyncModel::kPoisson:
-      // First downstream alive station with a queued async frame.
-      for (int d = 1; d <= n; ++d) {
-        const int candidate = (after + d) % n;
-        const auto& st = stations_[static_cast<std::size_t>(candidate)];
-        if (st.alive && st.async_pending > 0) {
-          is_async = true;
-          return candidate;
-        }
-      }
-      return std::nullopt;
+  int candidate = after;
+  for (int d = 0; d < n; ++d) {
+    if (++candidate == n) candidate = 0;
+    const auto& st = stations_[static_cast<std::size_t>(candidate)];
+    if (st.alive && (cfg_.async_model == AsyncModel::kSaturating ||
+                     st.async_pending > 0)) {
+      is_async = true;
+      return candidate;
+    }
   }
   return std::nullopt;
 }
 
 void PdpSimulation::release_medium(int station) {
+  for (;;) {
+    bool is_async = false;
+    const auto winner = pick_winner(station, is_async);
+    if (!winner) {
+      medium_busy_ = false;
+      idle_position_ = station;
+      idle_since_ = sim_.now();
+      return;
+    }
+    // The async rotation: while no sync frame is pending, the walk to the
+    // next async-ready station and that station's frame run in place.
+    const Event walk = token_walk(station, *winner, is_async);
+    if (!is_async || !sim_.take_inline(walk.at)) {
+      sim_.stage_at(walk.at, walk);
+      return;
+    }
+    const Event done = async_frame(*winner);
+    if (!sim_.take_inline(done.at)) {
+      sim_.stage_at(done.at, done);
+      return;
+    }
+    async_frame_sent(*winner, done.value);
+    station = *winner;
+  }
+}
+
+void PdpSimulation::send_message(int station) {
+  // `station` keeps the medium only while it is the sync winner (a
+  // station with nothing pending may still be the async one).
   bool is_async = false;
-  const auto winner = pick_winner(station, is_async);
-  if (!winner) {
-    medium_busy_ = false;
-    idle_position_ = station;
-    idle_since_ = sim_.now();
+  if (pick_winner(station, is_async) != station || is_async) {
+    release_medium(station);
     return;
   }
+  // The sync run: no queued event fires inside it, so `station` stays the
+  // winner and serves one stream. Modified 802.5 keeps the token between
+  // frames; standard 802.5 releases it and wins it back after a full lap.
+  // The stream is picked here, not taken from the frame that just ended:
+  // that message may be complete, and a higher-priority stream of
+  // `station` may have released during the frame.
+  auto& st = stations_[static_cast<std::size_t>(station)];
+  const std::size_t serve = serving_stream(st);
+  auto& msg = st.streams[serve].queue.front();
+  const bool lap = cfg_.pdp.variant == analysis::PdpVariant::kStandard8025;
+  for (;;) {
+    if (lap) {
+      const Event walk = token_walk(station, station, /*is_async=*/false);
+      if (!sim_.take_inline(walk.at)) {
+        sim_.stage_at(walk.at, walk);
+        return;
+      }
+    }
+    const Event done = sync_frame(station, serve);
+    // The message's last frame is staged: its done step records the
+    // completion.
+    if (completes(msg.remaining, done.value) || !sim_.take_inline(done.at)) {
+      sim_.stage_at(done.at, done);
+      return;
+    }
+    msg.remaining -= done.value;
+  }
+}
+
+void PdpSimulation::async_frame_sent(int station, Seconds effective) {
+  ++metrics_.async_frames_sent;
+  if (cfg_.async_model == AsyncModel::kPoisson) {
+    --stations_[static_cast<std::size_t>(station)].async_pending;
+  }
+  emit(cfg_.trace, sim_.now(), TraceEventKind::kAsyncFrame, station,
+       effective);
+}
+
+Event PdpSimulation::token_walk(int from, int winner, bool is_async) {
   medium_busy_ = true;
-  Event ev;
-  ev.kind = EventKind::kPdpWalkDone;
-  ev.station = *winner;
-  ev.index = is_async ? 1 : 0;
-  ev.gen = token_generation_;
-  sim_.stage_at(sim_.now() + hops_time(station, *winner), ev);
+  Event walk;
+  walk.at = sim_.now() + hops_time(from, winner);
+  walk.kind = EventKind::kPdpWalkDone;
+  walk.station = winner;
+  walk.index = is_async ? 1 : 0;
+  walk.gen = token_generation_;
+  return walk;
 }
 
 void PdpSimulation::start_frame(int station, bool is_async) {
+  Event done;
+  if (is_async) {
+    done = async_frame(station);
+  } else {
+    const Station& st = stations_[static_cast<std::size_t>(station)];
+    const std::size_t serve = serving_stream(st);
+    TR_EXPECTS_MSG(serve < st.streams.size(),
+                   "start_frame on a station with nothing pending");
+    done = sync_frame(station, serve);
+  }
+  sim_.stage_at(done.at, done);
+}
+
+Event PdpSimulation::sync_frame(int station, std::size_t serve) {
   medium_busy_ = true;
   medium_station_ = station;
   const auto& frame = cfg_.pdp.frame;
-
-  if (is_async) {
-    const Seconds effective =
-        std::max(frame.frame_time(cfg_.bandwidth), theta_);
-    Event ev;
-    ev.kind = EventKind::kPdpAsyncFrameDone;
-    ev.station = station;
-    ev.gen = token_generation_;
-    ev.value = effective;
-    sim_.stage_at(sim_.now() + effective, ev);
-    return;
-  }
-
-  // Serve the station's highest-priority pending stream.
-  auto& st = stations_[static_cast<std::size_t>(station)];
-  std::size_t serve_idx = st.streams.size();
-  int best_priority = std::numeric_limits<int>::max();
-  for (std::size_t i = 0; i < st.streams.size(); ++i) {
-    if (!st.streams[i].queue.empty() &&
-        st.streams[i].priority < best_priority) {
-      best_priority = st.streams[i].priority;
-      serve_idx = i;
-    }
-  }
-  TR_EXPECTS_MSG(serve_idx < st.streams.size(),
-                 "start_frame on a station with nothing pending");
-
-  auto& head = st.streams[serve_idx].queue.front();
+  const auto& head = stations_[static_cast<std::size_t>(station)]
+                         .streams[serve]
+                         .queue.front();
   const Bits chunk = std::min(head.remaining, frame.info_bits);
   const Seconds frame_time =
       transmission_time(chunk + frame.overhead_bits, cfg_.bandwidth);
   const Seconds effective = std::max(frame_time, theta_);
   emit(cfg_.trace, sim_.now(), TraceEventKind::kSyncFrameStart, station,
        effective);
+  Event done;
+  done.at = sim_.now() + effective;
+  done.kind = EventKind::kPdpSyncFrameDone;
+  done.station = station;
+  done.index = static_cast<std::int32_t>(serve);
+  done.gen = token_generation_;
+  done.value = chunk;
+  return done;
+}
 
-  Event ev;
-  ev.kind = EventKind::kPdpSyncFrameDone;
-  ev.station = station;
-  ev.index = static_cast<std::int32_t>(serve_idx);
-  ev.gen = token_generation_;
-  ev.value = chunk;
-  sim_.stage_at(sim_.now() + effective, ev);
+Event PdpSimulation::async_frame(int station) {
+  medium_busy_ = true;
+  medium_station_ = station;
+  const Seconds effective =
+      std::max(cfg_.pdp.frame.frame_time(cfg_.bandwidth), theta_);
+  Event done;
+  done.at = sim_.now() + effective;
+  done.kind = EventKind::kPdpAsyncFrameDone;
+  done.station = station;
+  done.gen = token_generation_;
+  done.value = effective;
+  return done;
 }
 
 const SimMetrics& PdpSimulation::simulate(bool stop_at_miss) {

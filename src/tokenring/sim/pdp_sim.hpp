@@ -30,14 +30,26 @@
 //
 // Medium motion is lazy in this model. An idle ring schedules no events at
 // all: the circulating free token's position is computed arithmetically
-// when traffic appears (see maybe_capture_idle). A busy medium runs as
-// frame trains: its one pending step (walk done, sync frame done or async
-// frame done) is staged with Simulator::stage_at, which runs it inline
-// while it fires strictly before every queued event. Between queued
-// events the arbitration winner cannot change, so it is cached. The event
-// order, every metric and every trace record are those of one queued
-// event per step (traced runs, faults, Poisson async, jitter and random
-// phasing included).
+// when traffic appears (see maybe_capture_idle). A busy medium's one
+// pending step (walk done, sync frame done or async frame done) is staged
+// with Simulator::stage_at, which runs it inline while it fires strictly
+// before every queued event. The frame-done handlers end in a run, a
+// push-free tail of steps taken in place through Simulator::take_inline
+// while each would fire next:
+//  * sync run: after a sync frame, while its station is still the sync
+//    winner, the next frames of the message it serves (modified: back to
+//    back; standard: each after a full-lap walk), up to but not including
+//    the message's last frame, which is staged so its done step records
+//    the completion;
+//  * async rotation: while no sync frame is pending, the walk to the next
+//    async-ready station and that station's frame, again and again.
+// A run step replays the step's own arithmetic (now() + effective per
+// frame, now() + hops_time per walk), trace records and medium state; the
+// first step the rule refuses is staged. Between queued events the
+// arbitration winner cannot change, so it is cached. The event order,
+// every metric and every trace record are those of one queued event per
+// step (traced runs, faults, Poisson async, jitter and random phasing
+// included).
 //
 // The simulator is a validation substrate: message sets accepted by
 // Theorem 4.1 must complete every message by its deadline here under
@@ -111,15 +123,34 @@ class PdpSimulation final : public Simulation, private EventHandler {
   void schedule_async_arrival(int station);
   /// A station gained traffic while the ring may be idle: arrange capture.
   void maybe_capture_idle(int station);
-  /// Best (lowest-rank) pending stream at `station`; -1 if none.
-  int best_local_priority(const Station& st) const;
+  /// Index of the highest-priority (lowest-rank) stream with a pending
+  /// message at `st`; st.streams.size() if none.
+  std::size_t serving_stream(const Station& st) const;
+  /// Recompute sync_winner_ from every station's pending streams.
+  void refresh_sync_winner();
   /// Pick the station whose head frame should transmit next; sync first by
   /// priority (cached, see sync_winner_), else (per the async model) an
   /// async-ready station after `after`.
   std::optional<int> pick_winner(int after, bool& is_async);
-  /// Medium became free at `station`; arbitrate and launch the next frame.
+  /// Medium became free at `station`: arbitrate and hand the token to the
+  /// winner, or leave the medium idle. Runs the async rotation in place.
   void release_medium(int station);
+  /// After a sync frame of `station` (its message's completion recorded):
+  /// the sync run while `station` is still the sync winner, else
+  /// release_medium. The one place that decides who keeps the medium.
+  void send_message(int station);
+  /// An async frame's last bit left `station`.
+  void async_frame_sent(int station, Seconds effective);
+  /// The token's walk from `from` to `winner`; returns its done step.
+  Event token_walk(int from, int winner, bool is_async);
+  /// Put `station`'s next frame (sync: of its highest-priority pending
+  /// stream) on the medium and stage its done step.
   void start_frame(int station, bool is_async);
+  /// Put the next frame of `station`'s stream `serve` on the medium;
+  /// returns the frame's done step.
+  Event sync_frame(int station, std::size_t serve);
+  /// Put an async frame of `station` on the medium; returns its done step.
+  Event async_frame(int station);
   Seconds hops_time(int from, int to) const;
 
   msg::MessageSet set_;

@@ -1,5 +1,6 @@
 #include "tokenring/sim/simulator.hpp"
 
+#include <limits>
 #include <sstream>
 
 #include "tokenring/common/checks.hpp"
@@ -23,14 +24,17 @@ void Simulator::schedule_at(Seconds at, Event ev) {
 
 std::size_t Simulator::run_until(Seconds horizon) {
   const std::size_t start = executed_;
+  // The horizon bounds take_inline only while this run is live, however
+  // the run ends.
+  horizon_ = horizon;
+  struct EndOfRun {
+    Seconds& horizon;
+    ~EndOfRun() { horizon = -std::numeric_limits<Seconds>::infinity(); }
+  } end_of_run{horizon_};
   Event popped;
   while (!stopped_) {
     const Event* next = &slots_[slot_];
-    // Everything queued was pushed before the staged step, so the step
-    // fires next only strictly before the queue head.
-    if (staged_ && next->at <= horizon &&
-        (queue_.empty() || next->at < queue_.next_time()) &&
-        (max_events_ == 0 || executed_ < max_events_)) {
+    if (staged_ && fires_next(next->at)) {
       staged_ = false;
       slot_ ^= 1;
     } else {

@@ -116,7 +116,7 @@ void TtpSimulation::on_event(const Event& ev) {
   }
 }
 
-void TtpSimulation::pass_token(int next, Seconds delay) {
+Event TtpSimulation::pass_token(int next, Seconds delay) {
   next_station_ = next;
   Seconds at = sim_.now() + delay;
 
@@ -147,10 +147,11 @@ void TtpSimulation::pass_token(int next, Seconds delay) {
   }
 
   Event hop;
+  hop.at = at;
   hop.kind = EventKind::kTtpTokenHop;
   hop.station = next;
   hop.gen = token_generation_;
-  sim_.stage_at(at, hop);
+  return hop;
 }
 
 void TtpSimulation::materialize_arrivals(int station, Station& st,
@@ -335,6 +336,14 @@ void TtpSimulation::on_fault(const fault::FaultEvent& event) {
 
 void TtpSimulation::on_token_arrival(int station, std::uint64_t generation) {
   if (generation != token_generation_) return;  // token was destroyed
+  // The walk's push-free tail: each visit ends by handing the token on,
+  // and the next visit runs in place while it would fire next.
+  Event hop = visit(station);
+  while (sim_.take_inline(hop.at)) hop = visit(hop.station);
+  sim_.stage_at(hop.at, hop);
+}
+
+Event TtpSimulation::visit(int station) {
   auto& st = stations_[static_cast<std::size_t>(station)];
   const Seconds now = sim_.now();
   const int next = (station + 1) % cfg_.ttp.ring.num_stations;
@@ -342,10 +351,7 @@ void TtpSimulation::on_token_arrival(int station, std::uint64_t generation) {
 
   // A crashed station is bypassed: the token repeats straight through (its
   // interface delay already left the hop latency via update_ring_timing).
-  if (!st.alive) {
-    pass_token(next, hop_ + wrap);
-    return;
-  }
+  if (!st.alive) return pass_token(next, hop_ + wrap);
 
   // Rotation metrics. Skipping them (collect_rotation_stats = false) is
   // what licenses the idle-lap fast-forward: a skipped lap can no longer
@@ -409,7 +415,7 @@ void TtpSimulation::on_token_arrival(int station, std::uint64_t generation) {
   // latency is part of the hop), so a full rotation costs WT plus one token
   // transmission: charge token_time once per lap, at the wrap-around hop.
   // This matches the paper's Theta = WT + token-transmission accounting.
-  pass_token(next, sync_used + async_used + hop_ + wrap);
+  return pass_token(next, sync_used + async_used + hop_ + wrap);
 }
 
 const SimMetrics& TtpSimulation::simulate(bool stop_at_miss) {

@@ -17,14 +17,15 @@
 //    one token transmission is charged per lap, so an idle rotation sums
 //    to Theta, matching the analysis.
 //
-// The token walk is a staged step: each visit stages the next hop as a
-// kTtpTokenHop with Simulator::stage_at, which runs it inline while it
-// fires strictly before every queued event, so a hop costs no queue
-// traffic unless a fault or recovery is pending. With rotation statistics
-// disabled (collect_rotation_stats = false, async kNone, no trace sink)
-// the walk also fast-forwards whole idle laps in O(1) whenever no message
-// is queued anywhere, by moving that hop's time: the huge-ring /
-// long-horizon mode.
+// The token walk is a loop of visits: each visit ends by handing the token
+// on, and the next visit runs in place (Simulator::take_inline) while it
+// would fire next, strictly before every queued event. The first hop the
+// rule refuses is staged as a kTtpTokenHop (Simulator::stage_at), so a hop
+// costs no queue traffic and no dispatch unless a queued fault or
+// recovery comes first or the run ends. With rotation statistics disabled
+// (collect_rotation_stats = false, async kNone, no trace sink) the walk
+// also fast-forwards whole idle laps in O(1) whenever no message is queued
+// anywhere, by moving that hop's time: the huge-ring / long-horizon mode.
 //
 // The paper's model hosts exactly one stream per station; this simulator
 // generalizes to any number (including zero) of streams per station — the
@@ -98,10 +99,16 @@ class TtpSimulation final : public Simulation, private EventHandler {
   /// Typed-event dispatch (token hops, faults, kickoff, recovery).
   void on_event(const Event& ev) override;
 
+  /// The token of `generation` reaches `station`: run the visit and, as
+  /// the walk's push-free tail, every following visit that would fire next
+  /// (Simulator::take_inline); stage the first hop refused.
   void on_token_arrival(int station, std::uint64_t generation);
-  /// Hand the token to `next`, `delay` seconds from now: stage a
-  /// kTtpTokenHop, possibly whole idle laps later (see hibernate_ok_).
-  void pass_token(int next, Seconds delay);
+  /// One visit of the current token at `station`; returns the hop that
+  /// hands the token on.
+  Event visit(int station);
+  /// The token's hop to `next`, `delay` seconds from now, possibly whole
+  /// idle laps later (see hibernate_ok_).
+  Event pass_token(int next, Seconds delay);
   /// Apply one fault from the plan with the FDDI recovery model.
   void on_fault(const fault::FaultEvent& event);
   /// Kill the ring for `outage`, then re-initialize: every TRT restarts and

@@ -31,8 +31,9 @@ TEST(Advisor, ProfileConvertsToSetup) {
 
 TEST(Advisor, RecommendsPdpAtLowBandwidth) {
   // The paper's conclusion: priority-driven wins at 1-10 Mbps.
-  const auto rec = recommend_protocol(small_profile(), mbps(4), 25, 1,
-                                      exec::Executor(1));
+  const auto rec =
+      recommend_protocol(small_profile(), {mbps(4)}, 25, 1, exec::Executor(1))
+          .front();
   EXPECT_EQ(rec.best, Protocol::kModified8025);
   EXPECT_GT(rec.modified8025, rec.fddi);
   EXPECT_GE(rec.modified8025, rec.ieee8025);
@@ -40,16 +41,18 @@ TEST(Advisor, RecommendsPdpAtLowBandwidth) {
 
 TEST(Advisor, RecommendsTtpAtHighBandwidth) {
   // ... and the timed token wins at >= 100 Mbps.
-  const auto rec = recommend_protocol(small_profile(), mbps(200), 25, 1,
-                                      exec::Executor(1));
+  const auto rec = recommend_protocol(small_profile(), {mbps(200)}, 25, 1,
+                                      exec::Executor(1))
+                       .front();
   EXPECT_EQ(rec.best, Protocol::kFddi);
   EXPECT_GT(rec.fddi, rec.modified8025);
   EXPECT_GT(rec.margin, 1.0);
 }
 
 TEST(Advisor, EstimateAccessorMatchesFields) {
-  const auto rec = recommend_protocol(small_profile(), mbps(50), 10, 2,
-                                      exec::Executor(1));
+  const auto rec = recommend_protocol(small_profile(), {mbps(50)}, 10, 2,
+                                      exec::Executor(1))
+                       .front();
   EXPECT_DOUBLE_EQ(rec.estimate(Protocol::kIeee8025), rec.ieee8025);
   EXPECT_DOUBLE_EQ(rec.estimate(Protocol::kModified8025), rec.modified8025);
   EXPECT_DOUBLE_EQ(rec.estimate(Protocol::kFddi), rec.fddi);
@@ -60,14 +63,16 @@ TEST(Advisor, EstimateAccessorMatchesFields) {
 TEST(Advisor, DeterministicForFixedSeed) {
   const exec::Executor inline_executor(1);
   const auto a =
-      recommend_protocol(small_profile(), mbps(50), 12, 7, inline_executor);
+      recommend_protocol(small_profile(), {mbps(50)}, 12, 7, inline_executor)
+          .front();
   // The batch size is a throughput knob only: every field of the default
   // batch-64 answer is bit-identical at batch 1 and 5 (12 sets leave a
   // remainder chunk).
   for (std::size_t batch : {std::size_t{1}, std::size_t{5}}) {
     SCOPED_TRACE("batch=" + std::to_string(batch));
-    const auto b = recommend_protocol(small_profile(), mbps(50), 12, 7,
-                                      inline_executor, batch);
+    const auto b = recommend_protocol(small_profile(), {mbps(50)}, 12, 7,
+                                      inline_executor, batch)
+                       .front();
     EXPECT_EQ(a.best, b.best);
     EXPECT_EQ(a.ieee8025, b.ieee8025);
     EXPECT_EQ(a.modified8025, b.modified8025);
@@ -146,8 +151,9 @@ TEST(Advisor, RecommendationBitsAndSearchWorkAreFrozen) {
                      std::to_string(c.mbps) + " Mbps, " +
                      std::to_string(c.sets) + " sets, jobs=" +
                      std::to_string(jobs) + " batch=" + std::to_string(batch));
-        const auto got = recommend_protocol(profile_of(c), mbps(c.mbps),
-                                            c.sets, c.seed, executor, batch);
+        const auto got = recommend_protocol(profile_of(c), {mbps(c.mbps)},
+                                            c.sets, c.seed, executor, batch)
+                             .front();
         EXPECT_EQ(got.best, c.want.best);
         EXPECT_EQ(got.ieee8025, c.want.ieee8025);
         EXPECT_EQ(got.modified8025, c.want.modified8025);
@@ -182,7 +188,7 @@ TEST(Advisor, RecommendationBitsAndSearchWorkAreFrozen) {
   const Case& c = cases[3];
   const exec::Executor inline_executor(1);
   const auto advise = measure([&] {
-    recommend_protocol(profile_of(c), mbps(c.mbps), c.sets, c.seed,
+    recommend_protocol(profile_of(c), {mbps(c.mbps)}, c.sets, c.seed,
                        inline_executor);
   });
   const auto sweep = measure([&] {
@@ -202,13 +208,56 @@ TEST(Advisor, RecommendationBitsAndSearchWorkAreFrozen) {
   EXPECT_EQ(advise("analysis.rta.iterations"), 16'180u);
 }
 
+TEST(Advisor, EveryBandwidthSharesOneDispatch) {
+  // Two bandwidths in one call, as `tokenring_tool advise --stations=20
+  // --sets=12 --bandwidths-mbps=4,100` asks for them: one parallel_for
+  // carries both bandwidths' work items, and each recommendation is bit
+  // for bit what a call for its bandwidth alone returns.
+  const exec::Executor executor(4);
+  const auto counter = [](const obs::MetricsSnapshot& snap,
+                          const std::string& name) -> std::uint64_t {
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+  };
+  const std::vector<BitsPerSecond> bandwidths = {mbps(4), mbps(100)};
+  const auto before = obs::Registry::global().snapshot();
+  const auto both =
+      recommend_protocol(small_profile(), bandwidths, 12, 1, executor);
+  const auto after = obs::Registry::global().snapshot();
+  const auto delta = [&](const std::string& name) {
+    return counter(after, name) - counter(before, name);
+  };
+  EXPECT_EQ(delta("exec.parallel_for_calls"), 1u);
+  EXPECT_EQ(delta("exec.parallel_for_tasks"), 6u);  // 3 points x 2, 1 group
+
+  ASSERT_EQ(both.size(), bandwidths.size());
+  for (std::size_t i = 0; i < bandwidths.size(); ++i) {
+    SCOPED_TRACE("bandwidth " + std::to_string(i));
+    const auto alone =
+        recommend_protocol(small_profile(), {bandwidths[i]}, 12, 1, executor)
+            .front();
+    EXPECT_EQ(both[i].best, alone.best);
+    EXPECT_EQ(both[i].ieee8025, alone.ieee8025);
+    EXPECT_EQ(both[i].modified8025, alone.modified8025);
+    EXPECT_EQ(both[i].fddi, alone.fddi);
+    EXPECT_EQ(both[i].margin, alone.margin);
+    EXPECT_EQ(both[i].modified8025_resilience, alone.modified8025_resilience);
+    EXPECT_EQ(both[i].fddi_resilience, alone.fddi_resilience);
+  }
+}
+
 TEST(Advisor, Preconditions) {
   const exec::Executor inline_executor(1);
   EXPECT_THROW(
-      recommend_protocol(small_profile(), 0.0, 10, 1, inline_executor),
+      recommend_protocol(small_profile(), {0.0}, 10, 1, inline_executor),
       PreconditionError);
+  EXPECT_THROW(recommend_protocol(small_profile(), {mbps(10), 0.0}, 10, 1,
+                                  inline_executor),
+               PreconditionError);
+  EXPECT_THROW(recommend_protocol(small_profile(), {}, 10, 1, inline_executor),
+               PreconditionError);
   EXPECT_THROW(
-      recommend_protocol(small_profile(), mbps(10), 0, 1, inline_executor),
+      recommend_protocol(small_profile(), {mbps(10)}, 0, 1, inline_executor),
       PreconditionError);
 }
 

@@ -523,6 +523,110 @@ TEST(FaultStudy, SweepsKindsAndIsBitIdenticalAcrossJobs) {
   EXPECT_GT(loss_outage, corruption_outage);
 }
 
+TEST(FaultStudy, DefaultRowsAndSimulatorWorkAreFrozen) {
+  // The default study at 100 Mbps with every injectable fault kind (a
+  // station crash brings its rejoin), captured from a Release build of
+  // the staged engine before runs existed: every row field as hex floats,
+  // and the simulator work the call does. Faults cut the medium's runs
+  // and the token walk's visits mid-way, so this pins a run's first
+  // refused step under each kind, as the sim-validation budget below pins
+  // the fault-free study.
+  struct GoldenRow {
+    const char* protocol;
+    fault::FaultKind kind;
+    int faults;
+    double miss_ratio;
+    double attributed_ratio;
+    Seconds outage;
+  };
+  constexpr auto kLoss = fault::FaultKind::kTokenLoss;
+  constexpr auto kCorrupt = fault::FaultKind::kFrameCorruption;
+  constexpr auto kNoise = fault::FaultKind::kNoiseBurst;
+  constexpr auto kDup = fault::FaultKind::kDuplicateToken;
+  constexpr auto kCrash = fault::FaultKind::kStationCrash;
+  const std::vector<GoldenRow> golden = {
+      {"modified8025", kLoss, 0, 0x0p+0, 0x0p+0, 0x0p+0},
+      {"fddi", kLoss, 0, 0x0p+0, 0x0p+0, 0x0p+0},
+      {"modified8025", kLoss, 1, 0x0p+0, 0x0p+0, 0x1.9c9ea5197e666p-17},
+      {"fddi", kLoss, 1, 0x1.38d22d366088ep-9, 0x1p+0, 0x1.781be3a845cb3p-10},
+      {"modified8025", kLoss, 2, 0x0p+0, 0x0p+0, 0x1.9c9ea5197ee66p-17},
+      {"fddi", kLoss, 2, 0x1.d53b43d190cd5p-9, 0x1p+0, 0x1.781be3a845cc6p-10},
+      {"modified8025", kLoss, 5, 0x0p+0, 0x0p+0, 0x1.9c9ea5197ee71p-17},
+      {"fddi", kLoss, 5, 0x1.ae20fe2ac4bc3p-5, 0x1.e8ba2e8ba2e8cp-1, 0x1.781be3a845cacp-10},
+      {"modified8025", kLoss, 10, 0x0p+0, 0x0p+0, 0x1.9c9ea5197f4p-17},
+      {"fddi", kLoss, 10, 0x1.ae20fe2ac4bc3p-3, 0x1.c8ba2e8ba2e8cp-1, 0x1.781be3a845cc5p-10},
+      {"modified8025", kCorrupt, 0, 0x0p+0, 0x0p+0, 0x0p+0},
+      {"fddi", kCorrupt, 0, 0x0p+0, 0x0p+0, 0x0p+0},
+      {"modified8025", kCorrupt, 1, 0x0p+0, 0x0p+0, 0x1.a2c2623abcccdp-18},
+      {"fddi", kCorrupt, 1, 0x0p+0, 0x0p+0, 0x1.a2c2623abcccdp-18},
+      {"modified8025", kCorrupt, 2, 0x0p+0, 0x0p+0, 0x1.a2c2623ab9ccdp-18},
+      {"fddi", kCorrupt, 2, 0x0p+0, 0x0p+0, 0x1.a2c2623ab9ccdp-18},
+      {"modified8025", kCorrupt, 5, 0x0p+0, 0x0p+0, 0x1.a2c2623ab7c9ap-18},
+      {"fddi", kCorrupt, 5, 0x0p+0, 0x0p+0, 0x1.a2c2623ab7c9ap-18},
+      {"modified8025", kCorrupt, 10, 0x0p+0, 0x0p+0, 0x1.a2c2623ab6385p-18},
+      {"fddi", kCorrupt, 10, 0x0p+0, 0x0p+0, 0x1.a2c2623ab6385p-18},
+      {"modified8025", kNoise, 0, 0x0p+0, 0x0p+0, 0x0p+0},
+      {"fddi", kNoise, 0, 0x0p+0, 0x0p+0, 0x0p+0},
+      {"modified8025", kNoise, 1, 0x0p+0, 0x0p+0, 0x1.095e1a794d9dap-10},
+      {"fddi", kNoise, 1, 0x1.5fec72dd2c99fp-6, 0x1.e38e38e38e38ep-1, 0x1.3f20606bb036p-9},
+      {"modified8025", kNoise, 2, 0x0p+0, 0x0p+0, 0x1.095e1a794d9f3p-10},
+      {"fddi", kNoise, 2, 0x1.5625e1737995bp-5, 0x1.e2be2be2be2bep-1, 0x1.3f20606bb0386p-9},
+      {"modified8025", kNoise, 5, 0x0p+0, 0x0p+0, 0x1.095e1a794d9e3p-10},
+      {"fddi", kNoise, 5, 0x1.5fec72dd2c99fp-3, 0x1.ep-1, 0x1.3f20606bb0368p-9},
+      {"modified8025", kNoise, 10, 0x0p+0, 0x0p+0, 0x1.095e1a794d9e6p-10},
+      {"fddi", kNoise, 10, 0x1.1cb74b267ddc9p-1, 0x1.60afcb43057e6p-1, 0x1.3f20606bb035dp-9},
+      {"modified8025", kDup, 0, 0x0p+0, 0x0p+0, 0x0p+0},
+      {"fddi", kDup, 0, 0x0p+0, 0x0p+0, 0x0p+0},
+      {"modified8025", kDup, 1, 0x0p+0, 0x0p+0, 0x1.a6961321e8ccdp-18},
+      {"fddi", kDup, 1, 0x0p+0, 0x0p+0, 0x1.702f5e859b266p-15},
+      {"modified8025", kDup, 2, 0x0p+0, 0x0p+0, 0x1.a6961321e799ap-18},
+      {"fddi", kDup, 2, 0x0p+0, 0x0p+0, 0x1.702f5e859b2cdp-15},
+      {"modified8025", kDup, 5, 0x0p+0, 0x0p+0, 0x1.a6961321e970ap-18},
+      {"fddi", kDup, 5, 0x0p+0, 0x0p+0, 0x1.702f5e859ae8fp-15},
+      {"modified8025", kDup, 10, 0x0p+0, 0x0p+0, 0x1.a6961321e999ap-18},
+      {"fddi", kDup, 10, 0x1.38d22d366088ep-10, 0x1p+0, 0x1.702f5e859b029p-15},
+      {"modified8025", kCrash, 0, 0x0p+0, 0x0p+0, 0x0p+0},
+      {"fddi", kCrash, 0, 0x0p+0, 0x0p+0, 0x0p+0},
+      {"modified8025", kCrash, 1, 0x1.3b74c1769aa5cp-10, 0x1p+0, 0x1.2fe741c068p-16},
+      {"fddi", kCrash, 1, 0x1.3d5d991aa75c6p-8, 0x1p+0, 0x1.702f5e859bb33p-15},
+      {"modified8025", kCrash, 2, 0x1.3a524387ac822p-10, 0x1p+0, 0x1.2fe741c068p-16},
+      {"fddi", kCrash, 2, 0x1.63be887dfe25bp-7, 0x1p+0, 0x1.702f5e859b733p-15},
+      {"modified8025", kCrash, 5, 0x0p+0, 0x0p+0, 0x1.23bf495c8c75cp-16},
+      {"fddi", kCrash, 5, 0x1.bfc2f10dacae4p-6, 0x1p+0, 0x1.6175278a80614p-15},
+      {"modified8025", kCrash, 10, 0x1.50f22e111c4c5p-7, 0x1p+0, 0x1.118354c6c3d0ap-16},
+      {"fddi", kCrash, 10, 0x1.d24c2bb724193p-5, 0x1p+0, 0x1.4b5dd511d8448p-15},
+  };
+  const auto counter = [](const obs::MetricsSnapshot& snap,
+                          const std::string& name) -> std::uint64_t {
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+  };
+
+  FaultStudyConfig config;
+  config.kinds = {kLoss, kCorrupt, kNoise, kDup, kCrash};
+  const auto before = obs::Registry::global().snapshot();
+  const auto rows = run_fault_study(config);
+  const auto after = obs::Registry::global().snapshot();
+
+  ASSERT_EQ(rows.size(), golden.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto& got = rows[i];
+    const auto& want = golden[i];
+    SCOPED_TRACE(std::string(want.protocol) + " " +
+                 fault::to_string(want.kind) + " x" +
+                 std::to_string(want.faults));
+    EXPECT_EQ(got.protocol, want.protocol);
+    EXPECT_EQ(got.kind, want.kind);
+    EXPECT_EQ(got.faults, want.faults);
+    EXPECT_EQ(got.miss_ratio, want.miss_ratio);
+    EXPECT_EQ(got.attributed_ratio, want.attributed_ratio);
+    EXPECT_EQ(got.outage, want.outage);
+  }
+  EXPECT_EQ(counter(after, "sim.events") - counter(before, "sim.events"),
+            29'103'631u);
+  EXPECT_EQ(counter(after, "sim.runs") - counter(before, "sim.runs"), 250u);
+}
+
 // ---- simulation validation ------------------------------------------------------------
 
 TEST(SimValidationStudy, SoundOnSmallSample) {

@@ -1,12 +1,13 @@
 // Engine-layer tests: the event queue (exact (time, seq) order, SIM_CHECK
 // key validation, randomized differential check against a linear-scan
 // reference), the simulator loop (clock, horizon, storm guard, key checks
-// through every scheduling entry point), staged steps and stop() (with a
-// randomized differential check against a plain queue), the one-run rule
-// of a Simulation, the staged TTP walk against the retired eager walk's
-// frozen output, and the walk's idle-lap fast-forward (completion metrics
-// kept, work pinned on the sim_scaling scenario). The TTP and PDP
-// simulators' own outputs are frozen in sim_{ttp,pdp}_golden_test.cpp.
+// through every scheduling entry point), staged steps, steps taken in
+// place and stop() (with a randomized differential check against a plain
+// queue), the one-run rule of a Simulation, the staged TTP walk against
+// the retired eager walk's frozen output, and the walk's idle-lap
+// fast-forward (completion metrics kept, work pinned on the sim_scaling
+// scenario). The TTP and PDP simulators' own outputs are frozen in
+// sim_{ttp,pdp}_golden_test.cpp.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -531,19 +533,184 @@ TEST(Simulator, FrontierCountsTowardStormGuard) {
   EXPECT_EQ(h.seqs.back(), kInlineSeq);
 }
 
-/// Random work for the differential test below. Each delivered event makes
-/// up to four submissions, each a schedule or a stage at random, on a 1 ms
-/// grid (so exact ties are common: zero delays, equal times from
-/// different handlers) with the odd far-future event. Decisions come from
-/// one RNG in delivery order, so equal delivery streams make equal work.
-/// The delivered event is logged after its submissions, so a stage that
-/// overwrote the event being dispatched would show.
+// ---- steps taken in place ----------------------------------------------------
+
+TEST(Simulator, TakeInlineLosesATieWithTheQueueHeadAndTakesJustBefore) {
+  // The queued event was submitted first, so it wins the tie; one ulp
+  // earlier the step fires next and the clock moves to it.
+  Simulator sim;
+  RecordingHandler h(sim);
+  sim.set_handler(&h);
+  const double before = std::nextafter(1.0, 0.0);
+  std::vector<bool> taken;
+  h.on_event_hook = [&](const Event& ev) {
+    if (ev.index != 0) return;
+    taken.push_back(sim.take_inline(1.0));
+    EXPECT_EQ(sim.now(), 0.5);  // a refusal changes nothing
+    taken.push_back(sim.take_inline(before));
+    EXPECT_EQ(sim.now(), before);
+  };
+  sim.schedule_at(0.5, user_event(0));
+  sim.schedule_at(1.0, user_event(1));
+  EXPECT_EQ(sim.run_until(2.0), 3u);  // two queued events, one step in place
+  EXPECT_EQ(taken, (std::vector<bool>{false, true}));
+  EXPECT_EQ(h.indices, (std::vector<int>{0, 1}));
+}
+
+TEST(Simulator, TakeInlineAcceptsAtTheHorizonAndRefusesPastIt) {
+  Simulator sim;
+  RecordingHandler h(sim);
+  sim.set_handler(&h);
+  std::vector<bool> taken;
+  h.on_event_hook = [&](const Event& ev) {
+    if (ev.index != 0) return;
+    taken.push_back(sim.take_inline(std::nextafter(2.0, 3.0)));
+    taken.push_back(sim.take_inline(2.0));
+  };
+  sim.schedule_at(0.5, user_event(0));
+  EXPECT_EQ(sim.run_until(2.0), 2u);
+  EXPECT_EQ(taken, (std::vector<bool>{false, true}));
+  EXPECT_EQ(sim.now(), 2.0);
+  // Between runs no step fires next.
+  EXPECT_FALSE(sim.take_inline(2.0));
+  EXPECT_EQ(sim.events_executed(), 2u);
+}
+
+TEST(Simulator, TakeInlineRefusesWhileAStepIsStagedAndOnceStopped) {
+  Simulator sim;
+  RecordingHandler h(sim);
+  sim.set_handler(&h);
+  std::vector<bool> taken;
+  h.on_event_hook = [&](const Event& ev) {
+    if (ev.index == 0) {
+      sim.stage_at(0.625, staged_event(10));
+      taken.push_back(sim.take_inline(0.75));  // 10 must fire first
+    }
+    if (ev.index == 10) {  // the staged step ran inline
+      sim.stop();
+      taken.push_back(sim.take_inline(0.75));
+    }
+  };
+  sim.schedule_at(0.5, user_event(0));
+  sim.schedule_at(1.0, user_event(1));
+  EXPECT_EQ(sim.run_until(2.0), 2u);
+  EXPECT_EQ(taken, (std::vector<bool>{false, false}));
+  EXPECT_EQ(h.indices, (std::vector<int>{0, 10}));
+  EXPECT_EQ(sim.now(), 0.625);
+}
+
+TEST(Simulator, TakeInlineRefusesOnceTheGuardIsFull) {
+  // A handler that takes steps in place until one is refused and stages
+  // that one, like the simulators' runs. The guard admits exactly
+  // max_events events, steps in place included; the refused step is
+  // queued, so the guard's message counts it.
+  Simulator sim;
+  RecordingHandler h(sim);
+  sim.set_handler(&h);
+  int in_place = 0;
+  h.on_event_hook = [&](const Event&) {
+    while (sim.take_inline(sim.now() + 0.001)) ++in_place;
+    sim.stage_at(sim.now() + 0.001, staged_event(1));
+  };
+  sim.set_max_events(10);
+  sim.schedule_at(0.0, user_event(0));
+  std::string message;
+  try {
+    sim.run_until(1.0);
+  } catch (const EventStormError& e) {
+    message = e.what();
+  }
+  EXPECT_EQ(sim.events_executed(), 10u);
+  EXPECT_EQ(in_place, 9);
+  EXPECT_EQ(h.indices, (std::vector<int>{0}));  // nothing else was delivered
+  EXPECT_NE(message.find("(10 events) at t=0.009 s with 1 events still queued"),
+            std::string::npos)
+      << message;
+}
+
+TEST(Simulator, TakeInlineRefusesThePastAndNaN) {
+  // The past is a contract violation, as for every entry point. A NaN
+  // time never fires next; staged, it meets the queue's key check.
+  Simulator sim;
+  RecordingHandler h(sim);
+  sim.set_handler(&h);
+  std::string past;
+  bool nan_taken = true;
+  h.on_event_hook = [&](const Event& ev) {
+    if (ev.index != 0) return;
+    try {
+      sim.take_inline(0.25);
+    } catch (const PreconditionError& e) {
+      past = e.what();
+    }
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    nan_taken = sim.take_inline(nan);
+    Event hop;
+    hop.kind = EventKind::kTtpTokenHop;
+    sim.stage_at(nan, hop);
+  };
+  sim.schedule_at(0.5, user_event(0));
+  std::string staged_nan = "accepted";
+  try {
+    sim.run_until(1.0);
+  } catch (const PreconditionError& e) {
+    staged_nan = e.what();
+  }
+  EXPECT_NE(past.find("cannot schedule into the past"), std::string::npos)
+      << past;
+  EXPECT_FALSE(nan_taken);
+  EXPECT_EQ(sim.events_executed(), 1u);
+  EXPECT_NE(staged_nan.find("ttp-token-hop"), std::string::npos)
+      << staged_nan;
+}
+
+/// Random work for the differential test below, in one of two mixes.
+/// Decisions come from one RNG in delivery order, so equal delivery
+/// streams make equal work. The delivered event is logged after its
+/// submissions, so a stage that overwrote the event being dispatched
+/// would show.
+///  * Plain: each delivered event makes up to four submissions, each a
+///    schedule or a stage at random, on a 1 ms grid (so exact ties are
+///    common: zero delays, equal times from different handlers) with the
+///    odd far-future event. Nothing limits the queue, so it grows into
+///    the thousands, with many ties between queued events and staged
+///    steps.
+///  * Tails: a third kind of submission, a tail, ends the handler's
+///    submissions, and react() returns it instead of submitting it: it is
+///    a step the handler takes in place if Simulator::take_inline allows,
+///    else stages, as its last act. A tail comes 0-6 quarter ticks later,
+///    so it often fires before the next grid tick and is taken. With
+///    about kCrowd events pending within reach an event makes at most one
+///    submission, so the queue stays short and its head is often ahead of
+///    now. Times are whole quarters, so equal quarters are equal times.
 class RandomWork {
  public:
-  explicit RandomWork(std::uint64_t seed) : rng_(seed) {}
+  struct Tail {
+    Seconds at;
+    Event ev;
+  };
+
+  /// `seeded` events (with negative indices) are pending at the start.
+  RandomWork(std::uint64_t seed, int seeded, bool tails)
+      : rng_(seed), tails_(tails), pending_(seeded) {}
 
   template <typename Submit>
-  void react(Seconds now, const Event& ev, Submit&& submit) {
+  std::optional<Tail> react(Seconds now, const Event& ev, Submit&& submit) {
+    std::optional<Tail> tail;
+    if (tails_) {
+      tail = react_with_tails(now, ev, submit);
+    } else {
+      react_plain(now, submit);
+    }
+    delivered.emplace_back(now, ev.index);
+    return tail;
+  }
+
+  std::vector<std::pair<double, int>> delivered;
+
+ private:
+  template <typename Submit>
+  void react_plain(Seconds now, Submit& submit) {
     const auto tick = static_cast<std::int64_t>(std::llround(now / kTick));
     const auto actions = rng_.uniform_int(0, 4);
     for (std::int64_t a = 0; a < actions && submitted_ < kBudget; ++a) {
@@ -553,46 +720,99 @@ class RandomWork {
              user_event(submitted_++),
              /*stage=*/rng_.uniform(0.0, 1.0) < 0.5);
     }
-    delivered.emplace_back(now, ev.index);
   }
 
-  std::vector<std::pair<double, int>> delivered;
+  template <typename Submit>
+  std::optional<Tail> react_with_tails(Seconds now, const Event& ev,
+                                       Submit& submit) {
+    --pending_;
+    if (ev.index >= 0 && far_[static_cast<std::size_t>(ev.index)]) {
+      --far_pending_;
+    }
+    const auto quarter =
+        static_cast<std::int64_t>(std::llround(now / kQuarter));
+    const auto actions =
+        rng_.uniform_int(0, pending_ - far_pending_ < kCrowd ? 4 : 1);
+    std::optional<Tail> tail;
+    for (std::int64_t a = 0; a < actions && submitted_ < kBudget && !tail;
+         ++a) {
+      const double kind = rng_.uniform(0.0, 3.0);
+      const bool far = kind < 2.0 && rng_.uniform(0.0, 1.0) < 0.05;
+      const std::int64_t delay =
+          kind < 2.0 ? 4 * rng_.uniform_int(0, 6) + (far ? 4000 : 0)
+                     : rng_.uniform_int(0, 6);
+      const double at = static_cast<double>(quarter + delay) * kQuarter;
+      far_.push_back(far);
+      far_pending_ += far ? 1 : 0;
+      ++pending_;
+      const Event e = user_event(submitted_++);
+      if (kind < 2.0) {
+        submit(at, e, /*stage=*/kind < 1.0);
+      } else {
+        tail = Tail{at, e};
+      }
+    }
+    return tail;
+  }
 
- private:
   static constexpr double kTick = 1e-3;
+  static constexpr double kQuarter = kTick / 4.0;
   static constexpr int kBudget = 10'000;
+  static constexpr int kCrowd = 8;
   Rng rng_;
+  bool tails_;
   int submitted_ = 0;
+  // Tails mix only: events pending, and those of them far ahead.
+  int pending_;
+  int far_pending_ = 0;
+  std::vector<bool> far_;  // by submission index
 };
 
-TEST(Simulator, StagedStepsMatchAPlainQueueOnRandomWork) {
-  // The reference pushes every event, staged or not, into a plain queue
-  // and pops in (time, seq) order; the simulator must deliver the same
-  // stream, across several run_until calls.
+/// How a simulator run of RandomWork went.
+struct RandomWorkRun {
+  int in_place = 0;      // tails taken in place
+  int tails_staged = 0;  // tails the rule refused, staged
+};
+
+/// The reference pushes every event, staged, taken in place or not, into a
+/// plain queue and pops in (time, seq) order; the simulator must deliver
+/// the same stream, across several run_until calls.
+RandomWorkRun expect_plain_queue_order(std::uint64_t seed, bool tails) {
   constexpr double kHorizons[] = {0.05, 0.2, 0.9, 4.0, 100.0};
-  RandomWork sim_work(77);
+  constexpr int kSeeded = 4;
+  RandomWork sim_work(seed, kSeeded, tails);
   Simulator sim;
   class Handler final : public EventHandler {
    public:
     Handler(Simulator& sim, RandomWork& work) : sim_(sim), work_(work) {}
     void on_event(const Event& ev) override {
-      work_.react(sim_.now(), ev, [this](Seconds at, const Event& e, bool stage) {
+      const auto submit = [this](Seconds at, const Event& e, bool stage) {
         if (stage) {
           sim_.stage_at(at, e);
         } else {
           sim_.schedule_at(at, e);
         }
-      });
+      };
+      auto tail = work_.react(sim_.now(), ev, submit);
+      while (tail && sim_.take_inline(tail->at)) {
+        ++run.in_place;
+        tail = work_.react(sim_.now(), tail->ev, submit);
+      }
+      if (tail) {
+        ++run.tails_staged;
+        sim_.stage_at(tail->at, tail->ev);
+      }
     }
     Simulator& sim_;
     RandomWork& work_;
+    RandomWorkRun run;
   } handler(sim, sim_work);
   sim.set_handler(&handler);
 
-  RandomWork ref_work(77);
+  RandomWork ref_work(seed, kSeeded, tails);
   EventQueue ref;
   std::size_t ref_events = 0;
-  for (int i = 0; i < 4; ++i) {
+  for (int i = 0; i < kSeeded; ++i) {
     sim.schedule_at(0.0, user_event(-1 - i));
     ref.push(0.0, user_event(-1 - i));
   }
@@ -601,15 +821,33 @@ TEST(Simulator, StagedStepsMatchAPlainQueueOnRandomWork) {
     while (!ref.empty() && ref.next_time() <= horizon) {
       const Event ev = ref.pop();
       ++ref_events;
-      ref_work.react(ev.at, ev, [&ref](Seconds at, const Event& e, bool) {
-        ref.push(at, e);
-      });
+      const auto tail = ref_work.react(
+          ev.at, ev, [&ref](Seconds at, const Event& e, bool) {
+            ref.push(at, e);
+          });
+      if (tail) ref.push(tail->at, tail->ev);
     }
     EXPECT_EQ(sim.events_executed(), ref_events) << "horizon " << horizon;
   }
   EXPECT_TRUE(ref.empty());
-  ASSERT_GT(ref_work.delivered.size(), 9'000u);  // the budget was spent
+  EXPECT_GT(ref_work.delivered.size(), 9'000u);  // the budget was spent
   EXPECT_TRUE(sim_work.delivered == ref_work.delivered);
+  return handler.run;
+}
+
+TEST(Simulator, StagedStepsMatchAPlainQueueOnRandomWork) {
+  {
+    SCOPED_TRACE("plain mix");
+    const RandomWorkRun run = expect_plain_queue_order(77, /*tails=*/false);
+    EXPECT_EQ(run.in_place + run.tails_staged, 0);
+  }
+  {
+    SCOPED_TRACE("tails mix");
+    const RandomWorkRun run = expect_plain_queue_order(77, /*tails=*/true);
+    // Both fates of a tail were exercised (529 and 2,821 times).
+    EXPECT_GT(run.in_place, 400);
+    EXPECT_GT(run.tails_staged, 1'000);
+  }
 }
 
 // ---- one run per Simulation -------------------------------------------------

@@ -7,18 +7,31 @@
 // message text and the full JSONL trace of two small runs.
 //
 // The literals were captured from the per-event engine, where every frame
-// and every token walk was its own queued event. The simulator now runs
-// those steps as inline frame trains; it keeps no second dispatch path,
-// so these goldens are the oracle that the train replays the old event
+// and every token walk was its own queued event. The simulator now stages
+// the medium's next step and runs frames and walks in place as runs (a
+// message's frames, the async rotation); it keeps no second dispatch
+// path, so these goldens are the oracle that it replays the old event
 // order bit for bit.
+//
+// The run-boundary cases below freeze where a run meets something else: a
+// queued release tying bit for bit with a frame-done, the horizon on a
+// run step and one ulp before it, the storm guard tripping between a lap
+// walk and its frame, after the frame and inside an async rotation, a
+// verdict-only run stopping at a long message's last frame, Poisson async
+// running out mid-rotation around a crash, and a station's second stream
+// releasing mid-message. They were captured from the staged engine before
+// runs existed.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "tokenring/net/standards.hpp"
@@ -292,6 +305,127 @@ std::string jsonl_trace(const Case& c) {
   run_simulation(c.set, cfg);
   sink.flush();
   return os.str();
+}
+
+// ---- run boundaries -----------------------------------------------------------
+//
+// Cases on a 4-station ring where every time is a whole number of ticks
+// (2^-22 s): propagation 2^-20 s, 4 bits of station latency, a 24-bit
+// token and 624-bit frames at 2^20 bit/s. A hop is 17 ticks, Theta 164,
+// a full frame 2,496 and a full-lap walk 164, so sums of them are exact
+// and a release can tie bit for bit with a frame-done. Each case targets
+// a place where a run of frames or walks meets something else: a queued
+// event at the same instant, the horizon, the storm guard, a verdict-only
+// stop, a crash, a release on the sending station. All were captured
+// from the staged engine before runs existed.
+
+constexpr Seconds kTick = 0x1p-22;
+
+SimConfig dyadic_config(PdpVariant variant, Seconds horizon) {
+  SimConfig cfg = pdp_config(4, variant, 1, horizon);
+  cfg.pdp.ring.signal_speed_fraction = 1.0;
+  cfg.pdp.ring.station_spacing_m = kSpeedOfLightMps * 0x1p-22;
+  cfg.bandwidth = 0x1p20;
+  return cfg;
+}
+
+/// A one-frame stream at station 1 (period `short_ticks`) and a 40-frame
+/// stream at station 0 (period 2^-3 s): the long message runs from tick
+/// 5,269 until the short stream's next release preempts it.
+msg::MessageSet preempt_set(double short_ticks,
+                            Seconds long_deadline = 0.0) {
+  msg::MessageSet set;
+  set.add({.period = short_ticks * kTick, .payload_bits = 512.0,
+           .station = 1});
+  set.add({.period = 0x1p-3, .payload_bits = 40 * 512.0, .station = 0,
+           .relative_deadline = long_deadline});
+  return set;
+}
+
+std::vector<Case> boundary_cases() {
+  constexpr PdpVariant kStd = PdpVariant::kStandard8025;
+  constexpr PdpVariant kMod = PdpVariant::kModified8025;
+  std::vector<Case> cases;
+  // The release ties with the long message's tenth frame-done (modified:
+  // 5,269 + 10 * 2,496; standard: 5,269 + 10 * 2,496 + 9 * 164); the
+  // queued release fires first and takes the token.
+  cases.push_back({"mod-tie", preempt_set(30'229),
+                   dyadic_config(kMod, 0.1)});
+  cases.push_back({"std-tie", preempt_set(31'705),
+                   dyadic_config(kStd, 0.1)});
+  // Horizon on a step of a run, and one ulp before it: the fifth
+  // frame-done (modified) and the fourth lap walk (standard).
+  for (const auto& [name, variant, ticks] :
+       {std::tuple{"mod-horizon", kMod, 17'749.0},
+        std::tuple{"std-horizon", kStd, 13'249.0}}) {
+    const Seconds on = ticks * kTick;
+    cases.push_back({std::string(name) + "-on", preempt_set(30'229),
+                     dyadic_config(variant, on)});
+    cases.push_back({std::string(name) + "-before", preempt_set(30'229),
+                     dyadic_config(variant, std::nextafter(on, 0.0))});
+  }
+  // Station 0 hosts a two-frame stream and the long one: the short
+  // stream's second release (tick 20,000) comes while the long message
+  // is on the medium, and the station's next frame serves it.
+  for (const auto& [name, variant] :
+       {std::pair{"mod-two-stream", kMod}, std::pair{"std-two-stream", kStd}}) {
+    msg::MessageSet set;
+    set.add({.period = 20'000 * kTick, .payload_bits = 1'024.0,
+             .station = 0});
+    set.add({.period = 0x1p-3, .payload_bits = 40 * 512.0, .station = 0});
+    set.add({.period = 0x1p-4, .payload_bits = 3 * 512.0, .station = 2});
+    cases.push_back({name, set, dyadic_config(variant, 0.1)});
+  }
+  return cases;
+}
+
+/// Poisson async at 500 frames/s per station: the rotation that starts
+/// near 6.2 ms runs out of pending frames near 9.0 ms, and station 3
+/// crashes inside it at 7.4 ms.
+Case poisson_crash_case() {
+  return make_case("mod-4-poisson-crash", PdpVariant::kModified8025, 4, 4, 3,
+                   1, 0.5, 30, false, [](SimConfig& cfg) {
+                     cfg.async_model = AsyncModel::kPoisson;
+                     cfg.async_frames_per_second = 500.0;
+                     cfg.worst_case_phasing = false;
+                     cfg.seed = 3;
+                     cfg.faults.add_station_crash(milliseconds(7.4), 3,
+                                                  milliseconds(5));
+                   });
+}
+
+/// Storm guards tripping inside runs of the standard "std-tie" case: the
+/// 13th event is a lap walk (its frame is refused), the 14th a frame-done
+/// (the next lap walk is refused), and the 110th an async frame-done
+/// inside the rotation that follows the long message.
+std::vector<Case> boundary_storm_cases() {
+  std::vector<Case> cases;
+  for (const std::size_t cap : {13, 14, 110}) {
+    Case c{"std-tie-guard-" + std::to_string(cap), preempt_set(31'705),
+           dyadic_config(PdpVariant::kStandard8025, 0.1)};
+    c.cfg.max_events = cap;
+    cases.push_back(c);
+  }
+  return cases;
+}
+
+/// Verdict-only runs whose first miss is the long message's last frame:
+/// its 2^-6 s deadline passes while its frames are still being sent.
+std::vector<Case> verdict_cases() {
+  std::vector<Case> cases;
+  cases.push_back({"mod-verdict", preempt_set(30'229, 0x1p-6),
+                   dyadic_config(PdpVariant::kModified8025, 0.1)});
+  cases.push_back({"std-verdict", preempt_set(31'705, 0x1p-6),
+                   dyadic_config(PdpVariant::kStandard8025, 0.1)});
+  return cases;
+}
+
+/// The verdict and the events the run executed before it stopped.
+std::string verdict_fingerprint(const Case& c) {
+  const std::uint64_t before = sim_events();
+  const bool misses = make_simulator(c.set, c.cfg)->misses_a_deadline();
+  return std::string(misses ? "misses" : "clean") +
+         " events=" + std::to_string(sim_events() - before);
 }
 
 struct Golden {
@@ -844,6 +978,91 @@ const Golden kGoldenTraces[] = {
 )"},
 };
 
+// Captured from a Release build of the staged engine before runs existed
+// (GCC 12.2, x86-64), in the formats above.
+const Golden kGoldenBoundaries[] = {
+    {"mod-tie", R"(released=15 completed=15 misses=0 async=108 losses=0 depth=1 events=304
+response 15 0x1.6256666666667p-9 0x1.7c5a5265f15f1p-15 0x1.462p-11 0x1.bae1p-6
+normalized 15 0x1.1da4188578971p-3 0x1.6648461afdf46p-10 0x1.618457178d2a2p-4 0x1.bae1p-3
+rotation 0 0x0p+0 0x0p+0 inf -inf
+station 0 1 1 0 1 0x1.bae1p-6 0x0p+0 0x1.bae1p-6 0x1.bae1p-6
+station 1 14 14 0 14 0x1.fa4b6db6db6dep-11 0x1.b7f702fd2fd31p-25 0x1.462p-11 0x1.402p-10
+)"},
+    {"std-tie", R"(released=15 completed=15 misses=0 async=105 losses=0 depth=1 events=334
+response 15 0x1.68d8888888887p-9 0x1.a7fdb353f63f8p-15 0x1.462p-11 0x1.d1f1p-6
+normalized 15 0x1.07489674d38a1p-3 0x1.b2a4315120093p-10 0x1.510f2bff62e76p-4 0x1.d1f1p-3
+rotation 0 0x0p+0 0x0p+0 inf -inf
+station 0 1 1 0 1 0x1.d1f1p-6 0x0p+0 0x1.d1f1p-6 0x1.d1f1p-6
+station 1 14 14 0 14 0x1.e17924924924ap-11 0x1.e04a85cd5cd5cp-25 0x1.462p-11 0x1.439p-10
+)"},
+    {"mod-horizon-on", R"(released=2 completed=1 misses=0 async=1 losses=0 depth=1 events=12
+response 1 0x1.402p-10 0x0p+0 0x1.402p-10 0x1.402p-10
+normalized 1 0x1.5b03540492b63p-3 0x0p+0 0x1.5b03540492b63p-3 0x1.5b03540492b63p-3
+rotation 0 0x0p+0 0x0p+0 inf -inf
+station 0 1 0 0 0 0x0p+0 0x0p+0 inf -inf
+station 1 1 1 0 1 0x1.402p-10 0x0p+0 0x1.402p-10 0x1.402p-10
+)"},
+    {"mod-horizon-before", R"(released=2 completed=1 misses=0 async=1 losses=0 depth=1 events=11
+response 1 0x1.402p-10 0x0p+0 0x1.402p-10 0x1.402p-10
+normalized 1 0x1.5b03540492b63p-3 0x0p+0 0x1.5b03540492b63p-3 0x1.5b03540492b63p-3
+rotation 0 0x0p+0 0x0p+0 inf -inf
+station 0 1 0 0 0 0x0p+0 0x0p+0 inf -inf
+station 1 1 1 0 1 0x1.402p-10 0x0p+0 0x1.402p-10 0x1.402p-10
+)"},
+    {"std-horizon-on", R"(released=2 completed=1 misses=0 async=1 losses=0 depth=1 events=13
+response 1 0x1.402p-10 0x0p+0 0x1.402p-10 0x1.402p-10
+normalized 1 0x1.5b03540492b63p-3 0x0p+0 0x1.5b03540492b63p-3 0x1.5b03540492b63p-3
+rotation 0 0x0p+0 0x0p+0 inf -inf
+station 0 1 0 0 0 0x0p+0 0x0p+0 inf -inf
+station 1 1 1 0 1 0x1.402p-10 0x0p+0 0x1.402p-10 0x1.402p-10
+)"},
+    {"std-horizon-before", R"(released=2 completed=1 misses=0 async=1 losses=0 depth=1 events=12
+response 1 0x1.402p-10 0x0p+0 0x1.402p-10 0x1.402p-10
+normalized 1 0x1.5b03540492b63p-3 0x0p+0 0x1.5b03540492b63p-3 0x1.5b03540492b63p-3
+rotation 0 0x0p+0 0x0p+0 inf -inf
+station 0 1 0 0 0 0x0p+0 0x0p+0 inf -inf
+station 1 1 1 0 1 0x1.402p-10 0x0p+0 0x1.402p-10 0x1.402p-10
+)"},
+    {"mod-two-stream", R"(released=24 completed=24 misses=0 async=75 losses=0 depth=1 events=280
+response 24 0x1.8f09555555554p-9 0x1.9add30133f128p-15 0x1.415p-10 0x1.253a8p-5
+normalized 24 0x1.231e6728d2cebp-2 0x1.bef07800276fdp-8 0x1.8638p-5 0x1.852bd3c361134p-2
+rotation 0 0x0p+0 0x0p+0 inf -inf
+station 0 22 22 0 22 0x1.8bf51745d1745p-9 0x1.c1d9da38cbe9ep-15 0x1.415p-10 0x1.253a8p-5
+station 2 2 2 0 2 0x1.b0e8p-9 0x1.c78e4p-23 0x1.8638p-9 0x1.db98p-9
+)"},
+    {"std-two-stream", R"(released=24 completed=24 misses=0 async=71 losses=0 depth=1 events=343
+response 24 0x1.aad4p-9 0x1.cd7009b2c8591p-15 0x1.551p-10 0x1.372a8p-5
+normalized 24 0x1.3cb8408541ac3p-2 0x1.ed678db0d8af3p-8 0x1.8818p-5 0x1.906f694467382p-2
+rotation 0 0x0p+0 0x0p+0 inf -inf
+station 0 22 22 0 22 0x1.a97dd1745d174p-9 0x1.f9426c726c9afp-15 0x1.551p-10 0x1.372a8p-5
+station 2 2 2 0 2 0x1.b988p-9 0x1.31822p-22 0x1.8818p-9 0x1.eaf8p-9
+)"},
+    {"mod-4-poisson-crash", R"(released=9 completed=8 misses=0 async=44 losses=0 depth=1 events=298
+response 8 0x1.855ce7922d679p-9 0x1.2145ceac840e5p-18 0x1.859a7443f2a3p-10 0x1.ec8853c2e22d6p-8
+normalized 8 0x1.1df575a435aa5p-2 0x1.bcb5cb445bff6p-8 0x1.b2d33d3067f15p-3 0x1.b7c2dd1293163p-2
+rotation 0 0x0p+0 0x0p+0 inf -inf
+fault station_crash 1 0x1.6bfa4039abdcp-13 0
+fault station_rejoin 1 0x1.6bfa4039abdcp-13 0
+outage 0x1.e4f765fd8adacp-8 0x1.f05737ff5839ap-8 station_crash
+outage 0x1.9652bd3c36114p-7 0x1.9c02a63d1cc0bp-7 station_rejoin
+station 0 4 4 0 4 0x1.9d0417007990dp-10 0x1.4ed19fbb2d9cdp-27 0x1.859a7443f2a3p-10 0x1.c201e0f49d89p-10
+station 1 3 3 0 3 0x1.b29a2258e6954p-9 0x1.6967bf2ad7ef8p-21 0x1.36cae8df774bp-9 0x1.f8c6a8f1e0f7bp-9
+station 2 2 1 0 1 0x1.ec8853c2e22d6p-8 0x0p+0 0x1.ec8853c2e22d6p-8 0x1.ec8853c2e22d6p-8
+)"},
+};
+
+const Golden kGoldenBoundaryStorms[] = {
+    {"std-tie-guard-13", R"(simulation exceeded the max-event guard (13 events) at t=0.00315881 s with 2 events still queued; a model bug or fault scenario is scheduling an event storm)"},
+    {"std-tie-guard-14", R"(simulation exceeded the max-event guard (14 events) at t=0.0037539 s with 2 events still queued; a model bug or fault scenario is scheduling an event storm)"},
+    {"std-tie-guard-110", R"(simulation exceeded the max-event guard (110 events) at t=0.0327971 s with 2 events still queued; a model bug or fault scenario is scheduling an event storm)"},
+};
+
+const Golden kGoldenVerdicts[] = {
+    {"mod-verdict", "misses events=59"},
+    {"std-verdict", "misses events=95"},
+
+};
+
 TEST(PdpGolden, EveryMetricMatchesTheFrozenRuns) {
   const auto cases = golden_cases();
   ASSERT_EQ(cases.size(), std::size(kGoldenMetrics));
@@ -869,6 +1088,35 @@ TEST(PdpGolden, JsonlTracesAreByteIdentical) {
   for (std::size_t i = 0; i < cases.size(); ++i) {
     SCOPED_TRACE(cases[i].name);
     EXPECT_EQ(jsonl_trace(cases[i]), kGoldenTraces[i].text);
+  }
+}
+
+TEST(PdpGolden, RunBoundariesMatchTheFrozenRuns) {
+  std::vector<Case> cases = boundary_cases();
+  cases.push_back(poisson_crash_case());
+  ASSERT_EQ(cases.size(), std::size(kGoldenBoundaries));
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(cases[i].name);
+    EXPECT_EQ(cases[i].name, kGoldenBoundaries[i].name);
+    EXPECT_EQ(run_fingerprint(cases[i]), kGoldenBoundaries[i].text);
+  }
+}
+
+TEST(PdpGolden, StormGuardTripsInsideRunsWithTheFrozenMessage) {
+  const auto cases = boundary_storm_cases();
+  ASSERT_EQ(cases.size(), std::size(kGoldenBoundaryStorms));
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(cases[i].name);
+    EXPECT_EQ(storm_message(cases[i]), kGoldenBoundaryStorms[i].text);
+  }
+}
+
+TEST(PdpGolden, VerdictRunsStopAtTheLastFrameOfTheLateMessage) {
+  const auto cases = verdict_cases();
+  ASSERT_EQ(cases.size(), std::size(kGoldenVerdicts));
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(cases[i].name);
+    EXPECT_EQ(verdict_fingerprint(cases[i]), kGoldenVerdicts[i].text);
   }
 }
 
