@@ -148,8 +148,25 @@ FpSetVerdict lsd_point_test_all(const std::vector<FpTask>& tasks,
 
 namespace {
 
-// The RTA fixpoint r <- B + C'_i + sum_{j<i} C'_j * ceil(r / P_j) for task
-// i, started at `start`; adds the iterations it runs to `iterations`.
+// The right-hand side f(r) = B + C'_i + sum_{j<i} C'_j * ceil(r / P_j) of
+// task i's fixpoint, in the one operation order both the fixpoint and the
+// deadline point use. With kCountArrivals it also adds sum_{j<i}
+// ceil(r / P_j) to `*arrivals`.
+template <bool kCountArrivals>
+inline Seconds rta_rhs(const std::vector<FpTask>& tasks, std::size_t i,
+                       Seconds blocking, Seconds r,
+                       [[maybe_unused]] double* arrivals = nullptr) {
+  Seconds next = blocking + tasks[i].cost;
+  for (std::size_t j = 0; j < i; ++j) {
+    const double count = std::ceil(r / tasks[j].period);
+    if constexpr (kCountArrivals) *arrivals += count;
+    next += tasks[j].cost * count;
+  }
+  return next;
+}
+
+// The RTA fixpoint r <- f(r) for task i, started at `start`; adds the
+// iterations it runs to `iterations`.
 //
 // Every step of the right-hand side f is monotone in r (fl division, ceil,
 // products with non-negative costs and fl sums all preserve order), and
@@ -170,10 +187,7 @@ std::optional<Seconds> fixpoint(const std::vector<FpTask>& tasks,
     return std::nullopt;
   }
   for (int iter = 0; iter < kMaxRtaIterations; ++iter) {
-    Seconds next = blocking + tasks[i].cost;
-    for (std::size_t j = 0; j < i; ++j) {
-      next += tasks[j].cost * std::ceil(r / tasks[j].period);
-    }
+    const Seconds next = rta_rhs<false>(tasks, i, blocking, r);
     if (next > deadline) {
       iterations += static_cast<std::uint64_t>(iter) + 1;
       if (status) *status = RtaStatus::kDeadlineExceeded;
@@ -249,11 +263,34 @@ FpSetVerdict response_time_analysis(const std::vector<FpTask>& tasks,
   return v;
 }
 
+bool deadline_certifies(const std::vector<FpTask>& tasks, std::size_t i,
+                        Seconds blocking) {
+  TR_EXPECTS(i < tasks.size());
+  // From the cold start B + C'_i <= f(D_i), monotonicity keeps every
+  // iterate at or below f(D_i) <= D_i, so the run cannot cross the
+  // deadline. An iterate that does not end the run must raise some
+  // ceil(r/P_j) (equal counts give an equal f, which ends it), and no count
+  // passes ceil(D_i/P_j): at most sum + 2 iterations, below the cap.
+  const Seconds d = tasks[i].effective_deadline();
+  double arrivals = 0.0;
+  return rta_rhs<true>(tasks, i, blocking, d, &arrivals) <= d &&
+         arrivals + 2.0 < kMaxRtaIterations;
+}
+
 void record_rta_work(const RtaWork& work) {
   static const obs::Counter runs("analysis.rta.fixpoint_runs");
   static const obs::Counter iterations("analysis.rta.iterations");
+  static const obs::Counter deadline_accepts("analysis.rta.deadline_accepts");
+  static const obs::Counter quick_rejects("analysis.rta.quick_rejects");
+  static const obs::Counter hyperbolic_accepts(
+      "analysis.rta.hyperbolic_accepts");
+  static const obs::Counter hint_hits("analysis.rta.hint_hits");
   runs.add(work.fixpoint_runs);
   iterations.add(work.iterations);
+  deadline_accepts.add(work.deadline_accepts);
+  quick_rejects.add(work.quick_rejects);
+  hyperbolic_accepts.add(work.hyperbolic_accepts);
+  hint_hits.add(work.hint_hits);
 }
 
 bool rta_feasible_fast(const std::vector<FpTask>& tasks, Seconds blocking,
@@ -265,14 +302,22 @@ bool rta_feasible_fast(const std::vector<FpTask>& tasks, Seconds blocking,
     state->response.assign(n, 0.0);
   }
   Seconds* pending = state ? pending_responses(n).data() : nullptr;
+  RtaWork uncounted;
+  RtaWork& work = state ? state->work : uncounted;
   const auto passes = [&](std::size_t i, bool warm) {
-    if (!state) return response_time(tasks, i, blocking).has_value();
-    const Seconds cold = blocking + tasks[i].cost;
-    const Seconds start = warm ? std::max(cold, state->response[i]) : cold;
-    ++state->work.fixpoint_runs;
-    const auto r = fixpoint(tasks, i, blocking, start, nullptr,
-                            state->work.iterations);
-    if (r) pending[i] = *r;
+    // A held response means the task failed the deadline point at the
+    // committed probe; warm, its costs and blocking have only risen since.
+    const Seconds held = warm ? state->response[i] : 0.0;
+    if (held == 0.0 && deadline_certifies(tasks, i, blocking)) {
+      ++work.deadline_accepts;
+      if (pending) pending[i] = 0.0;  // certified: no response known
+      return true;
+    }
+    ++work.fixpoint_runs;
+    const auto r = fixpoint(tasks, i, blocking,
+                            std::max(blocking + tasks[i].cost, held), nullptr,
+                            work.iterations);
+    if (r && pending) pending[i] = *r;
     return r.has_value();
   };
 
@@ -290,9 +335,13 @@ bool rta_feasible_fast(const std::vector<FpTask>& tasks, Seconds blocking,
     for (std::size_t j = 0; j <= hint && warm; ++j) {
       warm = dominates(tasks[j], state->committed[j]);
     }
-    if (!passes(hint, warm)) return false;
+    if (!passes(hint, warm)) {
+      ++work.hint_hits;
+      return false;
+    }
   }
   if (utilization_quick_reject(tasks, blocking)) {
+    ++work.quick_rejects;
     // The proof names the lowest-priority task as the infeasible one.
     if (state) state->failed_hint = n - 1;
     return false;
@@ -301,13 +350,14 @@ bool rta_feasible_fast(const std::vector<FpTask>& tasks, Seconds blocking,
   bool warm = warm_blocking;  // ... and every cost so far dominates
   for (std::size_t i = 0; i < n; ++i) {
     warm = warm && dominates(tasks[i], state->committed[i]);
-    if (i != hint && !screen.accepts(tasks[i], blocking)) {
-      if (!passes(i, warm)) {
-        if (state) state->failed_hint = i;
-        return false;
-      }
-    } else if (i != hint && state) {
-      pending[i] = 0.0;  // screened: no response known
+    if (i == hint) {
+      // Passed above.
+    } else if (screen.accepts(tasks[i], blocking)) {
+      ++work.hyperbolic_accepts;
+      if (pending) pending[i] = 0.0;  // screened: no response known
+    } else if (!passes(i, warm)) {
+      if (state) state->failed_hint = i;
+      return false;
     }
     screen.advance(tasks[i]);
   }

@@ -134,22 +134,48 @@ std::optional<Seconds> response_time(const std::vector<FpTask>& tasks,
 FpSetVerdict response_time_analysis(const std::vector<FpTask>& tasks,
                                     Seconds blocking);
 
-/// Fixpoint work counted by `rta_feasible_fast`: fixpoint runs started and
-/// iterations (evaluations of r^{m+1}) done.
+/// Theorem 4.1's scheduling point t = D_i (k = i, l = 1 under implicit
+/// deadlines), evaluated in RTA's own arithmetic: true when the fixpoint's
+/// right-hand side at r = D_i is at most D_i and the arrival counts
+/// sum_{j<i} ceil(D_i/P_j) + 2 stay below kMaxRtaIterations. The
+/// right-hand side is monotone in r, so every iterate from B + C'_i stays
+/// at or below D_i; each iterate that does not end the run raises some
+/// count, so the guard keeps the iteration cap out of reach. A true result
+/// therefore means `response_time(tasks, i, blocking)` converges; false
+/// decides nothing.
+bool deadline_certifies(const std::vector<FpTask>& tasks, std::size_t i,
+                        Seconds blocking);
+
+/// Work counted by `rta_feasible_fast` with a search state: fixpoint runs
+/// started, iterations (evaluations of r^{m+1}) done, and what each screen
+/// decided without a fixpoint.
 struct RtaWork {
   std::uint64_t fixpoint_runs = 0;
   std::uint64_t iterations = 0;
+  /// Tasks the deadline point certified (`deadline_certifies`).
+  std::uint64_t deadline_accepts = 0;
+  /// Probes the utilization screen rejected.
+  std::uint64_t quick_rejects = 0;
+  /// Tasks the hyperbolic screen accepted.
+  std::uint64_t hyperbolic_accepts = 0;
+  /// Probes that failed again at the hinted task, first thing.
+  std::uint64_t hint_hits = 0;
 
   RtaWork& operator+=(const RtaWork& other) {
     fixpoint_runs += other.fixpoint_runs;
     iterations += other.iterations;
+    deadline_accepts += other.deadline_accepts;
+    quick_rejects += other.quick_rejects;
+    hyperbolic_accepts += other.hyperbolic_accepts;
+    hint_hits += other.hint_hits;
     return *this;
   }
 };
 
-/// Adds `work` to the obs counters "analysis.rta.fixpoint_runs" and
-/// "analysis.rta.iterations". The kernels call it once per probe, never
-/// inside the fixpoint loop.
+/// Adds `work` to the obs counters "analysis.rta.{fixpoint_runs,
+/// iterations,deadline_accepts,quick_rejects,hyperbolic_accepts,
+/// hint_hits}". The kernels call it once per probe, never inside the
+/// fixpoint loop.
 void record_rta_work(const RtaWork& work);
 
 /// What one search carries from probe to probe of `rta_feasible_fast`: a
@@ -166,8 +192,9 @@ struct RtaSearchState {
   std::vector<FpTask> committed;
   /// The blocking term of the last schedulable probe.
   Seconds blocking = 0.0;
-  /// response[i] is task i's response time under `committed`, or 0 where
-  /// it is not known (a screen accepted the task).
+  /// response[i] is task i's exact response time under `committed`, or 0
+  /// where none is known (a screen or the deadline point accepted the
+  /// task).
   std::vector<Seconds> response;
   /// Work since the owner last took it (see `record_rta_work`).
   RtaWork work;
@@ -181,6 +208,11 @@ struct RtaSearchState {
 ///    term folded into the task under test): while every deadline so far
 ///    is implicit, prod_{j<i}(1+U_j) * (1 + (C_i+B)/P_i) <= 2 proves task
 ///    i schedulable without running its fixpoint;
+///  * deadline point: a task the hyperbolic screen leaves open passes
+///    when `deadline_certifies` does, with no fixpoint. It is skipped for a
+///    task whose fixpoint would start warm from a held response (see the
+///    warm start): that task failed it at the committed probe, and its
+///    costs and blocking have only risen since;
 ///  * failed-task-first: `state->failed_hint` names the task that failed
 ///    last time; re-testing it first lets the unschedulable side of a
 ///    bisection exit after one fixpoint run;
@@ -196,7 +228,8 @@ struct RtaSearchState {
 ///    hint.
 /// Tasks that no screen decides get the exact fixpoint, so the verdict and
 /// every committed response match the cold `response_time_analysis`
-/// (screens are margin-guarded sufficient/necessary conditions; the
+/// (screens are margin-guarded sufficient/necessary conditions, the
+/// deadline point is exact in the fixpoint's own arithmetic; the
 /// differential property tests pin the agreement). `state` is optional:
 /// without it there is no hint, no warm start and no work count.
 bool rta_feasible_fast(const std::vector<FpTask>& tasks, Seconds blocking,

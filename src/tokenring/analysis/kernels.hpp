@@ -46,7 +46,9 @@ namespace tokenring::analysis {
 /// blocking bound; per probe it recomputes the augmented lengths (frame
 /// counts depend on the scaled payload) and runs the screened RTA with one
 /// `RtaSearchState` carried across probes (failed-task hint and warm
-/// start). Each probe adds its fixpoint work to the obs counters.
+/// start). Every probe reaches the RTA: it has no cost dominance, so it is
+/// an independent reference for `PdpBatchKernel`'s. Each probe adds its
+/// RTA work to the obs counters.
 class PdpScaleKernel {
  public:
   PdpScaleKernel(const msg::MessageSet& base, const PdpParams& params,
@@ -102,13 +104,28 @@ class TtpScaleKernel {
 ///
 /// The augmented-length stage (the multiply-divide-floor-ceil arithmetic
 /// of `pdp_augmented_length`) runs full-width over a station-major x
-/// lane-minor SoA of base payloads in branch-light loops; the screened RTA
-/// stage then runs per *active* lane with a per-lane `RtaSearchState`
-/// (failed-task hint and warm start: they steer which task is tested first
-/// and where each fixpoint starts, never the verdict). The lane's committed
+/// lane-minor SoA of base payloads in branch-light loops. Each *active*
+/// lane is then answered by cost dominance where it can be, and by the
+/// screened RTA with a per-lane `RtaSearchState` (failed-task hint and
+/// warm start: they steer which task is tested first and where each
+/// fixpoint starts, never the verdict) where it cannot:
+///  * pass witness: a probe whose every cost is <= the lane's committed
+///    costs (its last schedulable RTA probe) is schedulable;
+///  * fail witness: a probe whose every cost is >= the costs of the lane's
+///    last unschedulable RTA probe is not. The lane keeps only that
+///    probe's scale and recomputes its costs with the cost stage's own
+///    per-element arithmetic.
+/// The RTA verdict is monotone in the cost vector in floating point, so
+/// both rules are exact; costs are compared, never scales, because an
+/// augmented length is not bitwise monotone in the scale at an exact frame
+/// multiple. The one non-monotone RTA outcome is the iteration cap, so a
+/// lane with n * ceil(D_max/P_min) + 2 >= kMaxRtaIterations (where some
+/// fixpoint might reach it) uses no dominance. A dominated probe changes
+/// neither the lane's search state nor its witnesses. The lane's committed
 /// task array holds its periods and deadlines, so a lane costs one more
 /// double per station than the plain task array. Each evaluate adds the
-/// lanes' fixpoint work to the obs counters once.
+/// lanes' fixpoint work to the obs counters once, and the lanes that
+/// reached the RTA to "breakdown.exact_probes".
 /// Frame counts are assumed to stay below 2^53, matching the int64 domain
 /// of the scalar path.
 class PdpBatchKernel {
@@ -131,6 +148,10 @@ class PdpBatchKernel {
                 std::span<std::uint8_t> verdicts) const;
 
  private:
+  /// Lane l's cost at station i for the witness scale, in the cost
+  /// stage's arithmetic.
+  double witness_cost(std::size_t i, std::size_t l, double scale) const;
+
   std::size_t lanes_ = 0;
   std::size_t stations_ = 0;
   BitsPerSecond bw_ = 0.0;
@@ -144,7 +165,9 @@ class PdpBatchKernel {
   bool frame_dominated_ = false;    // frame_time <= theta for this geometry
   std::vector<double> base_payload_;  // station-major x lane-minor, RM order
   mutable std::vector<double> cost_;  // same layout; scratch per evaluate
+  std::vector<std::uint8_t> dominance_;  // per lane: the cap is out of reach
   mutable std::vector<RtaSearchState> search_;  // per lane, RM order
+  mutable std::vector<double> fail_scale_;  // per lane; < 0 = no witness
   mutable std::vector<FpTask> probe_;           // one lane's tasks; scratch
 };
 

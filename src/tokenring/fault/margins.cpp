@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <functional>
+#include <string>
 
 #include "tokenring/analysis/fixed_priority.hpp"
 #include "tokenring/analysis/ttrt.hpp"
@@ -21,12 +22,20 @@ void count_margin_query(const FaultMarginReport& report) {
   if (!report.fault_free_schedulable) infeasible.add();
 }
 
-/// Largest k in [0, inf) with test(k) true, given test(0) true and test
-/// monotone (true up to some boundary, false after). `hi_bound` is any k
-/// known to fail (outages exceeding the longest deadline always do).
-int largest_feasible(const std::function<bool(int)>& test, int hi_bound) {
-  int lo = 0;        // known feasible
-  int hi = hi_bound; // known infeasible
+/// Largest k with test(k) true, given test(0) true and test monotone (true
+/// up to some boundary, false after). `hopeless` (from hopeless_faults)
+/// fails unless it was clamped to kMaxFaultMargin; a clamped bound that
+/// still passes leaves no truthful int answer, and the search refuses.
+int largest_feasible(const std::function<bool(int)>& test, int hopeless,
+                     FaultKind kind) {
+  if (hopeless == kMaxFaultMargin && test(hopeless)) {
+    throw MarginOutOfRange(std::string("the ") + to_string(kind) +
+                           " fault margin exceeds " +
+                           std::to_string(kMaxFaultMargin) +
+                           " faults per period");
+  }
+  int lo = 0;         // known feasible
+  int hi = hopeless;  // known infeasible
   while (hi - lo > 1) {
     const int mid = lo + (hi - lo) / 2;
     if (test(mid)) {
@@ -40,13 +49,17 @@ int largest_feasible(const std::function<bool(int)>& test, int hi_bound) {
 
 /// A k past which no criterion can pass: the whole deadline window spent
 /// recovering. +2 keeps the search bracket valid even at outage ~ 0 window.
+/// Beside a deadline of hours the count passes INT_MAX, so it is taken in
+/// double and clamped to kMaxFaultMargin before the cast.
 int hopeless_faults(const msg::MessageSet& set, Seconds outage) {
   Seconds longest = 0.0;
   for (const auto& s : set.streams()) {
     longest = std::max(longest, s.deadline());
   }
   if (outage <= 0.0) return 2;
-  return static_cast<int>(std::ceil(longest / outage)) + 2;
+  const double k = std::ceil(longest / outage) + 2.0;
+  return k < static_cast<double>(kMaxFaultMargin) ? static_cast<int>(k)
+                                                  : kMaxFaultMargin;
 }
 
 /// Scale-invariant per-stream TTP state for the margin search: payload
@@ -155,7 +168,8 @@ FaultMarginReport pdp_fault_margin(const msg::MessageSet& set,
   report.fault_free_schedulable = feasible(0);
   if (report.fault_free_schedulable) {
     report.margin = largest_feasible(
-        feasible, hopeless_faults(set, report.recovery_per_fault));
+        feasible, hopeless_faults(set, report.recovery_per_fault),
+        budget.kind);
   }
   analysis::record_rta_work(search.work);
   count_margin_query(report);
@@ -180,7 +194,7 @@ FaultMarginReport ttp_fault_margin(const msg::MessageSet& set,
   if (report.fault_free_schedulable) {
     report.margin = largest_feasible(
         [&](int k) { return ttp_probe(state, k); },
-        hopeless_faults(set, report.recovery_per_fault));
+        hopeless_faults(set, report.recovery_per_fault), budget.kind);
   }
   count_margin_query(report);
   return report;

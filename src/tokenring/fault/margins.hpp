@@ -31,6 +31,8 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 
 #include "tokenring/analysis/pdp.hpp"
 #include "tokenring/analysis/ttp.hpp"
@@ -59,6 +61,22 @@ struct FaultMarginReport {
   int margin = -1;
 };
 
+/// The largest margin a report can carry. A criterion that still passes
+/// at this many faults per period has no truthful `int` margin, so the
+/// margin searches throw `MarginOutOfRange` instead of reporting a smaller
+/// one.
+inline constexpr int kMaxFaultMargin = std::numeric_limits<int>::max();
+
+/// Thrown by `pdp_fault_margin` and `ttp_fault_margin` when the
+/// fault-aware criterion still passes at kMaxFaultMargin faults per period
+/// (every deadline is hours longer than a recovery). `what()` names the
+/// fault kind and the bound; the daemon answers it with a 400 and
+/// `tokenring_tool` exits 1 printing it.
+class MarginOutOfRange : public std::range_error {
+ public:
+  using std::range_error::range_error;
+};
+
 /// Theorem 4.1 with k faults per period folded into the blocking term.
 bool pdp_schedulable_with_faults(const msg::MessageSet& set,
                                  const analysis::PdpParams& params,
@@ -75,15 +93,17 @@ bool ttp_schedulable_with_faults(const msg::MessageSet& set,
 
 /// Max faults per period tolerated by the PDP criterion (binary search on
 /// the monotone fault-aware test, each probe's RTA warm-started from the
-/// last feasible fault count's responses). Its fixpoint work is added to
-/// "analysis.rta.{fixpoint_runs,iterations}" once per query.
+/// last feasible fault count's responses). Its RTA work is added to the
+/// "analysis.rta.*" counters once per query. Throws MarginOutOfRange when
+/// the margin exceeds kMaxFaultMargin.
 FaultMarginReport pdp_fault_margin(const msg::MessageSet& set,
                                    const analysis::PdpParams& params,
                                    BitsPerSecond bw,
                                    const FaultBudget& budget = {});
 
 /// Max faults per period tolerated by the TTP criterion. `ttrt` <= 0
-/// selects the paper's TTRT rule.
+/// selects the paper's TTRT rule. Throws MarginOutOfRange when the margin
+/// exceeds kMaxFaultMargin.
 FaultMarginReport ttp_fault_margin(const msg::MessageSet& set,
                                    const analysis::TtpParams& params,
                                    BitsPerSecond bw, Seconds ttrt = 0.0,

@@ -103,9 +103,13 @@ struct AdviseResult {
 };
 
 CheckResult check(const CheckQuery& query);
+/// Throws fault::MarginOutOfRange, naming the fault kind, when a margin
+/// passes fault::kMaxFaultMargin; the daemon answers 400 with its text and
+/// tokenring_tool exits 1 printing it.
 FaultcheckResult faultcheck(const CheckQuery& query);
 /// Every candidate is estimated from the same `sets` Monte Carlo sets; the
-/// result is the same for every executor width and batch size.
+/// result is the same for every executor width and batch size. Refuses a
+/// resilience margin past fault::kMaxFaultMargin as faultcheck does.
 AdviseResult advise(const AdviseQuery& query, const exec::Executor& executor,
                     std::size_t batch = 64);
 

@@ -227,6 +227,9 @@ void Engine::dispatch_async(Request request, const std::string& fallback_client,
     } catch (const DeadlineExceeded& e) {
       deadline_expired.add();
       response = timeout_response(request.id_token, e.elapsed_ms);
+    } catch (const fault::MarginOutOfRange& e) {
+      // A true answer no result can carry: a refusal, not a failure.
+      response = error_response(request.id_token, 400, e.what());
     } catch (const std::exception& e) {
       static const obs::Counter failures("serve.compute_failures");
       failures.add();

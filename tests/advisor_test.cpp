@@ -171,7 +171,10 @@ TEST(Advisor, RecommendationBitsAndSearchWorkAreFrozen) {
   // resilience sweep made 2 dispatches and 4,984 evaluations). Every
   // drawn set with a boundary still gets one margin query per protocol.
   // The RTA counters include the PDP margin bisections, which
-  // pdp_fault_margin records once per query.
+  // pdp_fault_margin records once per query. The deadline point certifies
+  // most tasks of both searches, and cost dominance answers most boundary
+  // probes, so the fixpoint counts are the budget of all three shortcuts
+  // (the warm start alone took 5,560 runs and 16,180 iterations).
   const auto counter = [](const obs::MetricsSnapshot& snap,
                           const std::string& name) -> std::uint64_t {
     const auto it = snap.counters.find(name);
@@ -204,8 +207,8 @@ TEST(Advisor, RecommendationBitsAndSearchWorkAreFrozen) {
   EXPECT_EQ(advise("fault.margin_queries"), 74u);
   EXPECT_GT(advise("analysis.rta.fixpoint_runs"),
             sweep("analysis.rta.fixpoint_runs"));
-  EXPECT_EQ(advise("analysis.rta.fixpoint_runs"), 5'560u);
-  EXPECT_EQ(advise("analysis.rta.iterations"), 16'180u);
+  EXPECT_EQ(advise("analysis.rta.fixpoint_runs"), 2'127u);
+  EXPECT_EQ(advise("analysis.rta.iterations"), 8'196u);
 }
 
 TEST(Advisor, EveryBandwidthSharesOneDispatch) {

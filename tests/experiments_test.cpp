@@ -124,8 +124,10 @@ TEST(Fig1, RowsAndSearchWorkAreFrozen) {
   // the RTA fixpoint gained its warm start, and the work the breakdown
   // searches do. A change to the search or its RTA that moves a row
   // changes Figure 1; one that moves the probe or fixpoint-run count
-  // changes the work done. The iteration count is the warm start's budget:
-  // cold starts take 1'167'329.
+  // changes the work done. The RTA counts are the budget of the warm
+  // start, the deadline point and cost dominance together: the warm start
+  // alone took 97'612 fixpoint runs and 340'148 iterations, and cold
+  // starts 1'167'329 iterations.
   Fig1Config config;
   config.sets_per_point = 16;
   const std::vector<Fig1Row> golden = {
@@ -177,8 +179,13 @@ TEST(Fig1, RowsAndSearchWorkAreFrozen) {
     EXPECT_EQ(got.fddi_ci, want.fddi_ci);
   }
   EXPECT_EQ(delta("breakdown.predicate_evals"), 12'040u);
-  EXPECT_EQ(delta("analysis.rta.fixpoint_runs"), 97'612u);
-  EXPECT_EQ(delta("analysis.rta.iterations"), 340'148u);
+  EXPECT_EQ(delta("breakdown.exact_probes"), 4'310u);
+  EXPECT_EQ(delta("analysis.rta.fixpoint_runs"), 7'919u);
+  EXPECT_EQ(delta("analysis.rta.iterations"), 70'422u);
+  EXPECT_EQ(delta("analysis.rta.deadline_accepts"), 42'049u);
+  EXPECT_EQ(delta("analysis.rta.quick_rejects"), 293u);
+  EXPECT_EQ(delta("analysis.rta.hyperbolic_accepts"), 167'838u);
+  EXPECT_EQ(delta("analysis.rta.hint_hits"), 1'847u);
   EXPECT_EQ(delta("analysis.rta_cap_hits"), 0u);
 }
 
@@ -390,6 +397,69 @@ TEST(DeadlineStudy, TightDeadlinesHurtTtpMoreThanPdp) {
   const double pdp_retained = tight.modified8025 / implicit.modified8025;
   const double ttp_retained = tight.fddi / implicit.fddi;
   EXPECT_GT(pdp_retained, ttp_retained);
+}
+
+TEST(DeadlineStudy, RowsAndSearchWorkAreFrozen) {
+  // A small constrained-deadline study (100 stations, 10 and 100 Mbps,
+  // seed 47, 8 sets per point): every row field bit for bit and the
+  // probe count, captured before the RTA gained the deadline point and
+  // cost dominance. Below D = P the hyperbolic screen never fires, so the
+  // deadline point does all of the shortcut work there; before it, the
+  // study took 131'753 fixpoint runs and 281'881 iterations.
+  DeadlineStudyConfig config;
+  config.sets_per_point = 8;
+  config.deadline_fractions = {1.0, 0.8, 0.6, 0.4};
+  const std::vector<DeadlineStudyRow> golden = {
+      {0x1.4p+3, 0x1p+0, 0x1.28887e42e5809p-2, 0x1.abe82803aee49p-2,
+       0x1.b02c82d706422p-2},
+      {0x1.4p+3, 0x1.999999999999ap-1, 0x1.2405a07a35695p-2,
+       0x1.a464222ac74acp-2, 0x1.2982c43b2ee5ep-2},
+      {0x1.4p+3, 0x1.3333333333333p-1, 0x1.18242be20a6fep-2,
+       0x1.8fbb68fb3b8cbp-2, 0x1.539dacb832562p-3},
+      {0x1.4p+3, 0x1.999999999999ap-2, 0x1.e3468089dd912p-3,
+       0x1.525472a45d768p-2, 0x1.f571deeb57bcbp-5},
+      {0x1.9p+6, 0x1p+0, 0x1.c0cd8febd3069p-5, 0x1.4977af48dbe4ap-4,
+       0x1.988b4b0c12826p-1},
+      {0x1.9p+6, 0x1.999999999999ap-1, 0x1.b9e6e7993513bp-5,
+       0x1.44221ad62fdcbp-4, 0x1.3e079076b7c04p-1},
+      {0x1.9p+6, 0x1.3333333333333p-1, 0x1.a812956fc79ep-5,
+       0x1.35fe78ebea66cp-4, 0x1.c7c3b3f6c5e8cp-2},
+      {0x1.9p+6, 0x1.999999999999ap-2, 0x1.6cc777b906d0ap-5,
+       0x1.0ae95ad210916p-4, 0x1.19e7c92d2ab6dp-2},
+  };
+  const auto counter = [](const obs::MetricsSnapshot& snap,
+                          const std::string& name) -> std::uint64_t {
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+  };
+
+  const auto before = obs::Registry::global().snapshot();
+  const auto rows = run_deadline_study(config);
+  const auto after = obs::Registry::global().snapshot();
+  const auto delta = [&](const std::string& name) {
+    return counter(after, name) - counter(before, name);
+  };
+
+  ASSERT_EQ(config.setup.num_stations, 100);
+  ASSERT_EQ(rows.size(), golden.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto& got = rows[i];
+    const auto& want = golden[i];
+    SCOPED_TRACE(std::to_string(want.bandwidth_mbps) + " Mbps, D/P " +
+                 std::to_string(want.deadline_fraction));
+    EXPECT_EQ(got.bandwidth_mbps, want.bandwidth_mbps);
+    EXPECT_EQ(got.deadline_fraction, want.deadline_fraction);
+    EXPECT_EQ(got.ieee8025, want.ieee8025);
+    EXPECT_EQ(got.modified8025, want.modified8025);
+    EXPECT_EQ(got.fddi, want.fddi);
+  }
+  EXPECT_EQ(delta("breakdown.predicate_evals"), 4'574u);
+  EXPECT_EQ(delta("breakdown.exact_probes"), 1'577u);
+  EXPECT_EQ(delta("analysis.rta.fixpoint_runs"), 2'035u);
+  EXPECT_EQ(delta("analysis.rta.iterations"), 16'946u);
+  EXPECT_EQ(delta("analysis.rta.deadline_accepts"), 72'120u);
+  EXPECT_EQ(delta("analysis.rta.hyperbolic_accepts"), 15'955u);
+  EXPECT_EQ(delta("analysis.rta_cap_hits"), 0u);
 }
 
 TEST(DeadlineStudy, ImplicitDeadlineRowMatchesPlainSetup) {

@@ -24,6 +24,7 @@
 #include "tokenring/msg/generator.hpp"
 #include "tokenring/msg/io.hpp"
 #include "tokenring/net/standards.hpp"
+#include "tokenring/obs/registry.hpp"
 
 namespace tokenring {
 namespace {
@@ -331,6 +332,93 @@ TEST(FastKernelDifferential, ScreenedVerdictsMatchExactOn10kTaskSets) {
   EXPECT_GT(infeasible, 100);
 }
 
+// ---- deadline-point certificate ------------------------------------------------------
+//
+// rta_feasible_fast passes a task without a fixpoint when the fixpoint's
+// right-hand side at r = D_i is at most D_i and the arrival counts keep the
+// iteration cap out of reach (deadline_certifies). An accept must mean the
+// cold fixpoint converges; a decline decides nothing and leaves the task to
+// the fixpoint.
+
+TEST(DeadlineCertificate, AcceptsOnlyTasksWhoseColdFixpointConverges) {
+  int accepts = 0;
+  int declined_converging = 0;
+  for (std::uint64_t trial = 0; trial < 10'000; ++trial) {
+    Rng rng = exec::make_trial_rng(0xFA57, trial);
+    const auto tasks = random_task_set(rng);
+    const Seconds blocking =
+        rng.uniform01() < 0.3 ? 0.0 : rng.uniform(0.0, 0.02);
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      analysis::RtaStatus status = analysis::RtaStatus::kConverged;
+      const auto cold = analysis::response_time(tasks, i, blocking, &status);
+      if (analysis::deadline_certifies(tasks, i, blocking)) {
+        ASSERT_EQ(status, analysis::RtaStatus::kConverged)
+            << "trial " << trial << " task " << i;
+        ++accepts;
+      } else if (cold) {
+        ++declined_converging;
+      }
+    }
+  }
+  EXPECT_GT(accepts, 10'000);
+  EXPECT_GT(declined_converging, 1'000);
+}
+
+TEST(DeadlineCertificate, ExactTieAcceptsAndTheFixpointDecidesTheRest) {
+  // Dyadic values, so every sum is exact: f(D_1) = B + C_1 + 2 C_0 =
+  // 0.75 + 0.5 + 0.5 = 1.75 = D_1 (and f(D_0) = 1 = D_0). Neither task is
+  // hyperbolic-screened, so the deadline point decides both.
+  std::vector<analysis::FpTask> tasks = {{1.0, 0.25, 0.0}, {1.75, 0.5, 0.0}};
+  const Seconds blocking = 0.75;
+  EXPECT_TRUE(analysis::deadline_certifies(tasks, 0, blocking));
+  EXPECT_TRUE(analysis::deadline_certifies(tasks, 1, blocking));
+  analysis::RtaSearchState state;
+  EXPECT_TRUE(analysis::rta_feasible_fast(tasks, blocking, &state));
+  EXPECT_TRUE(analysis::response_time_analysis(tasks, blocking).schedulable);
+  EXPECT_EQ(state.work.deadline_accepts, 2u);
+  EXPECT_EQ(state.work.fixpoint_runs, 0u);
+
+  // One ulp less deadline puts f(D_1) one ulp above D_1: declined, and the
+  // fixpoint (r = 1.25 -> 1.75 > D_1) rejects, as the cold analysis does.
+  tasks[1].period = std::nextafter(1.75, 0.0);
+  EXPECT_FALSE(analysis::deadline_certifies(tasks, 1, blocking));
+  state = {};
+  EXPECT_FALSE(analysis::rta_feasible_fast(tasks, blocking, &state));
+  EXPECT_FALSE(analysis::response_time_analysis(tasks, blocking).schedulable);
+  EXPECT_EQ(state.work.fixpoint_runs, 1u);
+
+  // A decline is no verdict: f(D_1) = 0.25 + 2 * 0.625 > D_1 = 1.0625, yet
+  // the fixpoint converges at 0.875.
+  const std::vector<analysis::FpTask> early = {{1.0, 0.625, 0.0},
+                                               {1.0625, 0.25, 0.0}};
+  EXPECT_FALSE(analysis::deadline_certifies(early, 1, 0.0));
+  state = {};
+  EXPECT_TRUE(analysis::rta_feasible_fast(early, 0.0, &state));
+  EXPECT_EQ(analysis::response_time(early, 1, 0.0), 0.875);
+  EXPECT_EQ(state.work.fixpoint_runs, 1u);
+}
+
+TEST(DeadlineCertificate, CountGuardKeepsTheIterationCapOutOfReach) {
+  // U_0 = 1 - 2^-16 and P_1/P_0 = 2^16: f(D_1) = 0.5 + (1 - 2^-16) * 2^16
+  // = 2^16 - 0.5 <= D_1, but the cold fixpoint raises ceil(r/P_0) by one
+  // per iteration for ~2^15 iterations and stops at the cap. The count sum
+  // 2^16 + 2 reaches kMaxRtaIterations, so the certificate declines and
+  // the verdict stays the cold RTA's conservative one.
+  const std::vector<analysis::FpTask> tasks = {
+      {1.0, 1.0 - std::ldexp(1.0, -16), 0.0}, {65536.0, 0.5, 0.0}};
+  ASSERT_LE(tasks[1].cost + tasks[0].cost * std::ceil(tasks[1].period /
+                                                      tasks[0].period),
+            tasks[1].period);
+  EXPECT_FALSE(analysis::deadline_certifies(tasks, 1, 0.0));
+  const auto cold = analysis::response_time_analysis(tasks, 0.0);
+  EXPECT_FALSE(cold.schedulable);
+  EXPECT_EQ(cold.iteration_cap_hits, 1u);
+  EXPECT_FALSE(analysis::rta_feasible_fast(tasks, 0.0));
+  analysis::RtaSearchState state;
+  EXPECT_FALSE(analysis::rta_feasible_fast(tasks, 0.0, &state));
+  EXPECT_EQ(state.work.deadline_accepts, 0u);
+}
+
 TEST(FastKernelDifferential, ScaleKernelsMatchPredicatesScaleForScale) {
   int schedulable = 0;
   int infeasible = 0;
@@ -385,15 +473,19 @@ TEST(FastKernelDifferential, ScaleKernelsMatchPredicatesScaleForScale) {
 // to it has fallen. One state per task set is driven first through cost
 // vectors that rise, fall (some costs only), repeat and lose one ulp on one
 // cost under a fixed blocking, then through blocking terms that rise, fall,
-// move against the costs, lose one ulp and rise with them; every verdict
+// move against the costs, lose one ulp and rise with them, and then through
+// the whole schedule three more times from where it ended; every verdict
 // must be the cold analysis's, and every response the state holds after a
-// schedulable step must be the cold response time, bit for bit.
+// schedulable step must be the cold response time, bit for bit. Tasks the
+// deadline point passes hold no response, so the later rounds keep the
+// held-response count up.
 
 TEST(WarmStartDifferential, VerdictsAndHeldResponsesMatchColdRtaOn10kTaskSets) {
   int schedulable = 0;
   int infeasible = 0;
   int held = 0;
   int below_commit = 0;  // probes whose blocking is under the committed one
+  std::uint64_t certified = 0;  // tasks the deadline point passed
   for (std::uint64_t trial = 0; trial < 10'000; ++trial) {
     Rng rng = exec::make_trial_rng(0x3A125, trial);
     const auto base = random_task_set(rng);
@@ -411,8 +503,8 @@ TEST(WarmStartDifferential, VerdictsAndHeldResponsesMatchColdRtaOn10kTaskSets) {
     };
     const auto lower_blocking = [&] { blocking *= rng.uniform(0.2, 0.95); };
     analysis::RtaSearchState state;
-    for (int step = 0; step < 14; ++step) {
-      switch (step) {
+    for (int step = 0; step < 4 * 14; ++step) {
+      switch (step % 14) {
         case 0: scale_all(rng.uniform(0.3, 0.8)); break;  // first probe
         case 1: scale_all(rng.uniform(1.0, 1.3)); break;  // rise
         case 2: scale_some(0.6, 1.1); break;              // mixed fall
@@ -464,11 +556,13 @@ TEST(WarmStartDifferential, VerdictsAndHeldResponsesMatchColdRtaOn10kTaskSets) {
         ++held;
       }
     }
+    certified += state.work.deadline_accepts;
   }
   EXPECT_GT(schedulable, 1000);
   EXPECT_GT(infeasible, 1000);
   EXPECT_GT(held, 10'000);
   EXPECT_GT(below_commit, 1000);
+  EXPECT_GT(certified, 100'000u);
 }
 
 // ---- batched (SoA) kernel differential -----------------------------------------------
@@ -693,6 +787,141 @@ TEST(BatchKernelDifferential, BatchedSaturationMatchesScalarFieldForField) {
   EXPECT_GT(found, 100);
   EXPECT_GT(degenerate, 10);
   EXPECT_GT(unbounded, 0);
+}
+
+// ---- cost dominance in the batch kernel -----------------------------------------------
+//
+// PdpBatchKernel answers a lane's probe without the RTA when every cost is
+// at or below the costs of the lane's last schedulable RTA probe (pass), or
+// at or above those of its last unschedulable one (fail). Every probe a
+// lockstep search makes, answered or not, must carry the cold verdict of
+// pdp_feasible on the scaled set.
+
+TEST(BatchKernelDominance, EveryProbeMatchesColdPdpOn10kSets) {
+  constexpr std::size_t kLanes = 8;
+  constexpr std::uint64_t kBatches = 1'250;  // 10'000 sets
+  std::uint64_t probes = 0;
+  int degenerate = 0;
+  int frame_dominated = 0;
+  int short_framed = 0;
+  int multiple_lanes = 0;
+  const auto exact_probes = [] {
+    const auto snap = obs::Registry::global().snapshot();
+    const auto it = snap.counters.find("breakdown.exact_probes");
+    return it == snap.counters.end() ? std::uint64_t{0} : it->second;
+  };
+  const std::uint64_t exact_before = exact_probes();
+  for (std::uint64_t trial = 0; trial < kBatches; ++trial) {
+    Rng rng = exec::make_trial_rng(0xD0A1, trial);
+    const int n = static_cast<int>(rng.uniform_int(1, 12));
+    const auto pdp =
+        pdp_params(n, trial % 2 == 0 ? analysis::PdpVariant::kModified8025
+                                     : analysis::PdpVariant::kStandard8025);
+    const BitsPerSecond bw = mbps(rng.uniform(1.0, 500.0));
+    // Every eighth batch has periods of a few blocking terms, where the
+    // blocking alone can miss a deadline: the zero probe fails before any
+    // schedulable probe gives the lane a pass witness.
+    const Seconds mean =
+        trial % 8 == 3
+            ? analysis::pdp_blocking(pdp, bw) * rng.uniform(0.5, 3.0)
+            : milliseconds(rng.uniform(2.0, 200.0));
+    auto gen = generator(n, mean, rng.uniform(1.0, 10.0));
+    const bool dominated_by_frames =
+        pdp.frame.frame_time(bw) <= pdp.ring.theta(bw);
+    (dominated_by_frames ? frame_dominated : short_framed) += kLanes;
+    std::vector<msg::MessageSet> bases;
+    bases.reserve(kLanes);
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      msg::MessageSet base = gen.generate(rng);
+      if (l % 2 == 1) {
+        // Payloads at exact frame multiples, where an augmented length is
+        // not bitwise monotone in the scale.
+        std::vector<msg::SyncStream> snapped = base.streams();
+        for (auto& st : snapped) {
+          st.payload_bits =
+              std::max(1.0, std::round(st.payload_bits / pdp.frame.info_bits)) *
+              pdp.frame.info_bits;
+        }
+        base = msg::MessageSet{std::move(snapped)};
+        ++multiple_lanes;
+      }
+      bases.push_back(std::move(base));
+    }
+
+    const analysis::PdpBatchKernel kernel(bases, pdp, bw);
+    struct Probe {
+      std::size_t lane;
+      double scale;
+      bool verdict;
+    };
+    std::vector<Probe> log;
+    const breakdown::BatchScaleKernel recorded =
+        [&](std::span<const double> scales,
+            std::span<const std::uint8_t> active,
+            std::span<std::uint8_t> verdicts) {
+          kernel.evaluate(scales, active, verdicts);
+          for (std::size_t l = 0; l < kLanes; ++l) {
+            if (active[l]) log.push_back({l, scales[l], verdicts[l] != 0});
+          }
+        };
+    const auto results =
+        breakdown::find_saturation_batch(bases, recorded, bw, {});
+    for (const auto& r : results) degenerate += r.degenerate_zero ? 1 : 0;
+    for (const Probe& p : log) {
+      ASSERT_EQ(p.verdict,
+                analysis::pdp_feasible(bases[p.lane].scaled(p.scale), pdp, bw))
+          << "trial " << trial << " lane " << p.lane << " scale " << p.scale;
+    }
+    probes += log.size();
+  }
+  const std::uint64_t answered = probes - (exact_probes() - exact_before);
+  // The corpus must reach both cost stages, degenerate zero probes (where
+  // blocking alone misses a deadline) and exact frame multiples.
+  EXPECT_GT(frame_dominated, 1'000);
+  EXPECT_GT(short_framed, 1'000);
+  EXPECT_GT(degenerate, 100);
+  EXPECT_GT(multiple_lanes, 1'000);
+  // Dominance answers 57,111 of the 295,012 probes; the pass witness alone
+  // answers 12,982 and the fail witness alone 44,129, so the floor needs
+  // both rules.
+  EXPECT_GT(answered, 50'000u);
+}
+
+TEST(BatchKernelDominance, FailWitnessComparesCostsNotScales) {
+  // Just below an exact frame multiple a payload sends K - 1 full frames
+  // and a last frame of almost F; at the multiple, K full frames. In
+  // floating point the first can cost an ulp more, so a probe at a larger
+  // scale can be schedulable where a smaller one was not. One stream whose
+  // period is exactly B + C at the multiple separates the two, and the
+  // fail witness must not answer the larger scale.
+  const auto pdp = pdp_params(2, analysis::PdpVariant::kModified8025);
+  const double below = std::nextafter(1.0, 0.0);
+  int found = 0;
+  for (double bw_mbps : {1.0, 2.0, 4.0, 10.0, 16.0}) {
+    const BitsPerSecond bw = mbps(bw_mbps);
+    if (pdp.frame.frame_time(bw) <= pdp.ring.theta(bw)) continue;
+    const Seconds blocking = analysis::pdp_blocking(pdp, bw);
+    for (int k = 1; k <= 4'000 && found < 3; ++k) {
+      msg::SyncStream stream{1.0, k * pdp.frame.info_bits, 0};
+      const Seconds at = analysis::pdp_augmented_length(stream, pdp, bw);
+      msg::SyncStream shy = stream;
+      shy.payload_bits *= below;
+      const Seconds shy_cost = analysis::pdp_augmented_length(shy, pdp, bw);
+      stream.period = blocking + at;
+      if (!(blocking + shy_cost > stream.period)) continue;
+      const msg::MessageSet base{{stream}};
+      ASSERT_FALSE(analysis::pdp_feasible(base.scaled(below), pdp, bw));
+      ASSERT_TRUE(analysis::pdp_feasible(base.scaled(1.0), pdp, bw));
+      const analysis::PdpBatchKernel kernel({&base, 1}, pdp, bw);
+      std::vector<std::uint8_t> verdict(1, 0xEE);
+      kernel.evaluate(std::vector<double>{below}, verdict);
+      EXPECT_EQ(verdict[0], 0) << bw_mbps << " Mbps, k = " << k;
+      kernel.evaluate(std::vector<double>{1.0}, verdict);
+      EXPECT_EQ(verdict[0], 1) << bw_mbps << " Mbps, k = " << k;
+      ++found;
+    }
+  }
+  EXPECT_GT(found, 0);
 }
 
 // ---- TTRT scaling ---------------------------------------------------------------------

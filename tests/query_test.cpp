@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -288,6 +290,113 @@ TEST(Query, DaemonRefusalTextsComeFromTheSharedRules) {
             "\"bandwidths_mbps\" entries must be positive numbers");
   EXPECT_EQ(refusal(R"({"type":"check","protocol":"wifi",)" + streams + "}"),
             "\"protocol\" must be ieee8025|modified8025|fddi");
+}
+
+// ---- fault margins beside multi-hour periods --------------------------------
+//
+// Two streams under modified 802.5 at 100 Mbps: the 50 ms stream decides
+// every fault margin, so no margin may depend on the other stream's period.
+// The search bracket ceil(longest deadline / outage) + 2 passes INT_MAX
+// beside a period of hours; it used to be cast to int, which made the
+// bracket negative and the margin 0 (token_loss from P = 2e7 ms,
+// duplicate_token from 1e7 ms).
+
+std::string long_period_streams(const std::string& period_ms) {
+  return R"("streams":[{"station":0,"period_ms":)" + period_ms +
+         R"(,"payload_bits":1000},{"station":1,"period_ms":50,)"
+         R"("payload_bits":2000}])";
+}
+
+query::FaultcheckResult long_period_faultcheck(const std::string& period_ms) {
+  const std::string line =
+      R"({"type":"faultcheck","protocol":"modified8025",)"
+      R"("bandwidth_mbps":100,)" + long_period_streams(period_ms) + "}";
+  serve::Request request;
+  std::string error;
+  EXPECT_TRUE(
+      serve::parse_request(obs::parse_json(line).value, request, error))
+      << error;
+  return query::faultcheck(request.check);
+}
+
+int margin_of(const query::FaultcheckResult& result, fault::FaultKind kind) {
+  for (const auto& [k, report] : result.margins) {
+    if (k == kind) return report.margin;
+  }
+  ADD_FAILURE() << "no " << fault::to_string(kind) << " row";
+  return -2;
+}
+
+TEST(Query, FaultMarginsBesideMultiHourPeriodsStayTrue) {
+  const query::FaultcheckResult reference = long_period_faultcheck("1e5");
+  ASSERT_EQ(margin_of(reference, fault::FaultKind::kTokenLoss), 3649);
+  ASSERT_EQ(margin_of(reference, fault::FaultKind::kDuplicateToken), 6497);
+  for (const char* period_ms : {"1e7", "2e7", "1e300"}) {
+    SCOPED_TRACE(std::string("period_ms ") + period_ms);
+    const query::FaultcheckResult got = long_period_faultcheck(period_ms);
+    ASSERT_EQ(got.margins.size(), reference.margins.size());
+    for (std::size_t k = 0; k < got.margins.size(); ++k) {
+      EXPECT_EQ(got.margins[k].second.margin,
+                reference.margins[k].second.margin)
+          << fault::to_string(got.margins[k].first);
+    }
+  }
+}
+
+TEST(Query, DaemonFaultMarginsBesideMultiHourPeriodsStayTrue) {
+  serve::Engine engine(serve::Engine::Options{});
+  for (const char* period_ms : {"1e7", "2e7", "1e300"}) {
+    SCOPED_TRACE(std::string("period_ms ") + period_ms);
+    const std::string response = engine.handle_line(
+        R"({"type":"faultcheck","protocol":"modified8025",)"
+        R"("bandwidth_mbps":100,)" + long_period_streams(period_ms) + "}",
+        "test");
+    const obs::JsonParseResult doc = obs::parse_json(response);
+    ASSERT_TRUE(doc.ok) << response;
+    ASSERT_EQ(doc.value.find("status")->as_int64(), 200) << response;
+    int seen = 0;
+    for (const obs::JsonValue& row :
+         doc.value.find("result")->find("margins")->items()) {
+      const std::string kind = row.find("fault_kind")->as_string();
+      const std::int64_t margin = row.find("margin")->as_int64();
+      if (kind == "token_loss") {
+        EXPECT_EQ(margin, 3649);
+        ++seen;
+      } else if (kind == "duplicate_token") {
+        EXPECT_EQ(margin, 6497);
+        ++seen;
+      }
+    }
+    EXPECT_EQ(seen, 2) << response;
+  }
+}
+
+TEST(Query, MarginPastIntMaxIsRefusedByName) {
+  // One stream of period 1e300 ms: every fault kind still passes at
+  // INT_MAX faults per period, so no int margin is true.
+  const std::string line =
+      R"({"type":"faultcheck","protocol":"modified8025",)"
+      R"("bandwidth_mbps":100,"streams":[{"station":0,"period_ms":1e300,)"
+      R"("payload_bits":1000}]})";
+  serve::Request request;
+  std::string error;
+  ASSERT_TRUE(
+      serve::parse_request(obs::parse_json(line).value, request, error));
+  const std::string expected =
+      "the token_loss fault margin exceeds 2147483647 faults per period";
+  try {
+    query::faultcheck(request.check);
+    ADD_FAILURE() << "faultcheck answered a margin past INT_MAX";
+  } catch (const fault::MarginOutOfRange& e) {
+    EXPECT_EQ(std::string(e.what()), expected);
+  }
+
+  serve::Engine engine(serve::Engine::Options{});
+  const obs::JsonParseResult doc =
+      obs::parse_json(engine.handle_line(line, "test"));
+  ASSERT_TRUE(doc.ok);
+  EXPECT_EQ(doc.value.find("status")->as_int64(), 400);
+  EXPECT_EQ(doc.value.find("error")->as_string(), expected);
 }
 
 }  // namespace

@@ -313,6 +313,22 @@ TEST_F(ToolTest, FaultcheckOverloadedExitsTwo) {
   EXPECT_NE(r.output.find("NOT SCHEDULABLE"), std::string::npos);
 }
 
+TEST_F(ToolTest, FaultcheckRefusesAMarginNoIntCanCarry) {
+  // A deadline of 1e300 ms absorbs more than INT_MAX token losses per
+  // period: the CLI exits 1 naming the fault kind, never printing a
+  // smaller margin as true.
+  const std::string path = temp_path("tool_test_endless.csv");
+  write_scenario(path, "0,1e300,1000\n");
+  const auto r = run_tool("faultcheck --file=" + path +
+                          " --protocol=modified8025 --bandwidth-mbps=100");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("the token_loss fault margin exceeds 2147483647 "
+                          "faults per period"),
+            std::string::npos)
+      << r.output;
+  std::remove(path.c_str());
+}
+
 TEST_F(ToolTest, FaultcheckRequiresFileFlag) {
   EXPECT_EQ(run_tool("faultcheck").exit_code, 1);
 }

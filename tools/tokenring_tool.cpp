@@ -523,5 +523,9 @@ int main(int argc, char** argv) {
     // simulate's horizon outran the simulator's max-event guard.
     std::fprintf(stderr, "%s\n", e.what());
     return 1;
+  } catch (const fault::MarginOutOfRange& e) {
+    // faultcheck or advise met a margin no int can carry.
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
   }
 }
