@@ -5,11 +5,12 @@
 // against the equivalent response-time analysis, the O(n) TTP criterion,
 // and one full breakdown-saturation search.
 //
-// Benchmarks come in reference/fast pairs: every *Kernel / *Fast /
-// *ScaledInto variant has a same-shaped reference benchmark in the same
-// run, so scripts/check_perf_baseline.py can gate both absolute regressions
-// (against the checked-in BENCH_kernels.json) and the in-run speedup of the
-// fast path over its reference.
+// Benchmarks come in reference/fast pairs: every *Kernel / *Batch /
+// *Screened / *ScaledInto variant has a same-shaped reference benchmark in
+// the same run, so scripts/check_perf_baseline.py can gate both absolute
+// regressions (against the checked-in BENCH_kernels.json) and the in-run
+// speedup of the fast path over its reference. The kernel rows run the
+// batch kernels; the *Scalar rows run them one lane per set.
 
 #include <benchmark/benchmark.h>
 
@@ -51,6 +52,28 @@ experiments::PaperSetup setup_for(int n) {
   experiments::PaperSetup s;
   s.num_stations = n;
   return s;
+}
+
+/// The lockstep-search view of one batch kernel instance.
+template <typename Kernel>
+breakdown::BatchScaleKernel view(const Kernel& kernel) {
+  return [&kernel](std::span<const double> scales,
+                   std::span<const std::uint8_t> active,
+                   std::span<std::uint8_t> verdicts) {
+    kernel.evaluate(scales, active, verdicts);
+  };
+}
+
+/// Breakdown utilization of one saturation search through a one-lane
+/// kernel built for `base`: the kernel path's scalar case.
+template <typename Kernel, typename Params>
+double one_lane_saturation(const msg::MessageSet& base, const Params& params,
+                           BitsPerSecond bw) {
+  const std::span<const msg::MessageSet> lane(&base, 1);
+  const Kernel kernel(lane, params, bw);
+  return breakdown::find_saturation_batch(lane, view(kernel), bw)
+      .front()
+      .breakdown_utilization;
 }
 
 void BM_PdpResponseTimeAnalysis(benchmark::State& state) {
@@ -134,8 +157,9 @@ void BM_SaturationSearchTtp(benchmark::State& state) {
 BENCHMARK(BM_SaturationSearchTtp)->Arg(10)->Arg(100)->Arg(1000);
 
 // Kernel-path saturation searches: identical probe sequence and result to
-// the predicate pairs above (pinned by tests), but the scale-invariant work
-// is hoisted out of the probe loop and no probe allocates.
+// the predicate pairs above (pinned by tests), on a one-lane batch kernel:
+// the scale-invariant work is hoisted out of the probe loop and no probe
+// allocates.
 void BM_SaturationSearchPdpKernel(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto setup = setup_for(n);
@@ -143,10 +167,8 @@ void BM_SaturationSearchPdpKernel(benchmark::State& state) {
   const auto params = setup.pdp_params(analysis::PdpVariant::kModified8025);
   const auto base = make_set(n, 3, 1.0);
   for (auto _ : state) {
-    const analysis::PdpScaleKernel kernel(base, params, bw);
     benchmark::DoNotOptimize(
-        breakdown::find_saturation_scaled(base, kernel, bw)
-            .breakdown_utilization);
+        one_lane_saturation<analysis::PdpBatchKernel>(base, params, bw));
   }
 }
 BENCHMARK(BM_SaturationSearchPdpKernel)->Arg(10)->Arg(100);
@@ -158,19 +180,17 @@ void BM_SaturationSearchTtpKernel(benchmark::State& state) {
   const auto params = setup.ttp_params();
   const auto base = make_set(n, 3, 1.0);
   for (auto _ : state) {
-    const analysis::TtpScaleKernel kernel(base, params, bw);
     benchmark::DoNotOptimize(
-        breakdown::find_saturation_scaled(base, kernel, bw)
-            .breakdown_utilization);
+        one_lane_saturation<analysis::TtpBatchKernel>(base, params, bw));
   }
 }
 BENCHMARK(BM_SaturationSearchTtpKernel)->Arg(10)->Arg(100)->Arg(1000);
 
 // Batched (SoA) saturation: B independent boundary searches advanced in
-// lockstep by one batch kernel vs the same B searches run one scalar
-// kernel at a time. Same sets, same probe sequences, bit-identical
-// results (pinned by tests) — the pair isolates the SoA/vectorization
-// win. Arg = lanes per batch.
+// lockstep by one batch kernel vs the same B searches run one at a time on
+// one-lane kernels. Same sets, same probe sequences, bit-identical results
+// (pinned by tests) — the pair isolates the SoA/vectorization win. Arg =
+// lanes per batch.
 std::vector<msg::MessageSet> make_lane_sets(int n, std::size_t lanes,
                                             std::uint64_t seed) {
   std::vector<msg::MessageSet> bases;
@@ -190,9 +210,7 @@ void BM_SaturationScalarPdp(benchmark::State& state) {
   for (auto _ : state) {
     double acc = 0.0;
     for (const auto& base : bases) {
-      const analysis::PdpScaleKernel kernel(base, params, bw);
-      acc += breakdown::find_saturation_scaled(base, kernel, bw)
-                 .breakdown_utilization;
+      acc += one_lane_saturation<analysis::PdpBatchKernel>(base, params, bw);
     }
     benchmark::DoNotOptimize(acc);
   }
@@ -210,14 +228,7 @@ void BM_SaturationBatchPdp(benchmark::State& state) {
   const auto bases = make_lane_sets(n, lanes, 3);
   for (auto _ : state) {
     const analysis::PdpBatchKernel kernel(bases, params, bw);
-    const auto sats = breakdown::find_saturation_batch(
-        bases,
-        [&kernel](std::span<const double> scales,
-                  std::span<const std::uint8_t> active,
-                  std::span<std::uint8_t> verdicts) {
-          kernel.evaluate(scales, active, verdicts);
-        },
-        bw);
+    const auto sats = breakdown::find_saturation_batch(bases, view(kernel), bw);
     double acc = 0.0;
     for (const auto& sat : sats) acc += sat.breakdown_utilization;
     benchmark::DoNotOptimize(acc);
@@ -237,9 +248,7 @@ void BM_SaturationScalarTtp(benchmark::State& state) {
   for (auto _ : state) {
     double acc = 0.0;
     for (const auto& base : bases) {
-      const analysis::TtpScaleKernel kernel(base, params, bw);
-      acc += breakdown::find_saturation_scaled(base, kernel, bw)
-                 .breakdown_utilization;
+      acc += one_lane_saturation<analysis::TtpBatchKernel>(base, params, bw);
     }
     benchmark::DoNotOptimize(acc);
   }
@@ -257,14 +266,7 @@ void BM_SaturationBatchTtp(benchmark::State& state) {
   const auto bases = make_lane_sets(n, lanes, 3);
   for (auto _ : state) {
     const analysis::TtpBatchKernel kernel(bases, params, bw);
-    const auto sats = breakdown::find_saturation_batch(
-        bases,
-        [&kernel](std::span<const double> scales,
-                  std::span<const std::uint8_t> active,
-                  std::span<std::uint8_t> verdicts) {
-          kernel.evaluate(scales, active, verdicts);
-        },
-        bw);
+    const auto sats = breakdown::find_saturation_batch(bases, view(kernel), bw);
     double acc = 0.0;
     for (const auto& sat : sats) acc += sat.breakdown_utilization;
     benchmark::DoNotOptimize(acc);
@@ -279,19 +281,28 @@ BENCHMARK(BM_SaturationBatchTtp)->Arg(8)->Arg(64)->Arg(256)
 // reporting the effective memory bandwidth of the probe arithmetic (per
 // full-width pass the TTP kernel streams the base-payload and
 // usable-visits SoA rows and the per-lane accumulators). The scalar
-// counterpart evaluates the same lanes one kernel at a time.
+// counterpart evaluates the same lanes on one one-lane kernel per set.
 void BM_TtpEvaluateScalar(benchmark::State& state) {
   const auto lanes = static_cast<std::size_t>(state.range(0));
   const int n = 100;
   const BitsPerSecond bw = mbps(100);
   const auto params = setup_for(n).ttp_params();
   const auto bases = make_lane_sets(n, lanes, 3);
-  std::vector<analysis::TtpScaleKernel> kernels;
+  std::vector<analysis::TtpBatchKernel> kernels;
   kernels.reserve(lanes);
-  for (const auto& base : bases) kernels.emplace_back(base, params, bw);
+  for (const auto& base : bases) {
+    kernels.emplace_back(std::span<const msg::MessageSet>(&base, 1), params,
+                         bw);
+  }
+  const double scale[] = {2.0};
+  const std::uint8_t active[] = {1};
+  std::uint8_t verdict[] = {0};
   for (auto _ : state) {
     bool all = true;
-    for (const auto& kernel : kernels) all &= kernel(2.0);
+    for (const auto& kernel : kernels) {
+      kernel.evaluate(scale, active, verdict);
+      all &= verdict[0] != 0;
+    }
     benchmark::DoNotOptimize(all);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -383,19 +394,6 @@ void BM_LsdExact(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LsdExact)->Arg(100);
-
-void BM_LsdIncremental(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const auto params =
-      setup_for(n).pdp_params(analysis::PdpVariant::kStandard8025);
-  const BitsPerSecond bw = mbps(16);
-  const auto tasks = analysis::pdp_tasks(make_set(n, 1, 20.0), params, bw);
-  const Seconds blocking = analysis::pdp_blocking(params, bw);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::lsd_feasible_fast(tasks, blocking));
-  }
-}
-BENCHMARK(BM_LsdIncremental)->Arg(100);
 
 // Timed in microseconds: the manifest keeps one decimal of the unit, and
 // at 0.1 ms resolution a ~0.15 ms run reads 0.1 or 0.2 ms from noise alone.

@@ -21,7 +21,10 @@ int main(int argc, char** argv) {
   flags.declare("stations", "32", "stations on the ring");
   flags.declare("requests", "40", "number of admission requests to replay");
   flags.declare("seed", "3", "RNG seed for the request workload");
-  if (!flags.parse(argc, argv)) return 1;
+  if (const auto parsed = flags.parse_detailed(argc, argv);
+      parsed != CliFlags::ParseOutcome::kOk) {
+    return parsed == CliFlags::ParseOutcome::kHelp ? 0 : 1;
+  }
 
   const std::string name = flags.get_string("protocol");
   const auto protocol = planner::protocol_from_name(name);

@@ -26,7 +26,10 @@ int main(int argc, char** argv) {
   flags.declare("noise-ms", "1", "noise burst duration [ms]");
   flags.declare("horizon-ms", "500", "simulated time [ms]");
   flags.declare("seed", "7", "fault-timing seed");
-  if (!flags.parse(argc, argv)) return 1;
+  if (const auto parsed = flags.parse_detailed(argc, argv);
+      parsed != CliFlags::ParseOutcome::kOk) {
+    return parsed == CliFlags::ParseOutcome::kHelp ? 0 : 1;
+  }
 
   const BitsPerSecond bw = mbps(flags.get_double("bandwidth-mbps"));
   const Seconds horizon = milliseconds(flags.get_double("horizon-ms"));

@@ -25,7 +25,10 @@ int main(int argc, char** argv) {
                 "candidate link speeds [Mbit/s]");
   flags.declare("sets", "50", "Monte Carlo sets per estimate");
   flags.declare("seed", "1", "RNG seed");
-  if (!flags.parse(argc, argv)) return 1;
+  if (const auto parsed = flags.parse_detailed(argc, argv);
+      parsed != CliFlags::ParseOutcome::kOk) {
+    return parsed == CliFlags::ParseOutcome::kHelp ? 0 : 1;
+  }
 
   planner::TrafficProfile profile;
   profile.num_stations = get_count(flags, "stations");

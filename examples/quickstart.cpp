@@ -43,7 +43,10 @@ int main(int argc, char** argv) {
   CliFlags flags;
   flags.declare("bandwidth-mbps", "16", "link bandwidth in Mbit/s");
   flags.declare("file", "", "scenario CSV (station,period_ms,payload_bits)");
-  if (!flags.parse(argc, argv)) return 1;
+  if (const auto parsed = flags.parse_detailed(argc, argv);
+      parsed != CliFlags::ParseOutcome::kOk) {
+    return parsed == CliFlags::ParseOutcome::kHelp ? 0 : 1;
+  }
   const BitsPerSecond bw = mbps(flags.get_double("bandwidth-mbps"));
 
   msg::MessageSet set;
@@ -80,10 +83,9 @@ int main(int argc, char** argv) {
                 verdict.schedulable ? "SCHEDULABLE" : "NOT schedulable",
                 to_microseconds(verdict.blocking));
     for (const auto& r : verdict.reports) {
-      std::printf("  station %d: P=%5.1fms C'=%7.3fms frames=%3lld  %s",
+      std::printf("  station %d: P=%5.1fms C'=%7.3fms frames=%3.0f  %s",
                   r.stream.station, to_milliseconds(r.stream.period),
-                  to_milliseconds(r.augmented_length),
-                  static_cast<long long>(r.frames),
+                  to_milliseconds(r.augmented_length), r.frames,
                   r.schedulable ? "ok" : "MISSES");
       if (r.response_time) {
         std::printf("  (worst response %.2f ms)", to_milliseconds(*r.response_time));
@@ -103,8 +105,8 @@ int main(int argc, char** argv) {
               to_milliseconds(verdict.allocated),
               to_milliseconds(verdict.available));
   for (const auto& r : verdict.reports) {
-    std::printf("  station %d: P=%5.1fms q=%2lld h=%.4fms %s\n", r.stream.station,
-                to_milliseconds(r.stream.period), static_cast<long long>(r.q),
+    std::printf("  station %d: P=%5.1fms q=%2.0f h=%.4fms %s\n", r.stream.station,
+                to_milliseconds(r.stream.period), r.q,
                 to_milliseconds(r.h), r.deadline_feasible ? "" : "(q<2!)");
   }
 

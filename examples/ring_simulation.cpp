@@ -50,7 +50,10 @@ int main(int argc, char** argv) {
                 "print the event timeline for the first N ms (0 = off)");
   flags.declare("async", "saturating", "async model: none|saturating|poisson");
   flags.declare("async-fps", "2000", "Poisson async frames/s per station");
-  if (!flags.parse(argc, argv)) return 1;
+  if (const auto parsed = flags.parse_detailed(argc, argv);
+      parsed != CliFlags::ParseOutcome::kOk) {
+    return parsed == CliFlags::ParseOutcome::kHelp ? 0 : 1;
+  }
 
   const BitsPerSecond bw = mbps(flags.get_double("bandwidth-mbps"));
   const Seconds horizon = milliseconds(flags.get_double("horizon-ms"));

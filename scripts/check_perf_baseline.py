@@ -36,26 +36,28 @@ import sys
 
 # (fast benchmark prefix, reference prefix, required speedup). Matched per
 # /arg suffix: BM_SaturationSearchPdpKernel/10 pairs with
-# BM_SaturationSearchPdp/10. Required speedups are set well below the
-# locally measured factors (2.1-4.0x for the saturation searches, >100x for
-# the screened verdicts) so the gate trips on real behaviour changes, not
-# timer noise.
+# BM_SaturationSearchPdp/10. Required speedups are set below the locally
+# measured factors so the gate trips on real behaviour changes, not timer
+# noise. The kernel rows and the *Scalar rows run the batch kernels, one
+# lane per set. Medians of eight CPU-pinned runs (Release, GCC 12.2.0,
+# 4-vCPU Xeon): the kernel searches beat the predicate searches 2.1x (PDP
+# n=10), 24x (PDP n=100, where the predicate path has no cost dominance)
+# and 2.2/2.5/2.8x (TTP n=10/100/1000); the screened RTA verdict 77x.
 #
 # The SoA batch pairs (B = 8/64/256 lanes in lockstep vs the same searches
-# one scalar kernel at a time) are gated on locally measured factors too:
-# the TTP probe loop is divide-throughput-bound (two divpd per element, and
+# on one one-lane kernel per set) are gated on measured factors too: the
+# TTP probe loop is divide-throughput-bound (two divpd per element, and
 # per-element divide throughput is the same at every SIMD width), so ~2x is
-# the hardware ceiling for the bit-identical evaluate — measured 1.95x raw
-# (BM_TtpEvaluate*) and ~1.8x across a whole search, where the scalar
-# reference keeps its early exits. The PDP searches are dominated by the
-# exact response-time analysis both paths share, so the batch pair there is
-# an anti-regression gate (lockstep bookkeeping must not cost), not a
-# speedup claim.
+# the hardware ceiling for the bit-identical evaluate — measured 2.2x raw
+# (BM_TtpEvaluate*) and 1.8-2.2x across whole searches. Both PDP paths run
+# the same exact response-time analysis and cost dominance, so the PDP
+# batch pair measures lockstep width alone (medians 1.03-1.19x): an
+# anti-regression gate (lockstep bookkeeping must not cost), not a speedup
+# claim.
 PAIRS = [
     ("BM_SaturationSearchPdpKernel", "BM_SaturationSearchPdp", 1.5),
     ("BM_SaturationSearchTtpKernel", "BM_SaturationSearchTtp", 1.5),
     ("BM_RtaScreened", "BM_RtaExact", 2.0),
-    ("BM_LsdIncremental", "BM_LsdExact", 2.0),
     ("BM_ScaledInto", "BM_ScaledCopy", 1.0),
     ("BM_SaturationBatchPdp", "BM_SaturationScalarPdp", 0.85),
     ("BM_SaturationBatchTtp", "BM_SaturationScalarTtp", 1.4),

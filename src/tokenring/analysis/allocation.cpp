@@ -1,6 +1,6 @@
 #include "tokenring/analysis/allocation.hpp"
 
-#include <cmath>
+#include <algorithm>
 
 #include "tokenring/common/checks.hpp"
 
@@ -50,13 +50,10 @@ AllocationResult allocate(const msg::MessageSet& set, const TtpParams& params,
 
   for (std::size_t i = 0; i < set.size(); ++i) {
     const auto& s = set[i];
-    const auto q =
-        static_cast<std::int64_t>(std::floor(s.deadline() / ttrt));
+    const double q = ttp_visits(s.deadline(), ttrt);
     switch (scheme) {
       case AllocationScheme::kLocal:
-        res.h[i] = q >= 2 ? s.payload_time(bw) / static_cast<double>(q - 1) +
-                                f_ovhd
-                          : 0.0;
+        res.h[i] = q >= 2.0 ? s.payload_time(bw) / (q - 1.0) + f_ovhd : 0.0;
         break;
       case AllocationScheme::kFullLength:
         res.h[i] = s.payload_time(bw) + f_ovhd;
@@ -84,15 +81,13 @@ AllocationResult allocate(const msg::MessageSet& set, const TtpParams& params,
   Seconds sum_h = 0.0;
   for (std::size_t i = 0; i < set.size(); ++i) {
     const auto& s = set[i];
-    const auto q =
-        static_cast<std::int64_t>(std::floor(s.deadline() / ttrt));
+    const double q = ttp_visits(s.deadline(), ttrt);
     sum_h += res.h[i];
-    if (q < 2) {
+    if (q < 2.0) {
       res.deadline_ok = false;
       continue;
     }
-    const Seconds usable =
-        static_cast<double>(q - 1) * std::max(0.0, res.h[i] - f_ovhd);
+    const Seconds usable = (q - 1.0) * std::max(0.0, res.h[i] - f_ovhd);
     const Seconds need = s.payload_time(bw);
     if (usable < need * (1.0 - kRelTol)) res.deadline_ok = false;
   }

@@ -5,7 +5,7 @@
 // floor/ceil in the PDP frame-count arithmetic can use vector rounding
 // instructions. Every operation is IEEE-exact scalar-for-scalar (mul, div,
 // add, floor, ceil, max, blend — no FMA contraction, no reassociation), so
-// the verdicts are bit-identical to the scalar kernels whatever the vector
+// the verdicts are bit-identical to the predicates whatever the vector
 // width. The VEC-HOT markers delimit the loops scripts/check_vectorization.py
 // requires the compiler to vectorize.
 
@@ -14,6 +14,7 @@
 #include <utility>
 
 #include "tokenring/analysis/kernels.hpp"
+#include "tokenring/analysis/pdp_cost.hpp"
 #include "tokenring/analysis/ttrt.hpp"
 #include "tokenring/common/checks.hpp"
 #include "tokenring/obs/registry.hpp"
@@ -21,44 +22,6 @@
 namespace tokenring::analysis {
 
 namespace {
-
-/// The geometry terms of `pdp_augmented_length` at one bandwidth.
-struct PdpCostTerms {
-  double info_bits;
-  double theta;
-  double frame_time;
-  double info_time;
-  double overhead_time;
-  double bw;
-};
-
-/// Bitwise `pdp_augmented_length(stream with this payload, params, bw)`:
-/// same multiplies, same divides, same accumulation order as the scalar
-/// path, with its branches turned into selects. The cost stage's loop and
-/// the fail witness both call it, so a witness's recomputed costs are the
-/// bits the stage produced.
-template <bool kStandard, bool kFrameDominated>
-inline double pdp_cost(double payload, const PdpCostTerms& g) {
-  const double frames = payload / g.info_bits;
-  const double full = std::floor(frames);   // L_i
-  const double total = std::ceil(frames);   // K_i
-  const double token_overhead =
-      kStandard ? total * g.theta / 2.0 : g.theta / 2.0;
-  double value;
-  if constexpr (kFrameDominated) {
-    // F <= Theta: every frame's slot costs Theta.
-    value = total * g.theta + token_overhead;
-  } else {
-    // L_i full frames at F each, plus a short last frame iff K_i > L_i.
-    // The short-frame time is computed unconditionally (it is harmless
-    // garbage when K_i == L_i) so both conditionals lower to selects.
-    const double short_frame = std::max(
-        payload / g.bw - full * g.info_time + g.overhead_time, g.theta);
-    const double tail = total > full ? short_frame : 0.0;
-    value = full * g.frame_time + token_overhead + tail;
-  }
-  return payload > 0.0 ? value : 0.0;
-}
 
 /// Augmented-length stage of the PDP batch probe: cost[i*lanes + l] is
 /// `pdp_cost` of lane l's payload base_payload * scale at station i.
@@ -106,8 +69,7 @@ PdpBatchKernel::PdpBatchKernel(std::span<const msg::MessageSet> bases,
     TR_EXPECTS_MSG(bases[l].size() == stations_,
                    "batch lanes must share one station count");
     // Deadline sort compares only deadlines, which scaling leaves
-    // untouched: the base permutation is the scaled permutation (same
-    // hoist as the scalar kernel).
+    // untouched: the base permutation is the scaled permutation.
     const msg::MessageSet sorted = bases[l].rm_sorted();
     // Committed costs start at -1, below every cost: every probe dominates
     // them for the warm start, and none is at or below them, so the lane
@@ -137,15 +99,10 @@ PdpBatchKernel::PdpBatchKernel(std::span<const msg::MessageSet> bases,
 
 double PdpBatchKernel::witness_cost(std::size_t i, std::size_t l,
                                     double scale) const {
-  const PdpCostTerms g{info_bits_,     theta_, frame_time_, info_time_,
-                       overhead_time_, bw_};
-  const double payload = base_payload_[i * lanes_ + l] * scale;
-  if (standard_variant_) {
-    return frame_dominated_ ? pdp_cost<true, true>(payload, g)
-                            : pdp_cost<true, false>(payload, g);
-  }
-  return frame_dominated_ ? pdp_cost<false, true>(payload, g)
-                          : pdp_cost<false, false>(payload, g);
+  return pdp_cost(base_payload_[i * lanes_ + l] * scale,
+                  {info_bits_, theta_, frame_time_, info_time_,
+                   overhead_time_, bw_},
+                  standard_variant_, frame_dominated_);
 }
 
 void PdpBatchKernel::evaluate(std::span<const double> scales,
@@ -166,9 +123,9 @@ void PdpBatchKernel::evaluate(std::span<const double> scales,
       cost_.data());
 
   // Per live lane: cost dominance against the lane's two witnesses, then
-  // the screened RTA, whose verdict is the scalar kernel's (the
-  // failed-task hint only reorders which task is tested first, the warm
-  // start only where each fixpoint starts).
+  // the screened RTA, whose verdict is pdp_feasible's (the failed-task
+  // hint only reorders which task is tested first, the warm start only
+  // where each fixpoint starts).
   RtaWork work;
   std::uint64_t exact_probes = 0;
   for (std::size_t l = 0; l < lanes_; ++l) {
@@ -252,18 +209,17 @@ TtpBatchKernel::TtpBatchKernel(std::span<const msg::MessageSet> bases,
     available_[l] = ttrt - lambda;
     for (std::size_t i = 0; i < stations_; ++i) {
       const auto& s = bases[l].streams()[i];
-      // q_i = floor(D_i / TTRT) reads only the deadline: scale-invariant.
-      const auto q =
-          static_cast<std::int64_t>(std::floor(s.deadline() / ttrt));
-      if (q < 2) {
+      // q_i reads only the deadline: scale-invariant.
+      const double q = ttp_visits(s.deadline(), ttrt);
+      if (q < 2.0) {
         // Deadline-infeasible at every scale; leave the dummy rows (payload
         // 0, divisor 1) so the full-width loop stays finite, and force the
-        // verdict below — exactly the scalar kernel's early-out flag.
+        // verdict below — the predicate's early return.
         infeasible_[l] = 1;
         break;
       }
       base_payload_[i * lanes_ + l] = s.payload_bits;
-      usable_visits_[i * lanes_ + l] = static_cast<double>(q - 1);
+      usable_visits_[i * lanes_ + l] = q - 1.0;
     }
   }
 }
@@ -276,22 +232,26 @@ void TtpBatchKernel::evaluate(std::span<const double> scales,
   TR_EXPECTS(verdicts.size() == lanes_);
 
   double* acc = allocated_.data();
-  std::fill(allocated_.begin(), allocated_.end(), 0.0);
-  // Per-lane allocation sums accumulate in station order — the scalar
-  // accumulation order — with lanes advancing in lockstep.
+  // Per-lane allocation sums accumulate in station order — the
+  // predicate's accumulation order, from 0.0 — with lanes advancing in
+  // lockstep. The first station reads 0.0 instead of a zeroed
+  // accumulator: the same additions without a memset call per probe,
+  // which would outweigh a short sum in a one-lane kernel.
   for (std::size_t i = 0; i < stations_; ++i) {
     const double* bp = base_payload_.data() + i * lanes_;
     const double* uv = usable_visits_.data() + i * lanes_;
+    const bool first = i == 0;
     // VEC-HOT-BEGIN(ttp_alloc)
     for (std::size_t l = 0; l < lanes_; ++l) {
       const double payload_bits = bp[l] * scales[l];
-      acc[l] += (payload_bits / bw_) / uv[l] + frame_overhead_;
+      acc[l] = (first ? 0.0 : acc[l]) +
+               ((payload_bits / bw_) / uv[l] + frame_overhead_);
     }
     // VEC-HOT-END(ttp_alloc)
   }
   // Non-negative terms make the per-station prefix sums monotone (in FP
-  // too), so "some prefix exceeded the available time" — the scalar early
-  // exit — holds exactly when the full sum does.
+  // too), so "some prefix exceeded the available time" — the predicate's
+  // early exit — holds exactly when the full sum does.
   for (std::size_t l = 0; l < lanes_; ++l) {
     if (!active[l]) continue;
     verdicts[l] = (!infeasible_[l] && acc[l] <= available_[l]) ? 1 : 0;

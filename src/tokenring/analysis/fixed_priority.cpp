@@ -369,73 +369,6 @@ bool rta_feasible_fast(const std::vector<FpTask>& tasks, Seconds blocking,
   return true;
 }
 
-namespace {
-
-// One scheduling point for the incremental walk: `t` is the l-th multiple
-// of stream `k`'s period (bitwise the same value the reference generates).
-struct PointEvent {
-  Seconds t;
-  std::size_t k;
-};
-
-// Incremental Lehoczky-Sha-Ding test for one task: walk the merged,
-// deduplicated point list in ascending order keeping W_i(t) as a running
-// value — each event advances exactly one stream's ceil term by one, so
-// the whole walk costs O(points) instead of O(i * points).
-bool lsd_point_test_incremental(const std::vector<FpTask>& tasks,
-                                std::size_t i, Seconds blocking,
-                                std::vector<PointEvent>& events) {
-  const Seconds d = tasks[i].effective_deadline();
-  events.clear();
-  for (std::size_t k = 0; k <= i; ++k) {
-    const auto lmax =
-        static_cast<std::int64_t>(std::floor(d / tasks[k].period));
-    for (std::int64_t l = 1; l <= lmax; ++l) {
-      events.push_back({static_cast<double>(l) * tasks[k].period, k});
-    }
-  }
-  std::sort(events.begin(), events.end(),
-            [](const PointEvent& a, const PointEvent& b) { return a.t < b.t; });
-
-  // At any t no larger than the first point, every ceil term is 1.
-  Seconds w = blocking + tasks[i].cost;
-  for (std::size_t j = 0; j < i; ++j) w += tasks[j].cost;
-
-  std::size_t e = 0;
-  while (e < events.size()) {
-    const Seconds t = events[e].t;
-    if (w <= t) return true;
-    // Advance every stream whose multiple this point is (duplicates from
-    // harmonic periods collapse into one evaluation, several bumps): past
-    // t, stream k's ceil is one higher. Events of the task itself (k == i)
-    // mark evaluation points but add no interference term.
-    for (; e < events.size() && events[e].t == t; ++e) {
-      if (events[e].k < i) w += tasks[events[e].k].cost;
-    }
-  }
-  // Final point t = D_i. If D_i coincides with the last multiple the loop
-  // already evaluated it with the exact ceil values; the re-check here
-  // uses the advanced (larger) workload and so can only stay negative.
-  return w <= d;
-}
-
-}  // namespace
-
-bool lsd_feasible_fast(const std::vector<FpTask>& tasks, Seconds blocking) {
-  if (tasks.empty()) return true;
-  if (utilization_quick_reject(tasks, blocking)) return false;
-  std::vector<PointEvent> events;
-  HyperbolicScreen screen;
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    if (!screen.accepts(tasks[i], blocking) &&
-        !lsd_point_test_incremental(tasks, i, blocking, events)) {
-      return false;
-    }
-    screen.advance(tasks[i]);
-  }
-  return true;
-}
-
 double liu_layland_bound(std::size_t n) {
   TR_EXPECTS(n >= 1);
   const double nn = static_cast<double>(n);

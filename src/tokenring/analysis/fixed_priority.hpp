@@ -18,7 +18,9 @@
 // fl(l*P)/P back to l), so they can split when a response lands within an
 // ulp of a period multiple; the randomized property test pins agreement on
 // its corpus, and ROADMAP.md keeps two reproducers of the split. The Monte
-// Carlo driver uses RTA.
+// Carlo probes use RTA, through `rta_feasible_fast` (exact screens around
+// the per-task fixpoint); the scheduling-point test keeps only its literal
+// form, as the paper-faithful reference.
 //
 // Inputs are plain vectors sorted by non-decreasing effective deadline,
 // index 0 = highest priority. With implicit deadlines (D = P, the paper's
@@ -234,16 +236,6 @@ struct RtaSearchState {
 /// without it there is no hint, no warm start and no work count.
 bool rta_feasible_fast(const std::vector<FpTask>& tasks, Seconds blocking,
                        RtaSearchState* state = nullptr);
-
-/// Boolean scheduling-point verdict with the same screens as
-/// `rta_feasible_fast` plus an incremental point walk: per-task point
-/// lists are sorted and deduplicated once, and the workload is updated in
-/// O(1) per point (each point bumps exactly its own stream's ceil term)
-/// instead of recomputed in O(i). The incremental sum associates additions
-/// in point order rather than task order, so workload values can differ
-/// from the reference by ulps; verdicts agree except on exact
-/// workload == t ties (measure zero, pinned by the differential test).
-bool lsd_feasible_fast(const std::vector<FpTask>& tasks, Seconds blocking);
 
 /// Liu-Layland utilization bound n*(2^{1/n} - 1): a *sufficient* condition
 /// on sum(cost/period) for schedulability with zero blocking. Provided for

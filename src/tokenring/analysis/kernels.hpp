@@ -1,32 +1,33 @@
-// Allocation-free schedulability kernels in scale space.
+// Allocation-free batch schedulability kernels in scale space.
 //
 // A saturation search (breakdown/saturation.hpp) probes one base message
 // set at 25.1 scale factors per trial on average (Figure 1 at its
-// defaults). The plain predicates re-derive everything from the scaled set
-// on every probe: copy the streams, sort them, re-select the TTRT,
-// recompute blocking. All of that is invariant under uniform payload
-// scaling — periods, deadlines, the priority permutation, Theta, frame
-// geometry, TTRT bids, per-station visit counts and the blocking term
-// depend only on quantities scaling leaves untouched. These kernels hoist
-// the invariant work into construction (once per trial) and leave only the
-// genuinely scale-dependent arithmetic in operator() — no allocation, no
+// defaults). The paper's predicates (`pdp_feasible`, `ttp_feasible`,
+// `ttp_feasible_at`) re-derive everything from the scaled set on every
+// probe: copy the streams, sort them, re-select the TTRT, recompute
+// blocking. All of that is invariant under uniform payload scaling —
+// periods, deadlines, the priority permutation, Theta, frame geometry,
+// TTRT bids, per-station visit counts and the blocking term depend only on
+// quantities scaling leaves untouched. These kernels hoist the invariant
+// work into construction (once per batch of trials) and leave only the
+// genuinely scale-dependent arithmetic in evaluate() — no allocation, no
 // sort, no sqrt in the probe loop.
 //
-// Contract: kernel(a) returns the same verdict as the predicate it
-// replaces evaluated on base.scaled(a), for every a. The scale-dependent
-// arithmetic replays the reference implementations operation for
-// operation (same multiplies, same divides, same accumulation order), and
-// the screens in rta_feasible_fast are margin-guarded exact conditions, so
+// Contract: lane l's verdict at scale a is the verdict of the predicate it
+// replaces on bases[l].scaled(a). The scale-dependent arithmetic replays
+// the predicates operation for operation (same multiplies, same divides,
+// same accumulation order), and every shortcut (the screens in
+// rta_feasible_fast, the deadline point, cost dominance) is exact, so
 // bisection trajectories — and Monte Carlo breakdown utilizations — are
-// bit-identical to the predicate path. The differential property test and
-// the kernel-vs-predicate saturation tests pin this.
-
-// The batch kernels below are the structure-of-arrays siblings: one kernel
-// evaluates B independent trials ("lanes") per pass. Because each lane must
-// replay the scalar accumulation order bit for bit, the vectorization
-// dimension is *across* lanes: per-station values are stored station-major
-// x lane-minor (index = station * lanes + lane), so the inner loop walks a
-// contiguous run of independent lanes the compiler can autovectorize.
+// bit-identical to the predicate path. The differential property tests
+// pin this against the predicates; a one-lane kernel is the scalar case.
+//
+// One kernel evaluates B independent trials ("lanes") per pass. Because
+// each lane must replay the predicate's accumulation order bit for bit,
+// the vectorization dimension is *across* lanes: per-station values are
+// stored station-major x lane-minor (index = station * lanes + lane), so
+// the inner loop walks a contiguous run of independent lanes the compiler
+// can autovectorize.
 
 #pragma once
 
@@ -41,66 +42,11 @@
 
 namespace tokenring::analysis {
 
-/// Scale-space form of `pdp_feasible`: kernel(a) == pdp_feasible(
-/// base.scaled(a), params, bw). Hoists the rate-monotonic sort and the
-/// blocking bound; per probe it recomputes the augmented lengths (frame
-/// counts depend on the scaled payload) and runs the screened RTA with one
-/// `RtaSearchState` carried across probes (failed-task hint and warm
-/// start). Every probe reaches the RTA: it has no cost dominance, so it is
-/// an independent reference for `PdpBatchKernel`'s. Each probe adds its
-/// RTA work to the obs counters.
-class PdpScaleKernel {
- public:
-  PdpScaleKernel(const msg::MessageSet& base, const PdpParams& params,
-                 BitsPerSecond bw);
-
-  bool operator()(double scale) const;
-
- private:
-  PdpParams params_;
-  BitsPerSecond bw_ = 0.0;
-  Seconds blocking_ = 0.0;
-  std::vector<msg::SyncStream> sorted_;  // base streams, deadline order
-  mutable std::vector<FpTask> tasks_;    // costs rewritten per probe
-  mutable RtaSearchState search_;
-};
-
-/// Scale-space form of `ttp_feasible` / `ttp_feasible_at`: kernel(a) ==
-/// ttp_feasible_at(base.scaled(a), params, bw, ttrt) with the TTRT either
-/// pinned or chosen by the paper rule on the base set (the rule reads only
-/// periods and deadlines, so it is scale-invariant). Hoists the TTRT
-/// selection, Lambda, the per-frame overhead and every per-station visit
-/// count; a probe is one multiply-divide-accumulate pass with the same
-/// early exits as the reference.
-class TtpScaleKernel {
- public:
-  /// Paper TTRT selection rule (matches `ttp_feasible`).
-  TtpScaleKernel(const msg::MessageSet& base, const TtpParams& params,
-                 BitsPerSecond bw);
-  /// Pinned TTRT (matches `ttp_feasible_at`).
-  TtpScaleKernel(const msg::MessageSet& base, const TtpParams& params,
-                 BitsPerSecond bw, Seconds ttrt);
-
-  bool operator()(double scale) const;
-
- private:
-  struct Station {
-    double base_payload_bits = 0.0;
-    double usable_visits = 0.0;  // q_i - 1 as a double, ready to divide by
-  };
-
-  BitsPerSecond bw_ = 0.0;
-  Seconds available_ = 0.0;  // TTRT - Lambda
-  Seconds frame_overhead_ = 0.0;
-  bool any_deadline_infeasible_ = false;  // some q_i < 2: false at any scale
-  std::vector<Station> stations_;  // base stream order
-};
-
-/// Batched form of `PdpScaleKernel`: lane l answers, for the base set
-/// bases[l] it was built from, the same verdict `PdpScaleKernel(bases[l],
-/// params, bw)(scales[l])` would — bit-identical, probe for probe. All
-/// bases must be non-empty and share one station count (Monte Carlo
-/// batches do: the generator's stream count is fixed per experiment).
+/// Scale-space form of `pdp_feasible`: lane l answers, for the base set
+/// bases[l] it was built from, pdp_feasible(bases[l].scaled(scales[l]),
+/// params, bw), probe for probe. All bases must be non-empty and share one
+/// station count (Monte Carlo batches do: the generator's stream count is
+/// fixed per experiment).
 ///
 /// The augmented-length stage (the multiply-divide-floor-ceil arithmetic
 /// of `pdp_augmented_length`) runs full-width over a station-major x
@@ -126,8 +72,6 @@ class TtpScaleKernel {
 /// double per station than the plain task array. Each evaluate adds the
 /// lanes' fixpoint work to the obs counters once, and the lanes that
 /// reached the RTA to "breakdown.exact_probes".
-/// Frame counts are assumed to stay below 2^53, matching the int64 domain
-/// of the scalar path.
 class PdpBatchKernel {
  public:
   PdpBatchKernel(std::span<const msg::MessageSet> bases,
@@ -171,16 +115,18 @@ class PdpBatchKernel {
   mutable std::vector<FpTask> probe_;           // one lane's tasks; scratch
 };
 
-/// Batched form of `TtpScaleKernel`: lane l replays
-/// `TtpScaleKernel(bases[l], params, bw[, ttrt])(scales[l])` bit for bit.
-/// The TTRT (and hence the per-lane available time TTRT - Lambda and the
-/// per-station usable visit counts q_i - 1) is selected per lane on the
-/// base set; lanes with some q_i < 2 are deadline-infeasible at every
-/// scale and their verdict is forced false, exactly like the scalar
-/// kernel. The per-station allocation sum accumulates in station order per
-/// lane; since every term is non-negative the scalar early exit decides
-/// exactly when the full sum exceeds the available time, so the batched
-/// full-sum verdict is identical.
+/// Scale-space form of `ttp_feasible` / `ttp_feasible_at`: lane l answers
+/// ttp_feasible_at(bases[l].scaled(scales[l]), params, bw, ttrt) with the
+/// TTRT either pinned or chosen per lane by the paper rule on the base set
+/// (the rule reads only periods and deadlines, so it is scale-invariant).
+/// The TTRT, the per-lane available time TTRT - Lambda and the per-station
+/// usable visit counts q_i - 1 are hoisted into construction; lanes with
+/// some q_i < 2 are deadline-infeasible at every scale and their verdict
+/// is forced false, like the predicate's early return. The per-station
+/// allocation sum accumulates in station order per lane; since every term
+/// is non-negative, the predicate's early exit decides exactly when the
+/// full sum exceeds the available time, so the full-sum verdict is the
+/// same.
 class TtpBatchKernel {
  public:
   /// Paper TTRT selection rule, applied per lane (matches `ttp_feasible`).

@@ -1,8 +1,8 @@
 #include "tokenring/analysis/pdp.hpp"
 
 #include <algorithm>
-#include <cmath>
 
+#include "tokenring/analysis/pdp_cost.hpp"
 #include "tokenring/common/checks.hpp"
 
 namespace tokenring::analysis {
@@ -25,36 +25,9 @@ void PdpParams::validate() const {
 Seconds pdp_augmented_length(const msg::SyncStream& stream,
                              const PdpParams& params, BitsPerSecond bw) {
   TR_EXPECTS(bw > 0.0);
-  if (stream.payload_bits <= 0.0) return 0.0;
-
-  const Seconds theta = params.ring.theta(bw);
-  const Seconds frame_time = params.frame.frame_time(bw);
-  const auto full = params.frame.full_frames(stream.payload_bits);    // L_i
-  const auto total = params.frame.frames_for_payload(stream.payload_bits);  // K_i
-  const auto k = static_cast<double>(total);
-  const auto l = static_cast<double>(full);
-
-  // Token-circulation overhead: Theta/2 on average per token pass; paid per
-  // frame (standard) or per message (modified).
-  const Seconds token_overhead =
-      params.variant == PdpVariant::kStandard8025 ? k * theta / 2.0
-                                                  : theta / 2.0;
-
-  if (frame_time <= theta) {
-    // Every frame's slot is dominated by waiting for its header to return.
-    return k * theta + token_overhead;
-  }
-
-  // F > Theta: L_i full frames cost F each; a short last frame (iff
-  // K_i = L_i + 1) costs max(C_i - L_i*F_info + F_ovhd, Theta).
-  Seconds result = l * frame_time + token_overhead;
-  if (total > full) {
-    const Seconds short_frame_time =
-        stream.payload_time(bw) - l * params.frame.info_time(bw) +
-        params.frame.overhead_time(bw);
-    result += std::max(short_frame_time, theta);
-  }
-  return result;
+  return pdp_cost(stream.payload_bits, pdp_cost_terms(params, bw),
+                  params.variant == PdpVariant::kStandard8025,
+                  params.frame.frame_time(bw) <= params.ring.theta(bw));
 }
 
 Seconds pdp_blocking(const PdpParams& params, BitsPerSecond bw) {

@@ -60,8 +60,8 @@ struct PdpStreamReport {
   msg::SyncStream stream;
   /// Augmented length C'_i [s].
   Seconds augmented_length = 0.0;
-  /// Total frames K_i.
-  std::int64_t frames = 0;
+  /// Total frames K_i (`FrameFormat::frames_for_payload`).
+  double frames = 0.0;
   bool schedulable = false;
   /// Worst-case response time when schedulable (from RTA).
   std::optional<Seconds> response_time;

@@ -19,6 +19,10 @@ Seconds ttp_lambda(const TtpParams& params, BitsPerSecond bw) {
   return params.ring.theta(bw) + params.async_frame.frame_time(bw);
 }
 
+double ttp_visits(Seconds window, Seconds ttrt) {
+  return std::floor(window / ttrt);
+}
+
 std::optional<Seconds> ttp_local_bandwidth(const msg::SyncStream& stream,
                                            const TtpParams& params,
                                            BitsPerSecond bw, Seconds ttrt) {
@@ -27,11 +31,9 @@ std::optional<Seconds> ttp_local_bandwidth(const msg::SyncStream& stream,
   // q_i counts token visits guaranteed inside the stream's *deadline*
   // window; with implicit deadlines (D = P, the paper's model) this is
   // exactly floor(P_i / TTRT).
-  const auto q =
-      static_cast<std::int64_t>(std::floor(stream.deadline() / ttrt));
-  if (q < 2) return std::nullopt;
-  return stream.payload_time(bw) / static_cast<double>(q - 1) +
-         params.frame.overhead_time(bw);
+  const double q = ttp_visits(stream.deadline(), ttrt);
+  if (q < 2.0) return std::nullopt;
+  return stream.payload_time(bw) / (q - 1.0) + params.frame.overhead_time(bw);
 }
 
 TtpVerdict ttp_schedulable_at(const msg::MessageSet& set,
@@ -53,14 +55,13 @@ TtpVerdict ttp_schedulable_at(const msg::MessageSet& set,
   for (const auto& s : set.streams()) {
     TtpStreamReport r;
     r.stream = s;
-    r.q = static_cast<std::int64_t>(std::floor(s.deadline() / ttrt));
+    r.q = ttp_visits(s.deadline(), ttrt);
     const auto h = ttp_local_bandwidth(s, params, bw, ttrt);
     r.deadline_feasible = h.has_value();
     if (h) {
       r.h = *h;
-      r.augmented_length = s.payload_time(bw) +
-                           static_cast<double>(r.q - 1) *
-                               params.frame.overhead_time(bw);
+      r.augmented_length =
+          s.payload_time(bw) + (r.q - 1.0) * params.frame.overhead_time(bw);
       allocated += r.h;
     } else {
       all_deadline_feasible = false;
@@ -110,10 +111,9 @@ double ttp_critical_scale(const msg::MessageSet& set, const TtpParams& params,
   const Seconds f_ovhd = params.frame.overhead_time(bw);
   Seconds per_scale_demand = 0.0;  // sum C_i / (q_i - 1) at scale 1
   for (const auto& s : set.streams()) {
-    const auto q =
-        static_cast<std::int64_t>(std::floor(s.deadline() / ttrt));
-    if (q < 2) return 0.0;
-    per_scale_demand += s.payload_time(bw) / static_cast<double>(q - 1);
+    const double q = ttp_visits(s.deadline(), ttrt);
+    if (q < 2.0) return 0.0;
+    per_scale_demand += s.payload_time(bw) / (q - 1.0);
   }
   const Seconds headroom = ttrt - ttp_lambda(params, bw) -
                            static_cast<double>(set.size()) * f_ovhd;

@@ -47,8 +47,8 @@ struct TtpParams {
 /// Per-station allocation and feasibility detail.
 struct TtpStreamReport {
   msg::SyncStream stream;
-  /// q_i = floor(P_i / TTRT).
-  std::int64_t q = 0;
+  /// q_i = floor(P_i / TTRT) (`ttp_visits`).
+  double q = 0.0;
   /// Allocated synchronous bandwidth h_i [s]; 0 if q_i < 2.
   Seconds h = 0.0;
   /// Augmented length C'_i = C_i + (q_i - 1) * F_ovhd [s].
@@ -72,6 +72,12 @@ struct TtpVerdict {
 
 /// Lambda = Theta + one asynchronous-overrun frame time.
 Seconds ttp_lambda(const TtpParams& params, BitsPerSecond bw);
+
+/// q_i = floor(window / TTRT): the token visits a station can count on in
+/// a window (its deadline, or what a fault budget leaves of it). The count
+/// is an integer held in double, exact below 2^53 and never wrapped above,
+/// so callers test q_i < 2 (no guarantee) and take q_i - 1 on it directly.
+double ttp_visits(Seconds window, Seconds ttrt);
 
 /// Local-scheme synchronous bandwidth h_i for one stream at the given TTRT.
 /// Returns nullopt when q_i < 2 (no guarantee possible).

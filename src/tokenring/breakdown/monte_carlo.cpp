@@ -66,33 +66,14 @@ void accumulate_trial(const SaturationResult& sat, bool keep_samples,
   }
 }
 
-// Saturate one drawn base set; both trial styles (predicate / kernel
-// factory) funnel through this signature so the estimator loops are shared.
-using SaturateTrial =
-    std::function<SaturationResult(const msg::MessageSet& base)>;
+}  // namespace
 
-SaturateTrial saturate_with_predicate(const SchedulablePredicate& predicate,
-                                      BitsPerSecond bw,
-                                      const SaturationOptions& options) {
-  return [&predicate, bw, &options](const msg::MessageSet& base) {
-    return find_saturation(base, predicate, bw, options);
-  };
-}
-
-SaturateTrial saturate_with_factory(const ScaleKernelFactory& factory,
-                                    BitsPerSecond bw,
-                                    const SaturationOptions& options) {
-  return [&factory, bw, &options](const msg::MessageSet& base) {
-    const ScaleKernel kernel = factory(base);
-    return find_saturation_scaled(base, kernel, bw, options);
-  };
-}
-
-BreakdownEstimate estimate_parallel(const msg::MessageSetGenerator& generator,
-                                    const SaturateTrial& saturate,
-                                    std::uint64_t master_seed,
-                                    const exec::Executor& executor,
-                                    const MonteCarloOptions& options) {
+BreakdownEstimate estimate_breakdown_utilization(
+    const msg::MessageSetGenerator& generator,
+    const SchedulablePredicate& predicate, BitsPerSecond bw,
+    std::uint64_t master_seed, const exec::Executor& executor,
+    const MonteCarloOptions& options) {
+  TR_EXPECTS(bw > 0.0);
   TR_EXPECTS(options.num_sets >= 1);
   TR_EXPECTS(options.shard_size >= 1);
 
@@ -111,7 +92,8 @@ BreakdownEstimate estimate_parallel(const msg::MessageSetGenerator& generator,
     for (std::size_t i = lo; i < hi; ++i) {
       Rng rng = exec::make_trial_rng(master_seed, i);
       const msg::MessageSet base = generator.generate(rng);
-      const SaturationResult sat = saturate(base);
+      const SaturationResult sat =
+          find_saturation(base, predicate, bw, options.saturation);
       count_trial(sat);
       accumulate_trial(sat, options.keep_samples, part);
     }
@@ -136,30 +118,6 @@ BreakdownEstimate estimate_parallel(const msg::MessageSetGenerator& generator,
         return acc;
       },
       pf);
-}
-
-}  // namespace
-
-BreakdownEstimate estimate_breakdown_utilization(
-    const msg::MessageSetGenerator& generator,
-    const SchedulablePredicate& predicate, BitsPerSecond bw,
-    std::uint64_t master_seed, const exec::Executor& executor,
-    const MonteCarloOptions& options) {
-  TR_EXPECTS(bw > 0.0);
-  return estimate_parallel(
-      generator, saturate_with_predicate(predicate, bw, options.saturation),
-      master_seed, executor, options);
-}
-
-BreakdownEstimate estimate_breakdown_utilization(
-    const msg::MessageSetGenerator& generator,
-    const ScaleKernelFactory& kernel_factory, BitsPerSecond bw,
-    std::uint64_t master_seed, const exec::Executor& executor,
-    const MonteCarloOptions& options) {
-  TR_EXPECTS(bw > 0.0);
-  return estimate_parallel(
-      generator, saturate_with_factory(kernel_factory, bw, options.saturation),
-      master_seed, executor, options);
 }
 
 std::vector<BreakdownEstimate> estimate_sweep(

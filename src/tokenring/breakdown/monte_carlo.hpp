@@ -27,10 +27,10 @@
 //    groups. The study drivers and the advisor declare their points and
 //    make one call; the advisor's fault margins ride on its points as
 //    per-trial follow-ups, so no set is drawn or saturated twice.
-//  * `SchedulablePredicate` and `ScaleKernelFactory` are the references:
-//    one scalar search per trial, against a materialized set or in scale
-//    space. Tests and bench/parallel_scaling compare the batched path
-//    against them bit for bit.
+//  * The `SchedulablePredicate` overload is the reference: one
+//    `find_saturation` per trial against the paper's criterion as
+//    written. Tests and bench/parallel_scaling compare the batched path
+//    against it bit for bit.
 
 #pragma once
 
@@ -167,18 +167,6 @@ BreakdownEstimate estimate_breakdown_utilization(
 BreakdownEstimate estimate_breakdown_utilization(
     const msg::MessageSetGenerator& generator,
     const SchedulablePredicate& predicate, BitsPerSecond bw,
-    std::uint64_t master_seed, const exec::Executor& executor,
-    const MonteCarloOptions& options = {});
-
-/// Reference in scale space: each trial builds one ScaleKernel for its
-/// drawn set (hoisting the scale-invariant work once) and bisects with no
-/// per-probe allocation. A factory whose kernels agree with a predicate
-/// yields bit-identical estimates to the predicate overload, because the
-/// probe sequence depends only on the verdicts. The factory must be
-/// const-callable and thread-safe.
-BreakdownEstimate estimate_breakdown_utilization(
-    const msg::MessageSetGenerator& generator,
-    const ScaleKernelFactory& kernel_factory, BitsPerSecond bw,
     std::uint64_t master_seed, const exec::Executor& executor,
     const MonteCarloOptions& options = {});
 

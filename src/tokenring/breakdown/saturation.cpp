@@ -30,18 +30,10 @@ void count_evals(std::int64_t evals) {
 
 }  // namespace
 
-ScaleKernel kernel_over_workspace(const msg::MessageSet& base,
-                                  const SchedulablePredicate& predicate,
-                                  ScaledWorkspace& workspace) {
-  return [&base, &predicate, &workspace](double factor) {
-    return predicate(workspace.at_scale(base, factor));
-  };
-}
-
-SaturationResult find_saturation_scaled(const msg::MessageSet& base,
-                                        const ScaleKernel& kernel,
-                                        BitsPerSecond bw,
-                                        const SaturationOptions& options) {
+SaturationResult find_saturation(const msg::MessageSet& base,
+                                 const SchedulablePredicate& predicate,
+                                 BitsPerSecond bw,
+                                 const SaturationOptions& options) {
   TR_EXPECTS(!base.empty());
   TR_EXPECTS(bw > 0.0);
   TR_EXPECTS(options.relative_tolerance > 0.0);
@@ -51,9 +43,11 @@ SaturationResult find_saturation_scaled(const msg::MessageSet& base,
   TR_EXPECTS_MSG(has_payload, "saturation needs a nonzero payload direction");
 
   SaturationResult res;
+  msg::MessageSet scaled;  // one buffer per search: no probe allocates
   const auto probe = [&](double factor) {
     ++res.predicate_evals;
-    return kernel(factor);
+    base.scaled_into(factor, scaled);
+    return predicate(scaled);
   };
 
   // Degenerate check: if even (near-)zero payloads are unschedulable, the
@@ -116,15 +110,6 @@ SaturationResult find_saturation_scaled(const msg::MessageSet& base,
   res.breakdown_utilization = scaled_utilization(base, lo, bw);
   count_evals(res.predicate_evals);
   return res;
-}
-
-SaturationResult find_saturation(const msg::MessageSet& base,
-                                 const SchedulablePredicate& predicate,
-                                 BitsPerSecond bw,
-                                 const SaturationOptions& options) {
-  ScaledWorkspace workspace;
-  return find_saturation_scaled(
-      base, kernel_over_workspace(base, predicate, workspace), bw, options);
 }
 
 BatchBisector::BatchBisector(std::size_t lanes, const SaturationOptions& options)

@@ -7,17 +7,18 @@
 // exponential bracketing plus bisection. The saturated set a* * M lies on
 // the boundary; its utilization is one breakdown-utilization sample.
 //
-// Two predicate forms are supported:
-//  * `SchedulablePredicate` takes a materialized message set. The search
-//    scales the base into one reusable `ScaledWorkspace` buffer, so even
-//    this form allocates only once per search instead of once per probe.
-//  * `ScaleKernel` takes the scale factor directly. Protocol-specific
-//    kernels (analysis/kernels.hpp) hoist everything scale-invariant —
-//    priority order, TTRT selection, per-station visit counts, blocking —
-//    out of the probe loop, which is where the Monte Carlo speedup comes
-//    from. A kernel must return, for every scale, the same verdict as the
-//    predicate it replaces; the bisection trajectory (and hence every
-//    output bit) is then identical between the two forms.
+// Two entry points:
+//  * `find_saturation` runs one search against a `SchedulablePredicate`
+//    over materialized sets, the paper's criteria as written. It scales
+//    the base into one reusable buffer, so a search allocates once, not
+//    once per probe. It is the reference the tests hold the kernels to.
+//  * `find_saturation_batch` runs B searches in lockstep against one
+//    `BatchScaleKernel` (analysis/kernels.hpp), which hoists everything
+//    scale-invariant — priority order, TTRT selection, per-station visit
+//    counts, blocking — out of the probe loop. Every Monte Carlo study
+//    saturates through it. A kernel must return, lane for lane and scale
+//    for scale, the predicate's verdict; each lane's bisection trajectory
+//    (and hence every output bit) is then the reference search's.
 
 #pragma once
 
@@ -35,38 +36,6 @@ namespace tokenring::breakdown {
 /// and bandwidth). Must be monotone non-increasing in uniform payload
 /// scaling.
 using SchedulablePredicate = std::function<bool(const msg::MessageSet&)>;
-
-/// A schedulability predicate in scale space: kernel(a) answers "is a * M
-/// schedulable?" for the base set M it was built from. Same monotonicity
-/// requirement as SchedulablePredicate.
-using ScaleKernel = std::function<bool(double)>;
-
-/// Builds a ScaleKernel for one base message set. Factories are shared
-/// across Monte Carlo worker threads (one kernel per trial), so they must
-/// be const-callable and thread-safe.
-using ScaleKernelFactory = std::function<ScaleKernel(const msg::MessageSet&)>;
-
-/// Reusable buffer for repeated payload scalings of one (or many) base
-/// sets: `at_scale` overwrites the internal set in place, so a bracketing
-/// + bisection search touches the allocator once instead of once per probe.
-class ScaledWorkspace {
- public:
-  /// Scaled copy of `base`, valid until the next at_scale call. Values are
-  /// bit-identical to `base.scaled(factor)`.
-  const msg::MessageSet& at_scale(const msg::MessageSet& base, double factor) {
-    base.scaled_into(factor, buffer_);
-    return buffer_;
-  }
-
- private:
-  msg::MessageSet buffer_;
-};
-
-/// Wrap a message-set predicate as a ScaleKernel over `base`, probing
-/// through `workspace`. Both referents must outlive the kernel.
-ScaleKernel kernel_over_workspace(const msg::MessageSet& base,
-                                  const SchedulablePredicate& predicate,
-                                  ScaledWorkspace& workspace);
 
 /// Options for the boundary search.
 struct SaturationOptions {
@@ -101,17 +70,9 @@ struct SaturationResult {
   std::int64_t predicate_evals = 0;
 };
 
-/// Locate the critical scale for `base` under `kernel` (the scale-space
-/// core; the predicate overload delegates here). `bw` is used only to
-/// report utilization. Requires a non-empty base set with at least one
-/// positive payload.
-SaturationResult find_saturation_scaled(const msg::MessageSet& base,
-                                        const ScaleKernel& kernel,
-                                        BitsPerSecond bw,
-                                        const SaturationOptions& options = {});
-
-/// Locate the critical scale for `base` under `predicate`. Identical
-/// results to find_saturation_scaled with an equivalent kernel.
+/// Locate the critical scale for `base` under `predicate`. `bw` is used
+/// only to report utilization. Requires a non-empty base set with at least
+/// one positive payload.
 SaturationResult find_saturation(const msg::MessageSet& base,
                                  const SchedulablePredicate& predicate,
                                  BitsPerSecond bw,
@@ -122,8 +83,8 @@ SaturationResult find_saturation(const msg::MessageSet& base,
 /// scales[l] (entries of inactive lanes are left untouched). All spans
 /// have one length, the lane count the kernel was built for. The concrete
 /// SoA kernels live in analysis/kernels.hpp (PdpBatchKernel /
-/// TtpBatchKernel); each lane must agree verdict-for-verdict with the
-/// scalar kernel over the same base set.
+/// TtpBatchKernel); each lane must agree verdict-for-verdict with its
+/// predicate on the scaled base set.
 using BatchScaleKernel =
     std::function<void(std::span<const double> scales,
                        std::span<const std::uint8_t> active,
@@ -141,8 +102,8 @@ using BatchScaleKernelFactory =
 /// for one probe scale per still-searching lane, evaluates them all with
 /// one BatchScaleKernel call, and feeds the verdicts back through
 /// `absorb`. Per lane the probe sequence — zero check, bracketing walk,
-/// bisection — replays `find_saturation_scaled` exactly (the sequence
-/// depends only on the verdicts), so critical scales and per-lane
+/// bisection — replays `find_saturation` exactly (the sequence depends
+/// only on the verdicts), so critical scales and per-lane
 /// `predicate_evals` are bit-identical to B scalar searches; lanes that
 /// converge early are masked out and simply stop consuming verdicts.
 class BatchBisector {
@@ -196,9 +157,9 @@ class BatchBisector {
 
 /// Locate the critical scale of every base set in one lockstep batch:
 /// result[l] is bit-identical — every field, including predicate_evals —
-/// to find_saturation_scaled(bases[l], <lane l's scalar kernel>, bw,
-/// options). Requires one lane per base set, each non-empty with at least
-/// one positive payload.
+/// to find_saturation(bases[l], <lane l's predicate>, bw, options).
+/// Requires one lane per base set, each non-empty with at least one
+/// positive payload.
 std::vector<SaturationResult> find_saturation_batch(
     std::span<const msg::MessageSet> bases, const BatchScaleKernel& kernel,
     BitsPerSecond bw, const SaturationOptions& options = {});

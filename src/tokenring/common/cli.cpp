@@ -97,10 +97,6 @@ CliFlags::ParseOutcome CliFlags::parse_detailed(int argc, char** argv) {
   return ParseOutcome::kOk;
 }
 
-bool CliFlags::parse(int argc, char** argv) {
-  return parse_detailed(argc, argv) == ParseOutcome::kOk;
-}
-
 std::string CliFlags::get_string(const std::string& name) const {
   auto it = flags_.find(name);
   TR_EXPECTS_MSG(it != flags_.end(), "flag not declared: " + name);

@@ -32,20 +32,14 @@ class CliFlags {
   void declare(const std::string& name, const std::string& default_value,
                const std::string& help);
 
-  /// Outcome of parse_detailed: callers that care about exit codes must
-  /// distinguish an explicit help request (exit 0) from a flag error
-  /// (exit non-zero).
+  /// Outcome of parse_detailed: callers distinguish an explicit help
+  /// request (exit 0) from a flag error (exit 1).
   enum class ParseOutcome { kOk, kHelp, kError };
 
   /// Parse argv. Prints usage on kHelp (`--help`/`-h`) and on kError
   /// (unknown flag, missing value, stray positional), with the error
   /// reason on stderr first.
   ParseOutcome parse_detailed(int argc, char** argv);
-
-  /// Legacy form of parse_detailed. Returns false if `--help` was given
-  /// or an unknown/malformed flag was seen — conflating the two; new
-  /// callers should use parse_detailed so `--help` can exit 0.
-  bool parse(int argc, char** argv);
 
   /// Typed accessors; flag must have been declared. Numbers are strict
   /// (parse_double / parse_int64): a value that is not exactly one number

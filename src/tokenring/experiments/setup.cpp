@@ -48,24 +48,11 @@ breakdown::SchedulablePredicate PaperSetup::ttp_predicate(
   };
 }
 
-breakdown::ScaleKernelFactory PaperSetup::pdp_kernel_factory(
-    analysis::PdpVariant variant, BitsPerSecond bw) const {
-  return [params = pdp_params(variant), bw](const msg::MessageSet& base) {
-    // The kernel carries mutable per-trial state (task buffer, failed-task
-    // hint), so each trial gets its own heap instance shared into the
-    // returned std::function; the factory itself stays const and
-    // thread-safe.
-    auto kernel = std::make_shared<analysis::PdpScaleKernel>(base, params, bw);
-    return breakdown::ScaleKernel(
-        [kernel](double scale) { return (*kernel)(scale); });
-  };
-}
-
 namespace {
 
 /// Wrap one batch kernel instance (which carries mutable scratch state)
-/// into the std::function form, sharing it on the heap — the same pattern
-/// the scalar PDP factory uses.
+/// into the std::function form, sharing it on the heap so the factory
+/// itself stays const and thread-safe.
 template <typename Kernel>
 breakdown::BatchScaleKernel wrap_batch_kernel(std::shared_ptr<Kernel> kernel) {
   return [kernel = std::move(kernel)](std::span<const double> scales,

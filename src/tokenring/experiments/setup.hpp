@@ -1,6 +1,7 @@
 // Shared experiment configuration: the paper's Section 6.2 operating
-// conditions with knobs for the ablation studies, plus predicate factories
-// binding each protocol's schedulability criterion to a bandwidth.
+// conditions with knobs for the ablation studies, plus the predicates and
+// the batch-kernel factories binding each protocol's schedulability
+// criterion to a bandwidth.
 //
 // Every bench binary and the experiment drivers below build their scenarios
 // through this type so that "the paper's conditions" exist in exactly one
@@ -50,19 +51,12 @@ struct PaperSetup {
   /// Schedulability predicate for TTP (paper TTRT rule) at one bandwidth.
   breakdown::SchedulablePredicate ttp_predicate(BitsPerSecond bw) const;
 
-  /// PDP scale-kernel factory matching pdp_predicate verdict for verdict
-  /// (analysis/kernels.hpp): per trial, the scale-invariant work is
-  /// hoisted once and each saturation probe is allocation-free. A
-  /// reference path, like the predicates: tests pin that all of them
-  /// produce bit-identical estimates.
-  breakdown::ScaleKernelFactory pdp_kernel_factory(analysis::PdpVariant variant,
-                                                   BitsPerSecond bw) const;
-
   /// Batched (SoA) kernel factories: one kernel saturates a whole batch of
   /// trials in lockstep (analysis/kernels.hpp PdpBatchKernel /
   /// TtpBatchKernel), with verdicts — and therefore Monte Carlo estimates
-  /// — bit-identical to the predicates above. Every experiment driver and
-  /// the advisor build their batch kernels through these.
+  /// — bit-identical to the predicates above, which stay the reference.
+  /// Every experiment driver and the advisor build their batch kernels
+  /// through these.
   breakdown::BatchScaleKernelFactory pdp_batch_kernel_factory(
       analysis::PdpVariant variant, BitsPerSecond bw) const;
   breakdown::BatchScaleKernelFactory ttp_batch_kernel_factory(

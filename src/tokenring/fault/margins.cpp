@@ -103,10 +103,9 @@ bool ttp_probe(const TtpProbeState& st, int faults_per_period) {
   for (const auto& s : st.stations) {
     const Seconds window = s.deadline - debit;
     if (window <= 0.0) return false;
-    const auto q = static_cast<std::int64_t>(std::floor(window / st.ttrt));
-    if (q < 2) return false;
-    allocated += s.payload_time / static_cast<double>(q - 1) +
-                 st.frame_overhead;
+    const double q = analysis::ttp_visits(window, st.ttrt);
+    if (q < 2.0) return false;
+    allocated += s.payload_time / (q - 1.0) + st.frame_overhead;
     if (allocated > st.available) return false;
   }
   return true;

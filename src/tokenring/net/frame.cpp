@@ -6,14 +6,14 @@
 
 namespace tokenring::net {
 
-std::int64_t FrameFormat::full_frames(double payload_bits) const {
+double FrameFormat::full_frames(double payload_bits) const {
   TR_EXPECTS(payload_bits >= 0.0);
-  return static_cast<std::int64_t>(std::floor(payload_bits / info_bits));
+  return std::floor(payload_bits / info_bits);
 }
 
-std::int64_t FrameFormat::frames_for_payload(double payload_bits) const {
+double FrameFormat::frames_for_payload(double payload_bits) const {
   TR_EXPECTS(payload_bits >= 0.0);
-  return static_cast<std::int64_t>(std::ceil(payload_bits / info_bits));
+  return std::ceil(payload_bits / info_bits);
 }
 
 double FrameFormat::last_frame_payload_bits(double payload_bits) const {

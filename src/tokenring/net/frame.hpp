@@ -9,8 +9,6 @@
 
 #pragma once
 
-#include <cstdint>
-
 #include "tokenring/common/units.hpp"
 
 namespace tokenring::net {
@@ -33,10 +31,12 @@ struct FrameFormat {
   /// Transmission time F of one full frame at `bw`.
   Seconds frame_time(BitsPerSecond bw) const { return total_bits() / bw; }
 
-  /// L_i: number of *full* frames for a payload of `payload_bits`.
-  std::int64_t full_frames(double payload_bits) const;
+  /// L_i: number of *full* frames for a payload of `payload_bits`. Counts
+  /// are integers held in double: exact below 2^53, and never wrapped for
+  /// a larger payload.
+  double full_frames(double payload_bits) const;
   /// K_i: total number of frames (ceil). Requires payload_bits >= 0.
-  std::int64_t frames_for_payload(double payload_bits) const;
+  double frames_for_payload(double payload_bits) const;
   /// Payload bits carried by the (possibly short) last frame; equals
   /// info_bits when the payload is an exact multiple.
   double last_frame_payload_bits(double payload_bits) const;

@@ -111,8 +111,14 @@ TEST(PdpAugmented, VariantsDifferByPerFrameTokenOverhead) {
 }
 
 TEST(PdpAugmented, ZeroPayloadCostsNothing) {
-  const auto p = params(PdpVariant::kStandard8025);
-  EXPECT_DOUBLE_EQ(pdp_augmented_length(stream(0.1, 0.0), p, mbps(10)), 0.0);
+  // No message, no token pass: both variants, both frame regimes.
+  for (PdpVariant v : {PdpVariant::kStandard8025, PdpVariant::kModified8025}) {
+    for (double bw_mbps : {1.0, 10.0, 100.0, 1000.0}) {
+      EXPECT_EQ(pdp_augmented_length(stream(0.1, 0.0), params(v), mbps(bw_mbps)),
+                0.0)
+          << to_string(v) << " at " << bw_mbps << " Mbps";
+    }
+  }
 }
 
 TEST(PdpAugmented, MonotoneInPayload) {

@@ -291,18 +291,17 @@ analysis::PdpParams paper_pdp_params(int stations,
   return p;
 }
 
-ScaleKernelFactory scalar_ttp_factory(const analysis::TtpParams& p,
-                                      BitsPerSecond bw) {
-  return [p, bw](const msg::MessageSet& base) {
-    return ScaleKernel(analysis::TtpScaleKernel(base, p, bw));
+SchedulablePredicate ttp_predicate(const analysis::TtpParams& p,
+                                   BitsPerSecond bw) {
+  return [p, bw](const msg::MessageSet& set) {
+    return analysis::ttp_feasible(set, p, bw);
   };
 }
 
-ScaleKernelFactory scalar_pdp_factory(const analysis::PdpParams& p,
-                                      BitsPerSecond bw) {
-  return [p, bw](const msg::MessageSet& base) {
-    auto kernel = std::make_shared<analysis::PdpScaleKernel>(base, p, bw);
-    return ScaleKernel([kernel](double scale) { return (*kernel)(scale); });
+SchedulablePredicate pdp_predicate(const analysis::PdpParams& p,
+                                   BitsPerSecond bw) {
+  return [p, bw](const msg::MessageSet& set) {
+    return analysis::pdp_feasible(set, p, bw);
   };
 }
 
@@ -341,9 +340,10 @@ void expect_identical(const BreakdownEstimate& a, const BreakdownEstimate& b) {
 
 TEST(MonteCarloBatch, EveryJobsBatchGridPointMatchesTheScalarEstimate) {
   // The batched overload's contract: lockstep SoA saturation reproduces the
-  // scalar per-trial estimate bit for bit for every (jobs, batch_size)
-  // combination. 37 trials so no grid point divides evenly — remainder
-  // batches, partial shards and partial batch groups are all exercised.
+  // scalar predicate estimate (one find_saturation per trial) bit for bit
+  // for every (jobs, batch_size) combination. 37 trials so no grid point
+  // divides evenly — remainder batches, partial shards and partial batch
+  // groups are all exercised.
   const BitsPerSecond bw = mbps(100);
   const auto p = paper_ttp_params();
   auto gen = small_generator();
@@ -354,7 +354,7 @@ TEST(MonteCarloBatch, EveryJobsBatchGridPointMatchesTheScalarEstimate) {
 
   const exec::Executor seq(1);
   const auto reference = estimate_breakdown_utilization(
-      gen, scalar_ttp_factory(p, bw), bw, seed, seq, opts);
+      gen, ttp_predicate(p, bw), bw, seed, seq, opts);
   EXPECT_GT(reference.utilization.count(), 0u);
 
   for (std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
@@ -372,9 +372,9 @@ TEST(MonteCarloBatch, EveryJobsBatchGridPointMatchesTheScalarEstimate) {
 
   // A sweep of points that differ in bandwidth, protocol, seed, station
   // count and set count, all in one dispatch: each point matches its own
-  // scalar estimate. Only one set count is a multiple of the shard size.
+  // predicate estimate. Only one set count is a multiple of the shard size.
   // The 1 Mbps FDDI point has degenerate draws, and an always-schedulable
-  // kernel pair makes every draw of the last point unbounded.
+  // kernel and predicate make every draw of the last point unbounded.
   const auto generator = [](int stations) {
     msg::GeneratorConfig g;
     g.num_streams = stations;
@@ -384,8 +384,8 @@ TEST(MonteCarloBatch, EveryJobsBatchGridPointMatchesTheScalarEstimate) {
   };
   const auto modified = analysis::PdpVariant::kModified8025;
   const auto standard = analysis::PdpVariant::kStandard8025;
-  const ScaleKernelFactory scalar_always = [](const msg::MessageSet&) {
-    return ScaleKernel([](double) { return true; });
+  const SchedulablePredicate always = [](const msg::MessageSet&) {
+    return true;
   };
   const BatchScaleKernelFactory batched_always =
       [](std::span<const msg::MessageSet>) {
@@ -407,18 +407,18 @@ TEST(MonteCarloBatch, EveryJobsBatchGridPointMatchesTheScalarEstimate) {
   };
   std::vector<SweepPoint> points;
   std::vector<BreakdownEstimate> references;
-  const auto add = [&](SweepPoint point, const ScaleKernelFactory& scalar) {
+  const auto add = [&](SweepPoint point, const SchedulablePredicate& predicate) {
     MonteCarloOptions point_opts = opts;
     point_opts.num_sets = point.num_sets;
     references.push_back(estimate_breakdown_utilization(
-        point.generator, scalar, point.bw, point.seed, seq, point_opts));
+        point.generator, predicate, point.bw, point.seed, seq, point_opts));
     if (point.follow_up) {
       double shard_sum = 0.0;
       for (std::size_t i = 0; i < point.num_sets; ++i) {
         Rng rng = exec::make_trial_rng(point.seed, i);
         const msg::MessageSet base = point.generator.generate(rng);
         shard_sum += point.follow_up(
-            base, find_saturation_scaled(base, scalar(base), point.bw));
+            base, find_saturation(base, predicate, point.bw));
         if ((i + 1) % opts.shard_size == 0 || i + 1 == point.num_sets) {
           references.back().follow_up_sum += shard_sum;
           shard_sum = 0.0;
@@ -428,21 +428,21 @@ TEST(MonteCarloBatch, EveryJobsBatchGridPointMatchesTheScalarEstimate) {
     points.push_back(std::move(point));
   };
   add({generator(10), batched_ttp_factory(p, bw), bw, 42, 37},
-      scalar_ttp_factory(p, bw));
+      ttp_predicate(p, bw));
   add({generator(10),
        batched_factory<analysis::PdpBatchKernel>(
            paper_pdp_params(10, modified), mbps(10)),
        mbps(10), 7, 5, follow_up},
-      scalar_pdp_factory(paper_pdp_params(10, modified), mbps(10)));
+      pdp_predicate(paper_pdp_params(10, modified), mbps(10)));
   add({generator(40),
        batched_factory<analysis::PdpBatchKernel>(
            paper_pdp_params(40, standard), mbps(1)),
        mbps(1), 3, 19},
-      scalar_pdp_factory(paper_pdp_params(40, standard), mbps(1)));
+      pdp_predicate(paper_pdp_params(40, standard), mbps(1)));
   add({generator(40), batched_ttp_factory(paper_ttp_params(40), mbps(1)),
        mbps(1), 11, 16, follow_up},
-      scalar_ttp_factory(paper_ttp_params(40), mbps(1)));
-  add({generator(6), batched_always, mbps(10), 5, 3}, scalar_always);
+      ttp_predicate(paper_ttp_params(40), mbps(1)));
+  add({generator(6), batched_always, mbps(10), 5, 3}, always);
   EXPECT_GT(references[3].degenerate_sets, 0u);
   EXPECT_LT(references[3].degenerate_sets, 16u);
   EXPECT_EQ(references[4].unbounded_sets, 3u);

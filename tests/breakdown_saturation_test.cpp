@@ -141,6 +141,21 @@ TEST(Saturation, WorksAgainstRealTtpCriterion) {
 
 // ---- scale-space kernel path -------------------------------------------------
 
+/// The kernel path's scalar case: find_saturation_batch over one lane.
+template <typename Kernel>
+SaturationResult one_lane_search(const msg::MessageSet& base,
+                                 const Kernel& kernel, BitsPerSecond bw) {
+  return find_saturation_batch(
+             {&base, 1},
+             [&kernel](std::span<const double> scales,
+                       std::span<const std::uint8_t> active,
+                       std::span<std::uint8_t> verdicts) {
+               kernel.evaluate(scales, active, verdicts);
+             },
+             bw)
+      .front();
+}
+
 TEST(SaturationKernel, PdpKernelPathIsBitIdenticalToPredicatePath) {
   // Same bisection, same verdicts => same probe sequence: critical scale,
   // utilization and probe count must match the predicate path exactly, not
@@ -161,8 +176,8 @@ TEST(SaturationKernel, PdpKernelPathIsBitIdenticalToPredicatePath) {
   for (int trial = 0; trial < 20; ++trial) {
     const auto base = gen.generate(rng);
     const auto ref = find_saturation(base, predicate, bw);
-    const auto fast = find_saturation_scaled(
-        base, analysis::PdpScaleKernel(base, p, bw), bw);
+    const auto fast = one_lane_search(
+        base, analysis::PdpBatchKernel({&base, 1}, p, bw), bw);
     ASSERT_EQ(ref.found, fast.found) << "trial " << trial;
     EXPECT_EQ(ref.critical_scale, fast.critical_scale) << "trial " << trial;
     EXPECT_EQ(ref.breakdown_utilization, fast.breakdown_utilization)
@@ -189,8 +204,8 @@ TEST(SaturationKernel, TtpKernelPathIsBitIdenticalToPredicatePath) {
   for (int trial = 0; trial < 20; ++trial) {
     const auto base = gen.generate(rng);
     const auto ref = find_saturation(base, predicate, bw);
-    const auto fast = find_saturation_scaled(
-        base, analysis::TtpScaleKernel(base, p, bw), bw);
+    const auto fast = one_lane_search(
+        base, analysis::TtpBatchKernel({&base, 1}, p, bw), bw);
     ASSERT_EQ(ref.found, fast.found) << "trial " << trial;
     EXPECT_EQ(ref.critical_scale, fast.critical_scale) << "trial " << trial;
     EXPECT_EQ(ref.breakdown_utilization, fast.breakdown_utilization)
@@ -210,34 +225,6 @@ TEST(SaturationKernel, PredicateEvalsCountsEveryProbe) {
   ASSERT_TRUE(res.found);
   EXPECT_GE(res.predicate_evals, 20);
   EXPECT_LE(res.predicate_evals, 200);
-}
-
-TEST(SaturationKernel, WorkspaceScalingIsBitIdenticalToScaledCopies) {
-  const auto base = simple_set();
-  ScaledWorkspace workspace;
-  for (const double factor : {0.0, 0.25, 1.0, 3.5, 1e6}) {
-    const auto& scaled = workspace.at_scale(base, factor);
-    const auto copy = base.scaled(factor);
-    ASSERT_EQ(scaled.size(), copy.size());
-    for (std::size_t i = 0; i < copy.size(); ++i) {
-      EXPECT_EQ(scaled[i].payload_bits, copy[i].payload_bits);
-      EXPECT_EQ(scaled[i].period, copy[i].period);
-    }
-  }
-}
-
-TEST(SaturationKernel, KernelOverWorkspaceMatchesDirectPredicate) {
-  const auto base = simple_set();
-  const BitsPerSecond bw = mbps(1);
-  const SchedulablePredicate predicate = [bw](const msg::MessageSet& m) {
-    return m.utilization(bw) <= 0.8;
-  };
-  ScaledWorkspace workspace;
-  const ScaleKernel kernel = kernel_over_workspace(base, predicate, workspace);
-  for (const double factor : {0.1, 1.0, 2.6, 2.7, 10.0}) {
-    EXPECT_EQ(kernel(factor), predicate(base.scaled(factor)))
-        << "factor " << factor;
-  }
 }
 
 TEST(SaturationKernel, ChunkedSearchMatchesScalarSearchForEveryChunkSize) {

@@ -29,7 +29,8 @@ TEST(Cli, DefaultsApplyWithoutArgs) {
   CliFlags flags;
   flags.declare("sets", "100", "number of sets");
   Argv a({"prog"});
-  ASSERT_TRUE(flags.parse(a.argc(), a.argv()));
+  ASSERT_EQ(flags.parse_detailed(a.argc(), a.argv()),
+            CliFlags::ParseOutcome::kOk);
   EXPECT_EQ(flags.get_int("sets"), 100);
 }
 
@@ -37,7 +38,8 @@ TEST(Cli, EqualsSyntax) {
   CliFlags flags;
   flags.declare("sets", "100", "");
   Argv a({"prog", "--sets=25"});
-  ASSERT_TRUE(flags.parse(a.argc(), a.argv()));
+  ASSERT_EQ(flags.parse_detailed(a.argc(), a.argv()),
+            CliFlags::ParseOutcome::kOk);
   EXPECT_EQ(flags.get_int("sets"), 25);
 }
 
@@ -45,7 +47,8 @@ TEST(Cli, SpaceSyntax) {
   CliFlags flags;
   flags.declare("seed", "1", "");
   Argv a({"prog", "--seed", "777"});
-  ASSERT_TRUE(flags.parse(a.argc(), a.argv()));
+  ASSERT_EQ(flags.parse_detailed(a.argc(), a.argv()),
+            CliFlags::ParseOutcome::kOk);
   EXPECT_EQ(flags.get_int("seed"), 777);
 }
 
@@ -53,34 +56,37 @@ TEST(Cli, UnknownFlagRejected) {
   CliFlags flags;
   flags.declare("sets", "100", "");
   Argv a({"prog", "--bogus=1"});
-  EXPECT_FALSE(flags.parse(a.argc(), a.argv()));
+  EXPECT_EQ(flags.parse_detailed(a.argc(), a.argv()),
+            CliFlags::ParseOutcome::kError);
 }
 
 TEST(Cli, MissingValueRejected) {
   CliFlags flags;
   flags.declare("sets", "100", "");
   Argv a({"prog", "--sets"});
-  EXPECT_FALSE(flags.parse(a.argc(), a.argv()));
+  EXPECT_EQ(flags.parse_detailed(a.argc(), a.argv()),
+            CliFlags::ParseOutcome::kError);
 }
 
 TEST(Cli, PositionalRejected) {
   CliFlags flags;
   flags.declare("sets", "100", "");
   Argv a({"prog", "17"});
-  EXPECT_FALSE(flags.parse(a.argc(), a.argv()));
+  EXPECT_EQ(flags.parse_detailed(a.argc(), a.argv()),
+            CliFlags::ParseOutcome::kError);
 }
 
 TEST(Cli, HelpShortCircuits) {
   CliFlags flags;
   flags.declare("sets", "100", "");
   Argv a({"prog", "--help"});
-  EXPECT_FALSE(flags.parse(a.argc(), a.argv()));
+  EXPECT_EQ(flags.parse_detailed(a.argc(), a.argv()),
+            CliFlags::ParseOutcome::kHelp);
 }
 
 TEST(Cli, ParseDetailedDistinguishesHelpFromErrors) {
   // --help is a successful outcome (the caller exits 0); unknown flags and
-  // missing values are errors (exit 1). parse() collapses both to false,
-  // which is why callers that care about exit codes use parse_detailed.
+  // missing values are errors (exit 1).
   CliFlags flags;
   flags.declare("sets", "100", "");
   {
@@ -112,7 +118,8 @@ TEST(Cli, TypedAccessors) {
   flags.declare("b", "true", "");
   flags.declare("s", "hello", "");
   Argv a({"prog"});
-  ASSERT_TRUE(flags.parse(a.argc(), a.argv()));
+  ASSERT_EQ(flags.parse_detailed(a.argc(), a.argv()),
+            CliFlags::ParseOutcome::kOk);
   EXPECT_DOUBLE_EQ(flags.get_double("d"), 2.5);
   EXPECT_TRUE(flags.get_bool("b"));
   EXPECT_EQ(flags.get_string("s"), "hello");
@@ -122,7 +129,8 @@ TEST(Cli, BadTypeThrows) {
   CliFlags flags;
   flags.declare("d", "abc", "");
   Argv a({"prog"});
-  ASSERT_TRUE(flags.parse(a.argc(), a.argv()));
+  ASSERT_EQ(flags.parse_detailed(a.argc(), a.argv()),
+            CliFlags::ParseOutcome::kOk);
   EXPECT_THROW(flags.get_double("d"), PreconditionError);
   EXPECT_THROW(flags.get_int("d"), PreconditionError);
   EXPECT_THROW(flags.get_bool("d"), PreconditionError);
@@ -144,21 +152,24 @@ TEST(Cli, BatchFlagDefaultsValidatesAndWarns) {
     CliFlags flags;
     declare_batch_flag(flags);
     Argv a({"prog"});
-    ASSERT_TRUE(flags.parse(a.argc(), a.argv()));
+    ASSERT_EQ(flags.parse_detailed(a.argc(), a.argv()),
+              CliFlags::ParseOutcome::kOk);
     EXPECT_EQ(get_batch(flags), 64u);
   }
   {
     CliFlags flags;
     declare_batch_flag(flags);
     Argv a({"prog", "--batch=8"});
-    ASSERT_TRUE(flags.parse(a.argc(), a.argv()));
+    ASSERT_EQ(flags.parse_detailed(a.argc(), a.argv()),
+              CliFlags::ParseOutcome::kOk);
     EXPECT_EQ(get_batch(flags), 8u);
   }
   {
     CliFlags flags;
     declare_batch_flag(flags);
     Argv a({"prog", "--batch=0"});
-    ASSERT_TRUE(flags.parse(a.argc(), a.argv()));
+    ASSERT_EQ(flags.parse_detailed(a.argc(), a.argv()),
+              CliFlags::ParseOutcome::kOk);
     EXPECT_THROW(get_batch(flags), PreconditionError);
   }
   {
@@ -167,7 +178,8 @@ TEST(Cli, BatchFlagDefaultsValidatesAndWarns) {
     CliFlags flags;
     declare_batch_flag(flags);
     Argv a({"prog", "--batch=256"});
-    ASSERT_TRUE(flags.parse(a.argc(), a.argv()));
+    ASSERT_EQ(flags.parse_detailed(a.argc(), a.argv()),
+              CliFlags::ParseOutcome::kOk);
     EXPECT_EQ(get_batch(flags), 256u);
   }
 }
@@ -181,7 +193,8 @@ CliFlags parsed(const std::vector<std::pair<std::string, std::string>>& kv) {
     args.push_back("--" + name + "=" + value);
   }
   Argv a(args);
-  EXPECT_TRUE(flags.parse(a.argc(), a.argv()));
+  EXPECT_EQ(flags.parse_detailed(a.argc(), a.argv()),
+            CliFlags::ParseOutcome::kOk);
   return flags;
 }
 
@@ -255,14 +268,16 @@ TEST(Cli, JobsAndBatchUseTheRangeCheckedGetter) {
     CliFlags flags;
     declare_jobs_flag(flags);
     Argv a({"prog", "--jobs=0"});
-    ASSERT_TRUE(flags.parse(a.argc(), a.argv()));
+    ASSERT_EQ(flags.parse_detailed(a.argc(), a.argv()),
+              CliFlags::ParseOutcome::kOk);
     EXPECT_EQ(get_jobs(flags), 0u);  // boundary: hardware concurrency
   }
   for (const char* bad : {"--jobs=-1", "--jobs=2x", "--jobs=4294967297"}) {
     CliFlags flags;
     declare_jobs_flag(flags);
     Argv a({"prog", bad});
-    ASSERT_TRUE(flags.parse(a.argc(), a.argv()));
+    ASSERT_EQ(flags.parse_detailed(a.argc(), a.argv()),
+              CliFlags::ParseOutcome::kOk);
     const std::string what = error_of([&] { get_jobs(flags); });
     EXPECT_NE(what.find("flag --jobs"), std::string::npos) << bad;
   }
@@ -270,14 +285,16 @@ TEST(Cli, JobsAndBatchUseTheRangeCheckedGetter) {
     CliFlags flags;
     declare_batch_flag(flags);
     Argv a({"prog", "--batch=1"});
-    ASSERT_TRUE(flags.parse(a.argc(), a.argv()));
+    ASSERT_EQ(flags.parse_detailed(a.argc(), a.argv()),
+              CliFlags::ParseOutcome::kOk);
     EXPECT_EQ(get_batch(flags), 1u);  // boundary
   }
   {
     CliFlags flags;
     declare_batch_flag(flags);
     Argv a({"prog", "--batch=8.5"});
-    ASSERT_TRUE(flags.parse(a.argc(), a.argv()));
+    ASSERT_EQ(flags.parse_detailed(a.argc(), a.argv()),
+              CliFlags::ParseOutcome::kOk);
     const std::string what = error_of([&] { get_batch(flags); });
     EXPECT_NE(what.find("flag --batch"), std::string::npos) << what;
   }

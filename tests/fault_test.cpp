@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "tokenring/analysis/fixed_priority.hpp"
-#include "tokenring/analysis/kernels.hpp"
 #include "tokenring/analysis/pdp.hpp"
 #include "tokenring/analysis/ttp.hpp"
 #include "tokenring/breakdown/saturation.hpp"
@@ -306,9 +305,12 @@ TEST(Margins, WarmStartedPdpMarginMatchesColdRtaOnRandomSets) {
     if (budget.kind == FaultKind::kNoiseBurst) {
       budget.noise_duration = milliseconds(rng.uniform(0.01, 5.0));
     }
-    const analysis::PdpScaleKernel kernel(base, params, bw);
-    const auto boundary = breakdown::find_saturation_scaled(
-        base, [&kernel](double scale) { return kernel(scale); }, bw);
+    const auto boundary = breakdown::find_saturation(
+        base,
+        [&](const msg::MessageSet& m) {
+          return analysis::pdp_feasible(m, params, bw);
+        },
+        bw);
     const double load = rng.uniform01() < 0.3 ? rng.uniform(0.995, 1.0)
                                               : rng.uniform(0.05, 1.15);
     const msg::MessageSet set =

@@ -228,8 +228,8 @@ TEST(Registry, PredicateEvalCounterIsDeterministicAcrossJobs) {
   experiments::PaperSetup setup;
   setup.num_stations = 6;
   const BitsPerSecond bw = mbps(16);
-  const auto factory =
-      setup.pdp_kernel_factory(analysis::PdpVariant::kModified8025, bw);
+  const auto predicate =
+      setup.pdp_predicate(analysis::PdpVariant::kModified8025, bw);
 
   auto run_workload = [&](std::size_t jobs) {
     obs::Registry::global().reset_values();
@@ -238,7 +238,7 @@ TEST(Registry, PredicateEvalCounterIsDeterministicAcrossJobs) {
     options.num_sets = 12;
     msg::MessageSetGenerator generator(setup.generator_config());
     const auto estimate = breakdown::estimate_breakdown_utilization(
-        generator, factory, bw, 7, executor, options);
+        generator, predicate, bw, 7, executor, options);
     const auto snap = obs::Registry::global().snapshot();
     return std::pair(estimate.mean(), snap.counters.at("breakdown.predicate_evals"));
   };
@@ -260,8 +260,8 @@ TEST(Registry, PredicateEvalCounterIsDeterministicAcrossBatchSizes) {
   experiments::PaperSetup setup;
   setup.num_stations = 6;
   const BitsPerSecond bw = mbps(16);
-  const auto scalar_factory =
-      setup.pdp_kernel_factory(analysis::PdpVariant::kModified8025, bw);
+  const auto predicate =
+      setup.pdp_predicate(analysis::PdpVariant::kModified8025, bw);
   const auto batch_factory =
       setup.pdp_batch_kernel_factory(analysis::PdpVariant::kModified8025, bw);
 
@@ -277,7 +277,7 @@ TEST(Registry, PredicateEvalCounterIsDeterministicAcrossBatchSizes) {
     options.num_sets = 12;
     msg::MessageSetGenerator generator(setup.generator_config());
     const auto estimate = breakdown::estimate_breakdown_utilization(
-        generator, scalar_factory, bw, 7, executor, options);
+        generator, predicate, bw, 7, executor, options);
     const auto snap = obs::Registry::global().snapshot();
     return Tally{estimate.mean(),
                  snap.counters.at("breakdown.predicate_evals"),

@@ -276,8 +276,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CsvRoundTrip, ::testing::Values(17, 19, 23));
 
 // ---- fast-kernel differential --------------------------------------------------------
 //
-// The screened verdicts (rta_feasible_fast, lsd_feasible_fast) and the
-// scale-space kernels (PdpScaleKernel, TtpScaleKernel) are drop-in
+// The screened verdict (rta_feasible_fast) and the scale-space kernels
+// (PdpBatchKernel, TtpBatchKernel; one lane here, many below) are drop-in
 // replacements for the exact analyses; these tests pin verdict-for-verdict
 // agreement on a large randomized corpus drawn from the exec/ seed stream
 // (fixed master seeds, so every run and every machine sees the same sets).
@@ -323,8 +323,6 @@ TEST(FastKernelDifferential, ScreenedVerdictsMatchExactOn10kTaskSets) {
                                     << trial;
     ASSERT_EQ(exact_rta, analysis::rta_feasible_fast(tasks, blocking))
         << "rta_feasible_fast disagrees at trial " << trial;
-    ASSERT_EQ(exact_lsd, analysis::lsd_feasible_fast(tasks, blocking))
-        << "lsd_feasible_fast disagrees at trial " << trial;
     (exact_rta ? schedulable : infeasible) += 1;
   }
   // The corpus must exercise both verdicts, or the agreement is vacuous.
@@ -439,23 +437,32 @@ TEST(FastKernelDifferential, ScaleKernelsMatchPredicatesScaleForScale) {
     const auto ttp = ttp_params(n);
     const Seconds pinned_ttrt = milliseconds(rng.uniform(0.5, 20.0));
 
-    const analysis::PdpScaleKernel pdp_kernel(base, pdp, bw);
-    const analysis::TtpScaleKernel ttp_kernel(base, ttp, bw);
-    const analysis::TtpScaleKernel ttp_kernel_at(base, ttp, bw, pinned_ttrt);
+    const std::span<const msg::MessageSet> lane(&base, 1);
+    const analysis::PdpBatchKernel pdp_kernel(lane, pdp, bw);
+    const analysis::TtpBatchKernel ttp_kernel(lane, ttp, bw);
+    const analysis::TtpBatchKernel ttp_kernel_at(lane, ttp, bw, pinned_ttrt);
+    const auto verdict = [](const auto& kernel, double scale) {
+      const double scales[] = {scale};
+      const std::uint8_t active[] = {1};
+      std::uint8_t verdicts[] = {0};
+      kernel.evaluate(scales, active, verdicts);
+      return verdicts[0] != 0;
+    };
 
     // Random probe order, including scale 0, exercises the PDP kernel's
-    // carried search state (failed-task hint and warm start) with costs
-    // that rise and fall between probes.
+    // carried search state (failed-task hint, warm start and the cost
+    // dominance witnesses) with costs that rise and fall between probes.
     for (int probe = 0; probe < 5; ++probe) {
       const double scale =
           probe == 0 ? 0.0 : rng.uniform(0.0, 50.0);
       const auto scaled = base.scaled(scale);
       const bool pdp_ref = analysis::pdp_feasible(scaled, pdp, bw);
-      ASSERT_EQ(pdp_kernel(scale), pdp_ref)
+      ASSERT_EQ(verdict(pdp_kernel, scale), pdp_ref)
           << "PDP kernel disagrees at trial " << trial << " scale " << scale;
-      ASSERT_EQ(ttp_kernel(scale), analysis::ttp_feasible(scaled, ttp, bw))
+      ASSERT_EQ(verdict(ttp_kernel, scale),
+                analysis::ttp_feasible(scaled, ttp, bw))
           << "TTP kernel disagrees at trial " << trial << " scale " << scale;
-      ASSERT_EQ(ttp_kernel_at(scale),
+      ASSERT_EQ(verdict(ttp_kernel_at, scale),
                 analysis::ttp_feasible_at(scaled, ttp, bw, pinned_ttrt))
           << "pinned-TTRT kernel disagrees at trial " << trial << " scale "
           << scale;
@@ -568,12 +575,13 @@ TEST(WarmStartDifferential, VerdictsAndHeldResponsesMatchColdRtaOn10kTaskSets) {
 // ---- batched (SoA) kernel differential -----------------------------------------------
 //
 // The batch kernels (PdpBatchKernel, TtpBatchKernel) and the lockstep
-// bisector (find_saturation_batch) claim bit-identity with the scalar
-// path. These tests pin that claim on randomized corpora: lockstep
-// verdicts verdict-for-verdict against the scalar kernels (including
-// masked lanes, zero-payload lanes and deadline-infeasible q_i < 2 TTP
-// lanes), and every field of the batched saturation results against
-// per-lane scalar searches.
+// bisector (find_saturation_batch) claim bit-identity with the paper's
+// predicates and the scalar search. These tests pin that claim on
+// randomized corpora: lockstep verdicts verdict-for-verdict against
+// pdp_feasible, ttp_feasible and ttp_feasible_at on the scaled sets
+// (including masked lanes, zero-payload lanes and deadline-infeasible
+// q_i < 2 TTP lanes), and every field of the batched saturation results
+// against per-lane find_saturation searches over the same predicates.
 
 /// One BatchScaleKernel view over a concrete SoA kernel instance.
 template <typename Kernel>
@@ -585,7 +593,7 @@ breakdown::BatchScaleKernel as_batch_kernel(const Kernel& kernel) {
   };
 }
 
-TEST(BatchKernelDifferential, LockstepVerdictsMatchScalarKernels) {
+TEST(BatchKernelDifferential, LockstepVerdictsMatchPredicates) {
   constexpr std::size_t kLanes = 6;
   int schedulable = 0;
   int infeasible = 0;
@@ -612,7 +620,7 @@ TEST(BatchKernelDifferential, LockstepVerdictsMatchScalarKernels) {
     }
     const BitsPerSecond bw = mbps(rng.uniform(4.0, 200.0));
     // Alternate variants so both token-overhead branches of the batched
-    // cost loop (per-frame vs per-message) face the scalar kernel.
+    // cost loop (per-frame vs per-message) face the predicate.
     const auto variant = trial % 2 == 0 ? analysis::PdpVariant::kModified8025
                                         : analysis::PdpVariant::kStandard8025;
     const auto pdp = pdp_params(n, variant);
@@ -631,16 +639,18 @@ TEST(BatchKernelDifferential, LockstepVerdictsMatchScalarKernels) {
     const analysis::PdpBatchKernel pdp_batch(bases, pdp, bw);
     const analysis::TtpBatchKernel ttp_batch(bases, ttp, bw);
     const analysis::TtpBatchKernel ttp_batch_at(bases, ttp, bw, pinned_ttrt);
-    std::vector<analysis::PdpScaleKernel> pdp_scalar;
-    std::vector<analysis::TtpScaleKernel> ttp_scalar;
-    std::vector<analysis::TtpScaleKernel> ttp_scalar_at;
-    for (const auto& base : bases) {
-      pdp_scalar.emplace_back(base, pdp, bw);
-      ttp_scalar.emplace_back(base, ttp, bw);
-      ttp_scalar_at.emplace_back(base, ttp, bw, pinned_ttrt);
-    }
 
     std::vector<double> scales(kLanes, 0.0);
+    const auto pdp_ref = [&](std::size_t l) {
+      return analysis::pdp_feasible(bases[l].scaled(scales[l]), pdp, bw);
+    };
+    const auto ttp_ref = [&](std::size_t l) {
+      return analysis::ttp_feasible(bases[l].scaled(scales[l]), ttp, bw);
+    };
+    const auto ttp_at_ref = [&](std::size_t l) {
+      return analysis::ttp_feasible_at(bases[l].scaled(scales[l]), ttp, bw,
+                                       pinned_ttrt);
+    };
     std::vector<std::uint8_t> verdicts(kLanes, 0);
     for (int probe = 0; probe < 4; ++probe) {
       for (std::size_t l = 0; l < kLanes; ++l) {
@@ -648,7 +658,7 @@ TEST(BatchKernelDifferential, LockstepVerdictsMatchScalarKernels) {
       }
       pdp_batch.evaluate(scales, verdicts);
       for (std::size_t l = 0; l < kLanes; ++l) {
-        const bool ref = pdp_scalar[l](scales[l]);
+        const bool ref = pdp_ref(l);
         ASSERT_EQ(verdicts[l] != 0, ref)
             << "PDP lane " << l << " disagrees at trial " << trial
             << " scale " << scales[l];
@@ -656,20 +666,20 @@ TEST(BatchKernelDifferential, LockstepVerdictsMatchScalarKernels) {
       }
       ttp_batch.evaluate(scales, verdicts);
       for (std::size_t l = 0; l < kLanes; ++l) {
-        ASSERT_EQ(verdicts[l] != 0, ttp_scalar[l](scales[l]))
+        ASSERT_EQ(verdicts[l] != 0, ttp_ref(l))
             << "TTP lane " << l << " disagrees at trial " << trial
             << " scale " << scales[l];
       }
       ttp_batch_at.evaluate(scales, verdicts);
       for (std::size_t l = 0; l < kLanes; ++l) {
-        ASSERT_EQ(verdicts[l] != 0, ttp_scalar_at[l](scales[l]))
+        ASSERT_EQ(verdicts[l] != 0, ttp_at_ref(l))
             << "pinned-TTRT lane " << l << " disagrees at trial " << trial
             << " scale " << scales[l];
       }
     }
 
     // Masked evaluation: inactive lanes keep their verdict slot untouched,
-    // active lanes still match the scalar kernel.
+    // active lanes still match the predicate.
     constexpr std::uint8_t kSentinel = 0xEE;
     std::vector<std::uint8_t> active(kLanes, 0);
     for (std::size_t l = 0; l < kLanes; ++l) {
@@ -680,7 +690,7 @@ TEST(BatchKernelDifferential, LockstepVerdictsMatchScalarKernels) {
     pdp_batch.evaluate(scales, active, verdicts);
     for (std::size_t l = 0; l < kLanes; ++l) {
       if (active[l] != 0) {
-        ASSERT_EQ(verdicts[l] != 0, pdp_scalar[l](scales[l]))
+        ASSERT_EQ(verdicts[l] != 0, pdp_ref(l))
             << "masked PDP lane " << l << " disagrees at trial " << trial;
       } else {
         ASSERT_EQ(verdicts[l], kSentinel)
@@ -691,7 +701,7 @@ TEST(BatchKernelDifferential, LockstepVerdictsMatchScalarKernels) {
     ttp_batch_at.evaluate(scales, active, verdicts);
     for (std::size_t l = 0; l < kLanes; ++l) {
       if (active[l] != 0) {
-        ASSERT_EQ(verdicts[l] != 0, ttp_scalar_at[l](scales[l]))
+        ASSERT_EQ(verdicts[l] != 0, ttp_at_ref(l))
             << "masked TTP lane " << l << " disagrees at trial " << trial;
       } else {
         ASSERT_EQ(verdicts[l], kSentinel)
@@ -755,9 +765,12 @@ TEST(BatchKernelDifferential, BatchedSaturationMatchesScalarFieldForField) {
         breakdown::find_saturation_batch(
             bases, as_batch_kernel(pdp_batch), bw, options);
     for (std::size_t l = 0; l < kLanes; ++l) {
-      const analysis::PdpScaleKernel scalar(bases[l], pdp, bw);
-      const auto ref = breakdown::find_saturation_scaled(
-          bases[l], [&scalar](double s) { return scalar(s); }, bw, options);
+      const auto ref = breakdown::find_saturation(
+          bases[l],
+          [&](const msg::MessageSet& m) {
+            return analysis::pdp_feasible(m, pdp, bw);
+          },
+          bw, options);
       expect_match(pdp_results[l], ref, l, "PDP");
     }
 
@@ -766,9 +779,12 @@ TEST(BatchKernelDifferential, BatchedSaturationMatchesScalarFieldForField) {
         breakdown::find_saturation_batch(
             bases, as_batch_kernel(ttp_batch), bw, options);
     for (std::size_t l = 0; l < kLanes; ++l) {
-      const analysis::TtpScaleKernel scalar(bases[l], ttp, bw);
-      const auto ref = breakdown::find_saturation_scaled(
-          bases[l], [&scalar](double s) { return scalar(s); }, bw, options);
+      const auto ref = breakdown::find_saturation(
+          bases[l],
+          [&](const msg::MessageSet& m) {
+            return analysis::ttp_feasible(m, ttp, bw);
+          },
+          bw, options);
       expect_match(ttp_results[l], ref, l, "TTP");
     }
 
@@ -776,9 +792,12 @@ TEST(BatchKernelDifferential, BatchedSaturationMatchesScalarFieldForField) {
     const auto ttp_at_results = breakdown::find_saturation_batch(
         bases, as_batch_kernel(ttp_batch_at), bw, options);
     for (std::size_t l = 0; l < kLanes; ++l) {
-      const analysis::TtpScaleKernel scalar(bases[l], ttp, bw, pinned_ttrt);
-      const auto ref = breakdown::find_saturation_scaled(
-          bases[l], [&scalar](double s) { return scalar(s); }, bw, options);
+      const auto ref = breakdown::find_saturation(
+          bases[l],
+          [&](const msg::MessageSet& m) {
+            return analysis::ttp_feasible_at(m, ttp, bw, pinned_ttrt);
+          },
+          bw, options);
       expect_match(ttp_at_results[l], ref, l, "pinned-TTRT");
     }
   }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -368,6 +369,78 @@ TEST(Query, DaemonFaultMarginsBesideMultiHourPeriodsStayTrue) {
       }
     }
     EXPECT_EQ(seen, 2) << response;
+  }
+}
+
+// ---- counts past 2^63 -----------------------------------------------------
+//
+// The visit count q_i = floor(D_i / TTRT) and the frame counts L_i, K_i are
+// integers held in double, so a count past 2^63 still yields a true
+// verdict, the same through the query layer and the daemon.
+
+std::string one_stream_check(const char* protocol, const char* period_ms,
+                             const char* payload_bits) {
+  return std::string(R"({"type":"check","protocol":")") + protocol +
+         R"(","bandwidth_mbps":100,"streams":[{"station":0,"period_ms":)" +
+         period_ms + R"(,"payload_bits":)" + payload_bits + "}]}";
+}
+
+query::CheckResult check_line(const std::string& line) {
+  serve::Request request;
+  std::string error;
+  EXPECT_TRUE(
+      serve::parse_request(obs::parse_json(line).value, request, error))
+      << error;
+  return query::check(request.check);
+}
+
+/// The daemon's verdict on `line`; fails the test unless it answers 200.
+bool daemon_schedulable(serve::Engine& engine, const std::string& line) {
+  const std::string response = engine.handle_line(line, "test");
+  const obs::JsonParseResult doc = obs::parse_json(response);
+  EXPECT_TRUE(doc.ok) << response;
+  if (!doc.ok) return false;
+  EXPECT_EQ(doc.value.find("status")->as_int64(), 200) << response;
+  return doc.value.find("result")->find("schedulable")->as_bool();
+}
+
+TEST(Query, FddiVisitCountsPast2To63StaySchedulable) {
+  // One 1000-bit stream: the paper's TTRT rule gives q = sqrt(P / Theta),
+  // which passes 2^63 between P = 1e35 and 1e36 ms at 100 Mbps.
+  serve::Engine engine(serve::Engine::Options{});
+  for (const char* period_ms : {"1e35", "1e36", "1e40", "1e300"}) {
+    SCOPED_TRACE(std::string("period_ms ") + period_ms);
+    const std::string line = one_stream_check("fddi", period_ms, "1000");
+    const query::CheckResult r = check_line(line);
+    EXPECT_TRUE(r.schedulable);
+    ASSERT_EQ(r.ttp.reports.size(), 1u);
+    const analysis::TtpStreamReport& report = r.ttp.reports[0];
+    EXPECT_TRUE(report.deadline_feasible);
+    EXPECT_EQ(report.q, std::floor(report.stream.deadline() / r.ttp.ttrt));
+    if (std::string(period_ms) != "1e35") {
+      EXPECT_GT(report.q, 0x1p63);
+    }
+    EXPECT_TRUE(daemon_schedulable(engine, line));
+  }
+}
+
+TEST(Query, PdpFrameCountsPast2To63AreNotSchedulable) {
+  // 5e21 bits is ~9.8e18 64-byte frames, past 2^63; both variants must
+  // miss with a positive cost instead of failing a precondition.
+  serve::Engine engine(serve::Engine::Options{});
+  for (const char* protocol : {"ieee8025", "modified8025"}) {
+    for (const char* payload_bits : {"1e21", "5e21", "1e300"}) {
+      SCOPED_TRACE(std::string(protocol) + " payload_bits " + payload_bits);
+      const std::string line = one_stream_check(protocol, "100", payload_bits);
+      const query::CheckResult r = check_line(line);
+      EXPECT_FALSE(r.schedulable);
+      ASSERT_EQ(r.pdp.reports.size(), 1u);
+      const analysis::PdpStreamReport& report = r.pdp.reports[0];
+      EXPECT_GT(report.augmented_length, report.stream.period);
+      EXPECT_TRUE(std::isfinite(report.augmented_length));
+      EXPECT_EQ(report.frames, std::ceil(report.stream.payload_bits / 512.0));
+      EXPECT_FALSE(daemon_schedulable(engine, line));
+    }
   }
 }
 

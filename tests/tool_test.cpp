@@ -183,6 +183,34 @@ TEST_F(ToolTest, CheckMissingFileFails) {
   EXPECT_NE(r.output.find("cannot open"), std::string::npos);
 }
 
+TEST_F(ToolTest, CountsPast2To63KeepTheirVerdicts) {
+  // FDDI visit counts q_i past 2^63 (long periods) stay schedulable; 802.5
+  // frame counts past 2^63 (huge payloads) miss instead of failing a
+  // precondition (query_test.cpp checks the same through the daemon).
+  const std::string path = temp_path("tool_test_counts.csv");
+  for (const char* period_ms : {"1e36", "1e40", "1e300"}) {
+    write_scenario(path, std::string("0,") + period_ms + ",1000\n");
+    const auto r = run_tool("check --file=" + path +
+                            " --protocol=fddi --bandwidth-mbps=100");
+    EXPECT_EQ(r.exit_code, 0) << period_ms << ": " << r.output;
+    EXPECT_NE(r.output.find("fddi: SCHEDULABLE"), std::string::npos)
+        << r.output;
+  }
+  for (const char* payload_bits : {"5e21", "1e300"}) {
+    write_scenario(path, std::string("0,100,") + payload_bits + "\n");
+    for (const char* protocol : {"ieee8025", "modified8025"}) {
+      const auto r = run_tool("check --file=" + path + " --protocol=" +
+                              protocol + " --bandwidth-mbps=100");
+      EXPECT_EQ(r.exit_code, 2) << protocol << " " << payload_bits << ": "
+                                << r.output;
+      EXPECT_NE(r.output.find(std::string(protocol) + ": NOT SCHEDULABLE"),
+                std::string::npos)
+          << r.output;
+    }
+  }
+  std::remove(path.c_str());
+}
+
 TEST_F(ToolTest, CheckRejectsStationWithNoRoomForTheRingSize) {
   // The ring holds station + 1 stations; INT_MAX used to overflow it.
   const std::string path = temp_path("tool_test_station_max.csv");

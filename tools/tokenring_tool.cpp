@@ -140,7 +140,7 @@ int cmd_plan(const CliFlags& flags, obs::RunReport& report) {
     const auto& b = latency[i];
     table.add_row({fmt(static_cast<long long>(r.stream.station)),
                    fmt(to_milliseconds(r.stream.period), 1),
-                   fmt(static_cast<long long>(r.q)),
+                   fmt(r.q, 0),
                    fmt(to_microseconds(r.h), 2),
                    fmt(static_cast<long long>(b.visits)),
                    fmt(to_milliseconds(b.response_bound), 2),
